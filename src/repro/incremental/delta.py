@@ -22,7 +22,7 @@ inverses need no access to the pre-change model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.edm.association import AssociationSet
 from repro.edm.entity import EntitySet, EntityType
@@ -60,6 +60,21 @@ class Neighborhood:
             f"tables={{{', '.join(self.tables) or '∅'}}} "
             f"fks={len(self.foreign_keys)}"
         )
+
+
+@dataclass(frozen=True)
+class StaleRegion:
+    """Every name a delta can stale in a cache of compiled artifacts.
+
+    The raw touched region still names elements the delta *dropped*,
+    which no longer resolve; the resolved :class:`Neighborhood` adds the
+    sets reached through types and association endpoints.  Only the raw
+    region names associations.
+    """
+
+    sets: FrozenSet[str]
+    assocs: FrozenSet[str]
+    tables: FrozenSet[str]
 
 
 # ----------------------------------------------------------------------
@@ -514,6 +529,18 @@ class MappingDelta:
                 foreign_keys.append((table_name, index))
         return Neighborhood(
             tuple(sorted(sets)), tuple(sorted(tables)), tuple(foreign_keys)
+        )
+
+    def stale_region(self, mapping) -> StaleRegion:
+        """The raw touched region unioned with the neighborhood resolved
+        against the evolved *mapping* — what the plan, writeplan and
+        result caches evict by."""
+        raw = self.touched()
+        hood = self.touched_neighborhood(mapping)
+        return StaleRegion(
+            sets=frozenset(raw.sets) | frozenset(hood.sets),
+            assocs=frozenset(raw.assocs),
+            tables=frozenset(raw.tables) | frozenset(hood.tables),
         )
 
     def summary(self) -> Tuple[str, ...]:

@@ -2,7 +2,7 @@
 
 The update views define how a client state materializes as store rows;
 this package pushes *deltas* of the client state through those views —
-per-operator delta rules mirroring :mod:`repro.algebra.evaluate` — so an
+the shared delta rules of :mod:`repro.algebra.delta` — so an
 incremental save touches O(|delta|) rows instead of re-materializing the
 whole state.  See ``docs/architecture.md`` (incremental write path).
 """

@@ -73,7 +73,7 @@ class ClientDelta:
 
     def sources(self) -> FrozenSet[str]:
         """Entity-set and association names with net activity — the
-        delta *shape* writeplans are specialized for."""
+        sources whose writeplan subtrees propagate anything."""
         return frozenset(
             [name for name, per in self.entities.items() if per]
             + [name for name, per in self.associations.items() if per]

@@ -1,21 +1,11 @@
 """Delta propagation through compiled update views.
 
-Every update view is ``(Q_T | τ_T)`` with ``Q_T`` built from exactly four
-operators over client scans — project, select, union-all and the
-PK-keyed left outer join chaining association fragments onto the entity
-union.  For each operator there is a *delta rule* that transforms a
-signed stream of changed input rows into a signed stream of changed
-output rows, mirroring the bag semantics of
-:func:`repro.algebra.evaluate._evaluate` exactly:
-
-* scan      — the recorded net changes themselves (±entity rows, ±pairs);
-* select    — filter each signed row by the condition;
-* project   — map each signed row through the projection items;
-* union-all — concatenate branch deltas, NULL-padded to the union width;
-* ⟕ on k    — ``ΔL ⟕ R_new``  (each signed left row matched-or-padded
-  against the new right side) **plus** ``L_old ⋈ ΔR`` with pad
-  transitions: at a join key whose right match count crosses 0↔positive,
-  the old left rows at that key lose or gain their NULL-padded row.
+Every update view is ``(Q_T | τ_T)`` with ``Q_T`` built over client
+scans.  Its delta rules are lowered by the shared signed-bag core
+(:mod:`repro.algebra.delta`); this module supplies the client-scan
+leaves — an entity-set scan emits the recorded ±entity rows, an
+association scan the ±pairs, and both answer old-side probes by
+rewinding the new client state through the :class:`ClientDelta`.
 
 Because the store rows of a table are exactly the *support* of the bag
 ``τ_T(Q_T(c))`` (the whole-state save dedups the same construction), a
@@ -24,11 +14,11 @@ DML: a row whose count rises from zero is an INSERT, one whose count
 falls to zero is a DELETE, and :func:`repro.query.dml.classify_rows`
 pairs them into UPDATEs identically to a whole-state diff.
 
-Plans are lowered once per (view, delta shape) — the shape being the set
-of scanned sources with activity, so e.g. an association-only delta skips
-the entity union entirely — and cached in :class:`WriteplanCache` under
-the same delta-scoped invalidation discipline as the read-side
-:class:`~repro.query.plancache.PlanCache`.
+Plans are lowered once per view and cached in :class:`WriteplanCache`
+under the same delta-scoped invalidation discipline as the read-side
+:class:`~repro.query.plancache.PlanCache`; at run time the delta's
+active sources decide which subtrees propagate, so e.g. an
+association-only delta skips the entity union entirely.
 
 Any query shape or multiplicity invariant the rules cannot maintain
 raises :class:`~repro.errors.IvmError`; the engine then falls back to a
@@ -40,56 +30,30 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.algebra.conditions import evaluate_condition
+from repro.algebra.delta import (
+    DeltaRuntime,
+    Node,
+    Probe,
+    Signed,
+    compile_delta,
+    matches,
+    never_probe,
+)
 from repro.algebra.evaluate import (
     TYPE_TAG,
     ClientContext,
     RowDict,
-    _RowConditionContext,
     evaluate_query_bag,
-    join_key,
-    join_rows,
-    join_spec,
-    output_columns,
 )
-from repro.algebra.queries import (
-    AssociationScan,
-    Const,
-    LeftOuterJoin,
-    Project,
-    Query,
-    Select,
-    SetScan,
-    UnionAll,
-)
+from repro.algebra.queries import AssociationScan, Query, SetScan
 from repro.containment.cache import client_slice_tokens, fingerprint
 from repro.edm.instances import ClientState, Entity
-from repro.errors import EvaluationError, IvmError
+from repro.errors import IvmError
 from repro.ivm.clientdelta import ClientDelta
 from repro.query.dml import StoreDelta, classify_rows
 from repro.relational.instances import Row, row_from_mapping
-
-Signed = Tuple[int, RowDict]
-Probe = Callable[["_Runtime", Tuple[object, ...], bool], List[RowDict]]
-
-
-class _Runtime:
-    """Everything a lowered plan reads at save time."""
-
-    __slots__ = ("delta", "state", "context", "fallback_probes")
-
-    def __init__(self, delta: ClientDelta, state: ClientState) -> None:
-        self.delta = delta
-        #: the *new* client state (the delta has already been applied)
-        self.state = state
-        self.context = ClientContext(state)
-        self.fallback_probes = 0
-
-
-def _matches(row: RowDict, columns: Tuple[str, ...], values: Tuple[object, ...]) -> bool:
-    return all(row.get(c) == v for c, v in zip(columns, values))
 
 
 def _entity_row(entity: Entity) -> RowDict:
@@ -98,36 +62,17 @@ def _entity_row(entity: Entity) -> RowDict:
     return row
 
 
-def _never_probe(rt: "_Runtime", values: Tuple[object, ...], old: bool) -> List[RowDict]:
-    return []
-
-
-class _Node:
-    """One lowered operator: a delta rule plus keyed-probe compilation."""
-
-    __slots__ = ("columns", "active")
-
-    def delta(self, rt: _Runtime) -> List[Signed]:
-        raise NotImplementedError
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        """A probe returning the node's (old or new) rows matching the
-        given column constraints — the O(|delta|) replacement for
-        re-evaluating the whole subtree."""
-        raise NotImplementedError
-
-
-class _SetScanNode(_Node):
+class _SetScanNode(Node):
     __slots__ = ("set_name", "key_attrs")
 
     def __init__(self, set_name: str, key_attrs: Tuple[str, ...],
-                 columns: Tuple[str, ...], active: bool) -> None:
+                 columns: Tuple[str, ...]) -> None:
         self.set_name = set_name
         self.key_attrs = key_attrs
         self.columns = columns
-        self.active = active
+        self.sources = frozenset((set_name,))
 
-    def delta(self, rt: _Runtime) -> List[Signed]:
+    def delta(self, rt: DeltaRuntime) -> List[Signed]:
         out: List[Signed] = []
         for old, new in rt.delta.entity_changes(self.set_name).values():
             if old is not None:
@@ -136,7 +81,7 @@ class _SetScanNode(_Node):
                 out.append((+1, _entity_row(new)))
         return out
 
-    def _old_entities(self, rt: _Runtime):
+    def _old_entities(self, rt: DeltaRuntime):
         changes = rt.delta.entity_changes(self.set_name)
         for entity in rt.state.entities(self.set_name):
             if entity.key_tuple(self.key_attrs) not in changes:
@@ -145,7 +90,7 @@ class _SetScanNode(_Node):
             if old is not None:
                 yield old
 
-    def _entity_at(self, rt: _Runtime, key: Tuple[object, ...], old: bool) -> Optional[Entity]:
+    def _entity_at(self, rt: DeltaRuntime, key: Tuple[object, ...], old: bool) -> Optional[Entity]:
         if old:
             changes = rt.delta.entity_changes(self.set_name)
             if key in changes:
@@ -155,51 +100,49 @@ class _SetScanNode(_Node):
     def make_probe(self, columns: Tuple[str, ...]) -> Probe:
         scan_columns = set(self.columns)
         if any(c not in scan_columns for c in columns):
-            return _never_probe  # no row of this scan carries the column
+            return never_probe  # no row of this scan carries the column
         key_positions = {a: i for i, a in enumerate(columns)}
         if all(a in key_positions for a in self.key_attrs):
             key_attrs = self.key_attrs
 
-            def keyed(rt: _Runtime, values: Tuple[object, ...], old: bool) -> List[RowDict]:
+            def keyed(rt: DeltaRuntime, values: Tuple[object, ...], old: bool) -> List[RowDict]:
                 key = tuple(values[key_positions[a]] for a in key_attrs)
                 entity = self._entity_at(rt, key, old)
                 if entity is None:
                     return []
                 row = _entity_row(entity)
-                return [row] if _matches(row, columns, values) else []
+                return [row] if matches(row, columns, values) else []
 
             return keyed
 
-        def scan(rt: _Runtime, values: Tuple[object, ...], old: bool) -> List[RowDict]:
-            rt.fallback_probes += 1
+        def scan(rt: DeltaRuntime, values: Tuple[object, ...], old: bool) -> List[RowDict]:
             entities = self._old_entities(rt) if old else rt.state.entities(self.set_name)
             rows = (_entity_row(e) for e in entities)
-            return [r for r in rows if _matches(r, columns, values)]
+            return [r for r in rows if matches(r, columns, values)]
 
         return scan
 
 
-class _AssocScanNode(_Node):
+class _AssocScanNode(Node):
     __slots__ = ("assoc_name", "names", "key1_len")
 
-    def __init__(self, assoc_name: str, names: Tuple[str, ...], key1_len: int,
-                 active: bool) -> None:
+    def __init__(self, assoc_name: str, names: Tuple[str, ...], key1_len: int) -> None:
         self.assoc_name = assoc_name
         self.names = names
         self.key1_len = key1_len
         self.columns = names
-        self.active = active
+        self.sources = frozenset((assoc_name,))
 
     def _row(self, pair: Tuple[object, ...]) -> RowDict:
         return dict(zip(self.names, pair))
 
-    def delta(self, rt: _Runtime) -> List[Signed]:
+    def delta(self, rt: DeltaRuntime) -> List[Signed]:
         return [
             (sign, self._row(pair))
             for pair, sign in rt.delta.association_changes(self.assoc_name).items()
         ]
 
-    def _old_pairs(self, rt: _Runtime, new_pairs, end: Optional[int],
+    def _old_pairs(self, rt: DeltaRuntime, new_pairs, end: Optional[int],
                    end_key: Tuple[object, ...]):
         """Adjust a new-side pair listing back to the old side: drop net
         inserts, add back net deletes (restricted to the probed end)."""
@@ -219,7 +162,7 @@ class _AssocScanNode(_Node):
     def make_probe(self, columns: Tuple[str, ...]) -> Probe:
         known = set(self.names)
         if any(c not in known for c in columns):
-            return _never_probe
+            return never_probe
         positions = {n: i for i, n in enumerate(columns)}
         end1_names = self.names[: self.key1_len]
         end2_names = self.names[self.key1_len:]
@@ -230,9 +173,8 @@ class _AssocScanNode(_Node):
         elif all(n in positions for n in end2_names):
             end, end_names = 1, end2_names
 
-        def probe(rt: _Runtime, values: Tuple[object, ...], old: bool) -> List[RowDict]:
+        def probe(rt: DeltaRuntime, values: Tuple[object, ...], old: bool) -> List[RowDict]:
             if end is None:
-                rt.fallback_probes += 1
                 new_pairs = rt.state.associations(self.assoc_name)
                 end_key: Tuple[object, ...] = ()
             else:
@@ -240,244 +182,38 @@ class _AssocScanNode(_Node):
                 new_pairs = rt.state.associations_with_end(self.assoc_name, end, end_key)
             pairs = self._old_pairs(rt, new_pairs, end, end_key) if old else new_pairs
             rows = (self._row(p) for p in pairs)
-            return [r for r in rows if _matches(r, columns, values)]
+            return [r for r in rows if matches(r, columns, values)]
 
         return probe
 
 
-class _SelectNode(_Node):
-    __slots__ = ("source", "condition")
-
-    def __init__(self, source: _Node, condition) -> None:
-        self.source = source
-        self.condition = condition
-        self.columns = source.columns
-        self.active = source.active
-
-    def _keep(self, rt: _Runtime, row: RowDict) -> bool:
-        return evaluate_condition(self.condition, _RowConditionContext(row, rt.context))
-
-    def delta(self, rt: _Runtime) -> List[Signed]:
-        return [(s, r) for s, r in self.source.delta(rt) if self._keep(rt, r)]
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        source_probe = self.source.make_probe(columns)
-
-        def probe(rt: _Runtime, values: Tuple[object, ...], old: bool) -> List[RowDict]:
-            return [r for r in source_probe(rt, values, old) if self._keep(rt, r)]
-
-        return probe
-
-
-class _ProjectNode(_Node):
-    __slots__ = ("source", "items")
-
-    def __init__(self, source: _Node, items) -> None:
-        self.source = source
-        self.items = items
-        self.columns = tuple(item.output for item in items)
-        self.active = source.active
-
-    def _project(self, row: RowDict) -> RowDict:
-        out: RowDict = {}
-        for item in self.items:
-            if isinstance(item.expr, Const):
-                out[item.output] = item.expr.value
-            else:
-                name = item.expr.name
-                if name not in row:
-                    raise EvaluationError(
-                        f"projection references missing column {name!r} "
-                        f"(row has {sorted(k for k in row if k != TYPE_TAG)})"
-                    )
-                out[item.output] = row[name]
-        return out
-
-    def delta(self, rt: _Runtime) -> List[Signed]:
-        return [(s, self._project(r)) for s, r in self.source.delta(rt)]
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        by_output = {item.output: item for item in self.items}
-        pinned: List[Tuple[int, object]] = []  # probe slot must equal this Const
-        source_columns: List[str] = []
-        source_slots: List[int] = []
-        for i, column in enumerate(columns):
-            item = by_output.get(column)
-            if item is None:
-                return _never_probe  # projected rows never carry the column
-            if isinstance(item.expr, Const):
-                pinned.append((i, item.expr.value))
-            else:
-                source_columns.append(item.expr.name)
-                source_slots.append(i)
-        source_probe = self.source.make_probe(tuple(source_columns))
-
-        def probe(rt: _Runtime, values: Tuple[object, ...], old: bool) -> List[RowDict]:
-            for i, pin in pinned:
-                if values[i] != pin:
-                    return []
-            sub_values = tuple(values[i] for i in source_slots)
-            rows = (self._project(r) for r in source_probe(rt, sub_values, old))
-            return [r for r in rows if _matches(r, columns, values)]
-
-        return probe
-
-
-class _UnionNode(_Node):
-    __slots__ = ("branches",)
-
-    def __init__(self, branches: Tuple[_Node, ...], all_columns: Tuple[str, ...]) -> None:
-        self.branches = branches
-        self.columns = all_columns
-        self.active = any(b.active for b in branches)
-
-    def _pad(self, row: RowDict) -> RowDict:
-        return {column: row.get(column) for column in self.columns}
-
-    def delta(self, rt: _Runtime) -> List[Signed]:
-        out: List[Signed] = []
-        for branch in self.branches:
-            if not branch.active:
-                continue
-            out.extend((s, self._pad(r)) for s, r in branch.delta(rt))
-        return out
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        branch_probes = [b.make_probe(columns) for b in self.branches]
-
-        def probe(rt: _Runtime, values: Tuple[object, ...], old: bool) -> List[RowDict]:
-            out: List[RowDict] = []
-            for bp in branch_probes:
-                padded = (self._pad(r) for r in bp(rt, values, old))
-                out.extend(r for r in padded if _matches(r, columns, values))
-            return out
-
-        return probe
-
-
-class _LojNode(_Node):
-    __slots__ = ("left", "right", "on", "spec", "left_probe", "right_probe")
-
-    def __init__(self, left: _Node, right: _Node, on: Tuple[str, ...]) -> None:
-        self.left = left
-        self.right = right
-        self.on = on
-        self.spec = join_spec(left.columns, right.columns, on)
-        self.left_probe = left.make_probe(on)
-        self.right_probe = right.make_probe(on)
-        self.columns = left.columns + tuple(
-            c for c in right.columns if c not in left.columns
-        )
-        self.active = left.active or right.active
-
-    def delta(self, rt: _Runtime) -> List[Signed]:
-        out: List[Signed] = []
-        spec = self.spec
-        if self.left.active:
-            # ΔL ⟕ R_new: each signed left row matches or NULL-pads
-            for sign, lrow in self.left.delta(rt):
-                key = join_key(lrow, self.on)
-                matches = self.right_probe(rt, key, False) if key is not None else []
-                for row in join_rows([lrow], matches, spec, True, False):
-                    out.append((sign, row))
-        if self.right.active:
-            by_key: Dict[Tuple[object, ...], List[Signed]] = {}
-            for sign, rrow in self.right.delta(rt):
-                key = join_key(rrow, self.on)
-                if key is None:
-                    continue  # NULL keys never join and LOJ never right-pads
-                by_key.setdefault(key, []).append((sign, rrow))
-            for key, signed_rows in by_key.items():
-                # L_old ⋈ ΔR (term one already covered ΔL against R_new)
-                left_old = self.left_probe(rt, key, True)
-                if not left_old:
-                    continue
-                for sign, rrow in signed_rows:
-                    for row in join_rows(left_old, [rrow], spec, False, False):
-                        out.append((sign, row))
-                # pad transitions: right match count crossing 0 ↔ positive
-                m_new = len(self.right_probe(rt, key, False))
-                m_old = m_new - sum(s for s, _ in signed_rows)
-                if m_old < 0:
-                    raise IvmError(
-                        f"negative right-side multiplicity at join key {key!r}"
-                    )
-                pad_sign = 0
-                if m_old == 0 and m_new > 0:
-                    pad_sign = -1  # old left rows lose their NULL-padded row
-                elif m_old > 0 and m_new == 0:
-                    pad_sign = +1  # old left rows regain the NULL-padded row
-                if pad_sign:
-                    for row in join_rows(left_old, [], spec, True, False):
-                        out.append((pad_sign, row))
-        return out
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        if tuple(columns) != tuple(self.on):
-            raise IvmError(
-                f"left-outer-join probe on {columns!r} does not match join key {self.on!r}"
-            )
-
-        def probe(rt: _Runtime, values: Tuple[object, ...], old: bool) -> List[RowDict]:
-            left_rows = self.left_probe(rt, values, old)
-            if not left_rows:
-                return []
-            right_rows = self.right_probe(rt, values, old)
-            return join_rows(left_rows, right_rows, self.spec, True, False)
-
-        return probe
-
-
-def _compile(query: Query, context: ClientContext, shape: FrozenSet[str]) -> _Node:
+def client_leaf(scan: Query, context: ClientContext) -> Node:
+    """Lower one client scan for :func:`compile_delta`."""
     schema = context.schema
-    if isinstance(query, SetScan):
-        entity_set = schema.entity_set(query.set_name)
+    if isinstance(scan, SetScan):
+        entity_set = schema.entity_set(scan.set_name)
         return _SetScanNode(
-            query.set_name,
+            scan.set_name,
             tuple(schema.key_of(entity_set.root_type)),
-            context.scan_columns(query),
-            query.set_name in shape,
+            context.scan_columns(scan),
         )
-    if isinstance(query, AssociationScan):
-        association = schema.association(query.assoc_name)
+    if isinstance(scan, AssociationScan):
+        association = schema.association(scan.assoc_name)
         key1 = schema.key_of(association.end1.entity_type)
-        return _AssocScanNode(
-            query.assoc_name,
-            context.scan_columns(query),
-            len(key1),
-            query.assoc_name in shape,
-        )
-    if isinstance(query, Select):
-        return _SelectNode(_compile(query.source, context, shape), query.condition)
-    if isinstance(query, Project):
-        return _ProjectNode(_compile(query.source, context, shape), query.items)
-    if isinstance(query, UnionAll):
-        return _UnionNode(
-            tuple(_compile(b, context, shape) for b in query.branches),
-            output_columns(query, context),
-        )
-    if isinstance(query, LeftOuterJoin):
-        if query.on is None:
-            raise IvmError("cannot lower a left outer join without an explicit key")
-        return _LojNode(
-            _compile(query.left, context, shape),
-            _compile(query.right, context, shape),
-            tuple(query.on),
-        )
-    raise IvmError(f"no delta rule for query node {type(query).__name__}")
+        return _AssocScanNode(scan.assoc_name, context.scan_columns(scan), len(key1))
+    raise IvmError(f"no delta rule for {type(scan).__name__} over a client state")
 
 
 @dataclass
 class Writeplan:
-    """One lowered (view, delta-shape) pair: signed-row propagation plus
-    the row constructor, producing net store-row multiplicity changes."""
+    """One lowered update view: signed-row propagation plus the row
+    constructor, producing net store-row multiplicity changes."""
 
     table_name: str
-    shape: FrozenSet[str]
-    root: _Node
+    root: Node
     constructor: object
 
-    def run(self, rt: _Runtime) -> Dict[Row, int]:
+    def run(self, rt: DeltaRuntime) -> Dict[Row, int]:
         net: Dict[Row, int] = {}
         for sign, row in self.root.delta(rt):
             out = row_from_mapping(self.constructor.construct(row))
@@ -489,11 +225,11 @@ class Writeplan:
         return net
 
 
-def compile_writeplan(view, schema, shape: FrozenSet[str]) -> Writeplan:
-    """Lower one update view's delta rules for one delta shape."""
+def compile_writeplan(view, schema) -> Writeplan:
+    """Lower one update view's delta rules."""
     context = ClientContext(ClientState(schema))  # schema-only: columns are static
-    root = _compile(view.query, context, shape)
-    return Writeplan(view.table_name, shape, root, view.constructor)
+    root = compile_delta(view.query, context, client_leaf)
+    return Writeplan(view.table_name, root, view.constructor)
 
 
 def _scanned_sources(view) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
@@ -525,7 +261,7 @@ class WriteplanCacheStats:
 
 
 class WriteplanCache:
-    """LRU of lowered writeplans keyed by (table, view fingerprint, shape).
+    """LRU of lowered writeplans keyed by (table, view-slice fingerprint).
 
     The fingerprint covers the view structure *and* the client-schema
     slice its scans read (:func:`client_slice_tokens`), so any evolution
@@ -538,61 +274,53 @@ class WriteplanCache:
 
     def __init__(self, max_plans: int = 256) -> None:
         self.max_plans = max_plans
-        #: key -> (plan, scanned sources ∪ {table})
-        self._plans: "OrderedDict[tuple, Tuple[Writeplan, FrozenSet[str]]]" = OrderedDict()
+        self._plans: "OrderedDict[tuple, Writeplan]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
         self.compiled = 0
         self.invalidations = 0
 
-    def plan_for(self, model, view, shape: FrozenSet[str]) -> Writeplan:
+    def plan_for(self, model, view) -> Writeplan:
         schema = model.client_schema
         sets, assocs = _scanned_sources(view)
         slice_fp = fingerprint(
             view, client_slice_tokens(schema, sets=sorted(sets), assocs=sorted(assocs))
         )
-        key = (view.table_name, slice_fp, shape)
+        key = (view.table_name, slice_fp)
         with self._lock:
-            entry = self._plans.get(key)
-            if entry is not None:
+            plan = self._plans.get(key)
+            if plan is not None:
                 self._plans.move_to_end(key)
                 self.hits += 1
-                return entry[0]
-        plan = compile_writeplan(view, schema, shape)  # may raise IvmError
-        sources = frozenset(sets) | frozenset(assocs)
+                return plan
+        plan = compile_writeplan(view, schema)  # may raise IvmError
         with self._lock:
             self.misses += 1
             self.compiled += 1
-            self._plans[key] = (plan, sources)
+            self._plans[key] = plan
             while len(self._plans) > self.max_plans:
                 self._plans.popitem(last=False)
         return plan
 
     def invalidate(self, delta, mapping) -> int:
         """Evict exactly the writeplans a :class:`MappingDelta` can stale."""
-        raw = delta.touched()
-        hood = delta.touched_neighborhood(mapping)
-        # the resolved Neighborhood names sets and tables only; raw
-        # touched() is where association names surface
-        touched_sources = set(raw.sets) | set(hood.sets) | set(raw.assocs)
-        touched_tables = set(raw.tables) | set(hood.tables)
-        schema = mapping.client_schema if hasattr(mapping, "client_schema") else mapping
+        stale = delta.stale_region(mapping)
+        touched_sources = stale.sets | stale.assocs
+        schema = mapping.client_schema
         evicted = 0
         with self._lock:
-            for key in list(self._plans):
-                table_name = key[0]
-                _plan, sources = self._plans[key]
-                stale = table_name in touched_tables or bool(sources & touched_sources)
-                if not stale:
+            for key, plan in list(self._plans.items()):
+                sources = plan.root.sources
+                if (
+                    plan.table_name in stale.tables
+                    or not sources.isdisjoint(touched_sources)
                     # raw names of dropped components no longer resolve
-                    for name in sources:
-                        if not (
-                            schema.has_entity_set(name) or schema.has_association(name)
-                        ):
-                            stale = True
-                            break
-                if stale:
+                    or not all(
+                        schema.has_entity_set(n) or schema.has_association(n)
+                        for n in sources
+                    )
+                ):
                     del self._plans[key]
                     evicted += 1
             self.invalidations += evicted
@@ -667,17 +395,16 @@ def push_client_delta(
     after the backend accepted the DML.  Views scanning none of the
     delta's sources are skipped entirely — the O(|delta|) win.
     """
-    rt = _Runtime(delta, inc_state.client_state)
-    active_sources = delta.sources()
+    state = inc_state.client_state  # the *new* client state
+    rt = DeltaRuntime(delta, state, ClientContext(state), delta.sources())
     store_delta = StoreDelta()
     pending: List[Tuple[str, Dict[Row, int]]] = []
     for table_name in sorted(model.views.update_views):
         view = model.views.update_views[table_name]
         sets, assocs = _scanned_sources(view)
-        shape = frozenset((set(sets) | set(assocs)) & active_sources)
-        if not shape:
+        if rt.touched.isdisjoint(sets) and rt.touched.isdisjoint(assocs):
             continue
-        plan = cache.plan_for(model, view, shape)
+        plan = cache.plan_for(model, view)
         net = plan.run(rt)
         if not net:
             continue

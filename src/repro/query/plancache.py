@@ -480,23 +480,20 @@ class PlanCache:
         delta *dropped*, which no longer resolve).  Everything else keeps
         serving — the neighborhood principle on the serving side.
         """
-        raw = delta.touched()
-        hood = delta.touched_neighborhood(mapping)
-        touched_sets = set(raw.sets) | set(hood.sets)
-        touched_tables = set(raw.tables) | set(hood.tables)
-        schema = mapping.client_schema if hasattr(mapping, "client_schema") else mapping
+        stale = delta.stale_region(mapping)
+        schema = mapping.client_schema
         evicted = 0
         with self._lock:
             for set_name in list(self._set_meta):
-                if set_name in touched_sets or not schema.has_entity_set(set_name):
+                if set_name in stale.sets or not schema.has_entity_set(set_name):
                     del self._set_meta[set_name]
             for key in list(self._plans):
                 set_name = key[0]
                 plan = self._plans[key]
                 if (
-                    set_name in touched_sets
+                    set_name in stale.sets
                     or not schema.has_entity_set(set_name)
-                    or (plan.tables & touched_tables)
+                    or (plan.tables & stale.tables)
                 ):
                     del self._plans[key]
                     evicted += 1

@@ -12,17 +12,11 @@ over verbatim.
 What makes the tier worth having is that entries *survive writes*: on an
 incremental save the signed store DML the write path already computed
 (a :class:`~repro.query.dml.StoreDelta`) is propagated through each
-cached plan's branch operators by read-side delta rules mirroring the
-``ivm/writeplan`` counting algebra —
-
-* table scan — the delta's own ±rows (update = −old, +new);
-* select     — filter each signed row by the (bound) condition;
-* project    — map each signed row through the projection items;
-* union-all  — concatenate branch deltas, NULL-padded to the union width;
-* ⋈ on k     — ``ΔL ⋈ R_new + L_old ⋈ ΔR``;
-* ⟕ on k     — the same two terms plus *pad transitions*: at a join key
-  whose right match count crosses 0 ↔ positive, the old left rows at
-  that key lose or gain their NULL-padded row.
+cached plan's branch operators by the shared signed-bag core
+(:mod:`repro.algebra.delta`).  This module supplies its table-scan leaf:
+a scan emits the delta's own ±rows (update = −old, +new) and answers
+probes from the store's key index, rewound through the delta for the
+old side.
 
 Each entry keeps a per-branch bag of store-level output rows with
 multiplicity counts whose support is exactly
@@ -62,31 +56,24 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.algebra.conditions import evaluate_condition
+from repro.algebra.delta import (
+    DeltaRuntime,
+    Node,
+    Probe,
+    Signed,
+    compile_delta,
+    never_probe,
+)
 from repro.algebra.evaluate import (
     RowDict,
     StoreContext,
     TYPE_TAG,
-    _RowConditionContext,
     evaluate_query_bag,
-    join_key,
-    join_rows,
-    join_spec,
-    output_columns,
 )
-from repro.algebra.queries import (
-    Const,
-    Join,
-    LeftOuterJoin,
-    Project,
-    Query,
-    Select,
-    TableScan,
-    UnionAll,
-)
+from repro.algebra.queries import Const, Query, TableScan
 from repro.errors import EvaluationError, IvmError
 from repro.query.dml import StoreDelta
 from repro.query.unfold import UnfoldedBranch
@@ -100,9 +87,6 @@ from repro.relational.schema import StoreSchema
 #: default LRU budget in cells (rows × width summed over all entries)
 DEFAULT_RESULT_BUDGET = 2_000_000
 
-Signed = Tuple[int, RowDict]
-Probe = Callable[["_ReadRuntime", Tuple[object, ...], bool], List[RowDict]]
-
 #: the dedup identity of one store-level output row — must match
 #: :func:`~repro.algebra.evaluate.evaluate_query` exactly, because the
 #: bag's support stands in for its deduplicated output
@@ -113,60 +97,21 @@ def _dedup_key(row: RowDict) -> RowKey:
     return tuple(sorted((k, v) for k, v in row.items() if k != TYPE_TAG))
 
 
-class _ReadRuntime:
-    """Everything the read-side delta rules consume for one maintenance."""
-
-    __slots__ = ("delta", "state", "context", "touched", "fallback_probes")
-
-    def __init__(self, delta: StoreDelta, state: StoreState) -> None:
-        self.delta = delta
-        #: the *new* store state (the delta has already been applied)
-        self.state = state
-        self.context = StoreContext(state)
-        self.touched: FrozenSet[str] = frozenset(
-            name for name, td in delta.tables.items() if not td.empty
-        )
-        self.fallback_probes = 0
+def read_runtime(delta: StoreDelta, state: StoreState) -> DeltaRuntime:
+    """The runtime for one maintenance pass over the *new* store state."""
+    touched = frozenset(name for name, td in delta.tables.items() if not td.empty)
+    return DeltaRuntime(delta, state, StoreContext(state), touched)
 
 
-def _matches(
-    row: RowDict, columns: Tuple[str, ...], values: Tuple[object, ...]
-) -> bool:
-    return all(row.get(c) == v for c, v in zip(columns, values))
-
-
-def _never_probe(
-    rt: "_ReadRuntime", values: Tuple[object, ...], old: bool
-) -> List[RowDict]:
-    return []
-
-
-class _Node:
-    """One lowered operator: a delta rule plus keyed-probe compilation.
-
-    ``tables`` is the set of store tables under the subtree — a delta
-    touching none of them propagates nothing, which is what lets a
-    maintenance pass skip whole branches without evaluating them.
-    """
-
-    __slots__ = ("columns", "tables")
-
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
-        raise NotImplementedError
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        raise NotImplementedError
-
-
-class _TableNode(_Node):
+class _TableNode(Node):
     __slots__ = ("table_name",)
 
     def __init__(self, table_name: str, columns: Tuple[str, ...]) -> None:
         self.table_name = table_name
         self.columns = columns
-        self.tables = frozenset((table_name,))
+        self.sources = frozenset((table_name,))
 
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
+    def delta(self, rt: DeltaRuntime) -> List[Signed]:
         td = rt.delta.tables.get(self.table_name)
         if td is None:
             return []
@@ -183,11 +128,11 @@ class _TableNode(_Node):
     def make_probe(self, columns: Tuple[str, ...]) -> Probe:
         known = set(self.columns)
         if any(c not in known for c in columns):
-            return _never_probe
+            return never_probe
         table_name = self.table_name
 
         def probe(
-            rt: _ReadRuntime, values: Tuple[object, ...], old: bool
+            rt: DeltaRuntime, values: Tuple[object, ...], old: bool
         ) -> List[RowDict]:
             # key_index is built lazily once per (table, columns) and
             # carried across successor states, so the steady state is an
@@ -221,300 +166,11 @@ class _TableNode(_Node):
         return probe
 
 
-class _SelectNode(_Node):
-    __slots__ = ("source", "condition")
-
-    def __init__(self, source: _Node, condition) -> None:
-        self.source = source
-        self.condition = condition
-        self.columns = source.columns
-        self.tables = source.tables
-
-    def _keep(self, rt: _ReadRuntime, row: RowDict) -> bool:
-        return evaluate_condition(
-            self.condition, _RowConditionContext(row, rt.context)
-        )
-
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
-        return [(s, r) for s, r in self.source.delta(rt) if self._keep(rt, r)]
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        source_probe = self.source.make_probe(columns)
-
-        def probe(
-            rt: _ReadRuntime, values: Tuple[object, ...], old: bool
-        ) -> List[RowDict]:
-            return [
-                r for r in source_probe(rt, values, old) if self._keep(rt, r)
-            ]
-
-        return probe
-
-
-class _ProjectNode(_Node):
-    __slots__ = ("source", "items")
-
-    def __init__(self, source: _Node, items) -> None:
-        self.source = source
-        self.items = items
-        self.columns = tuple(item.output for item in items)
-        self.tables = source.tables
-
-    def _project(self, row: RowDict) -> RowDict:
-        out: RowDict = {}
-        for item in self.items:
-            if isinstance(item.expr, Const):
-                out[item.output] = item.expr.value
-            else:
-                name = item.expr.name
-                if name not in row:
-                    raise EvaluationError(
-                        f"projection references missing column {name!r} "
-                        f"(row has {sorted(k for k in row if k != TYPE_TAG)})"
-                    )
-                out[item.output] = row[name]
-        return out
-
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
-        return [(s, self._project(r)) for s, r in self.source.delta(rt)]
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        by_output = {item.output: item for item in self.items}
-        pinned: List[Tuple[int, object]] = []
-        source_columns: List[str] = []
-        source_slots: List[int] = []
-        for i, column in enumerate(columns):
-            item = by_output.get(column)
-            if item is None:
-                return _never_probe
-            if isinstance(item.expr, Const):
-                pinned.append((i, item.expr.value))
-            else:
-                source_columns.append(item.expr.name)
-                source_slots.append(i)
-        source_probe = self.source.make_probe(tuple(source_columns))
-
-        def probe(
-            rt: _ReadRuntime, values: Tuple[object, ...], old: bool
-        ) -> List[RowDict]:
-            for i, pin in pinned:
-                if values[i] != pin:
-                    return []
-            sub_values = tuple(values[i] for i in source_slots)
-            rows = (self._project(r) for r in source_probe(rt, sub_values, old))
-            return [r for r in rows if _matches(r, columns, values)]
-
-        return probe
-
-
-class _UnionNode(_Node):
-    __slots__ = ("branches",)
-
-    def __init__(
-        self, branches: Tuple[_Node, ...], all_columns: Tuple[str, ...]
-    ) -> None:
-        self.branches = branches
-        self.columns = all_columns
-        self.tables = frozenset().union(*(b.tables for b in branches))
-
-    def _pad(self, row: RowDict) -> RowDict:
-        return {column: row.get(column) for column in self.columns}
-
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
-        out: List[Signed] = []
-        for branch in self.branches:
-            if not (branch.tables & rt.touched):
-                continue
-            out.extend((s, self._pad(r)) for s, r in branch.delta(rt))
-        return out
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        branch_probes = [b.make_probe(columns) for b in self.branches]
-
-        def probe(
-            rt: _ReadRuntime, values: Tuple[object, ...], old: bool
-        ) -> List[RowDict]:
-            out: List[RowDict] = []
-            for bp in branch_probes:
-                padded = (self._pad(r) for r in bp(rt, values, old))
-                out.extend(r for r in padded if _matches(r, columns, values))
-            return out
-
-        return probe
-
-
-class _JoinNode(_Node):
-    """Inner join: ``ΔL ⋈ R_new + L_old ⋈ ΔR`` (no pad terms)."""
-
-    __slots__ = ("left", "right", "on", "spec", "left_probe", "right_probe")
-
-    def __init__(
-        self, left: _Node, right: _Node, on: Optional[Tuple[str, ...]]
-    ) -> None:
-        self.left = left
-        self.right = right
-        self.spec = join_spec(left.columns, right.columns, on)
-        if not self.spec.join_columns:
-            raise IvmError("cannot maintain a cross join incrementally")
-        self.on = self.spec.join_columns
-        self.left_probe = left.make_probe(self.on)
-        self.right_probe = right.make_probe(self.on)
-        self.columns = left.columns + tuple(
-            c for c in right.columns if c not in left.columns
-        )
-        self.tables = left.tables | right.tables
-
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
-        out: List[Signed] = []
-        spec = self.spec
-        if self.left.tables & rt.touched:
-            for sign, lrow in self.left.delta(rt):
-                key = join_key(lrow, self.on)
-                if key is None:
-                    continue
-                matches = self.right_probe(rt, key, False)
-                for row in join_rows([lrow], matches, spec, False, False):
-                    out.append((sign, row))
-        if self.right.tables & rt.touched:
-            for sign, rrow in self.right.delta(rt):
-                key = join_key(rrow, self.on)
-                if key is None:
-                    continue
-                left_old = self.left_probe(rt, key, True)
-                if not left_old:
-                    continue
-                for row in join_rows(left_old, [rrow], spec, False, False):
-                    out.append((sign, row))
-        return out
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        if tuple(columns) != tuple(self.on):
-            raise IvmError(
-                f"join probe on {columns!r} does not match join key {self.on!r}"
-            )
-
-        def probe(
-            rt: _ReadRuntime, values: Tuple[object, ...], old: bool
-        ) -> List[RowDict]:
-            left_rows = self.left_probe(rt, values, old)
-            if not left_rows:
-                return []
-            right_rows = self.right_probe(rt, values, old)
-            return join_rows(left_rows, right_rows, self.spec, False, False)
-
-        return probe
-
-
-class _LojNode(_Node):
-    """``ΔL ⟕ R_new + L_old ⋈ ΔR`` plus pad transitions — the exact rule
-    of :class:`repro.ivm.writeplan._LojNode`, lowered over table scans."""
-
-    __slots__ = ("left", "right", "on", "spec", "left_probe", "right_probe")
-
-    def __init__(
-        self, left: _Node, right: _Node, on: Optional[Tuple[str, ...]]
-    ) -> None:
-        self.left = left
-        self.right = right
-        self.spec = join_spec(left.columns, right.columns, on)
-        if not self.spec.join_columns:
-            raise IvmError("cannot maintain a padded cross join incrementally")
-        self.on = self.spec.join_columns
-        self.left_probe = left.make_probe(self.on)
-        self.right_probe = right.make_probe(self.on)
-        self.columns = left.columns + tuple(
-            c for c in right.columns if c not in left.columns
-        )
-        self.tables = left.tables | right.tables
-
-    def delta(self, rt: _ReadRuntime) -> List[Signed]:
-        out: List[Signed] = []
-        spec = self.spec
-        if self.left.tables & rt.touched:
-            # ΔL ⟕ R_new: each signed left row matches or NULL-pads
-            for sign, lrow in self.left.delta(rt):
-                key = join_key(lrow, self.on)
-                matches = (
-                    self.right_probe(rt, key, False) if key is not None else []
-                )
-                for row in join_rows([lrow], matches, spec, True, False):
-                    out.append((sign, row))
-        if self.right.tables & rt.touched:
-            by_key: Dict[Tuple[object, ...], List[Signed]] = {}
-            for sign, rrow in self.right.delta(rt):
-                key = join_key(rrow, self.on)
-                if key is None:
-                    continue  # NULL keys never join and LOJ never right-pads
-                by_key.setdefault(key, []).append((sign, rrow))
-            for key, signed_rows in by_key.items():
-                # L_old ⋈ ΔR (term one already covered ΔL against R_new)
-                left_old = self.left_probe(rt, key, True)
-                if not left_old:
-                    continue
-                for sign, rrow in signed_rows:
-                    for row in join_rows(left_old, [rrow], spec, False, False):
-                        out.append((sign, row))
-                # pad transitions: right match count crossing 0 ↔ positive
-                m_new = len(self.right_probe(rt, key, False))
-                m_old = m_new - sum(s for s, _ in signed_rows)
-                if m_old < 0:
-                    raise IvmError(
-                        f"negative right-side multiplicity at join key {key!r}"
-                    )
-                pad_sign = 0
-                if m_old == 0 and m_new > 0:
-                    pad_sign = -1  # old left rows lose their NULL-padded row
-                elif m_old > 0 and m_new == 0:
-                    pad_sign = +1  # old left rows regain the NULL-padded row
-                if pad_sign:
-                    for row in join_rows(left_old, [], spec, True, False):
-                        out.append((pad_sign, row))
-        return out
-
-    def make_probe(self, columns: Tuple[str, ...]) -> Probe:
-        if tuple(columns) != tuple(self.on):
-            raise IvmError(
-                f"left-outer-join probe on {columns!r} does not match "
-                f"join key {self.on!r}"
-            )
-
-        def probe(
-            rt: _ReadRuntime, values: Tuple[object, ...], old: bool
-        ) -> List[RowDict]:
-            left_rows = self.left_probe(rt, values, old)
-            if not left_rows:
-                return []
-            right_rows = self.right_probe(rt, values, old)
-            return join_rows(left_rows, right_rows, self.spec, True, False)
-
-        return probe
-
-
-def _compile(query: Query, context: StoreContext) -> _Node:
-    if isinstance(query, TableScan):
-        return _TableNode(query.table_name, context.scan_columns(query))
-    if isinstance(query, Select):
-        return _SelectNode(_compile(query.source, context), query.condition)
-    if isinstance(query, Project):
-        return _ProjectNode(_compile(query.source, context), query.items)
-    if isinstance(query, UnionAll):
-        return _UnionNode(
-            tuple(_compile(b, context) for b in query.branches),
-            output_columns(query, context),
-        )
-    if isinstance(query, LeftOuterJoin):
-        return _LojNode(
-            _compile(query.left, context),
-            _compile(query.right, context),
-            query.on,
-        )
-    if isinstance(query, Join):
-        return _JoinNode(
-            _compile(query.left, context),
-            _compile(query.right, context),
-            query.on,
-        )
-    raise IvmError(f"no read-side delta rule for {type(query).__name__}")
+def table_leaf(scan: Query, context: StoreContext) -> Node:
+    """Lower one table scan for :func:`compile_delta`."""
+    if not isinstance(scan, TableScan):
+        raise IvmError(f"no read-side delta rule for {type(scan).__name__}")
+    return _TableNode(scan.table_name, context.scan_columns(scan))
 
 
 def _construct_row(
@@ -537,50 +193,23 @@ def _construct_row(
     return out
 
 
+@dataclass(eq=False, slots=True)
 class _Entry:
     """One materialized answer: per-branch row bags plus the constructed
     results.  Immutable after publication — maintenance builds a copy."""
 
-    __slots__ = (
-        "values",
-        "projection",
-        "branches",
-        "roots",
-        "bags",
-        "constructed",
-        "tables",
-        "fingerprint",
-        "cost",
-        "results",
-        "maintains",
-    )
-
-    def __init__(
-        self,
-        values: Tuple[object, ...],
-        projection: Optional[Tuple[str, ...]],
-        branches: Tuple[UnfoldedBranch, ...],
-        roots: Optional[Tuple[_Node, ...]],
-        bags: List[Dict[RowKey, Tuple[RowDict, int]]],
-        constructed: Dict[Tuple[int, RowKey], object],
-        tables: FrozenSet[str],
-        fingerprint: str,
-        cost: int,
-        results: Optional[List[object]],
-        maintains: int = 0,
-    ) -> None:
-        self.values = values
-        self.projection = projection
-        self.branches = branches
-        #: None = unmaintainable shape; serves warm reads, dies on writes
-        self.roots = roots
-        self.bags = bags
-        self.constructed = constructed
-        self.tables = tables
-        self.fingerprint = fingerprint
-        self.cost = cost
-        self.results = results
-        self.maintains = maintains
+    values: Tuple[object, ...]
+    projection: Optional[Tuple[str, ...]]
+    branches: Tuple[UnfoldedBranch, ...]
+    #: None = unmaintainable shape; serves warm reads, dies on writes
+    roots: Optional[Tuple[Node, ...]]
+    bags: List[Dict[RowKey, Tuple[RowDict, int]]]
+    constructed: Dict[Tuple[int, RowKey], object]
+    tables: FrozenSet[str]
+    fingerprint: str
+    cost: int
+    results: Optional[List[object]]
+    maintains: int = 0
 
     @property
     def maintainable(self) -> bool:
@@ -617,8 +246,9 @@ def build_entry(
     bound = plan.bind(values)
     context = StoreContext(state)
     try:
-        roots: Optional[Tuple[_Node, ...]] = tuple(
-            _compile(branch.store_query, StoreContext(StoreState(schema)))
+        schema_context = StoreContext(StoreState(schema))
+        roots: Optional[Tuple[Node, ...]] = tuple(
+            compile_delta(branch.store_query, schema_context, table_leaf)
             for branch in bound.branches
         )
     except IvmError:
@@ -659,7 +289,7 @@ def build_entry(
     )
 
 
-def _maintained_entry(entry: _Entry, rt: _ReadRuntime, fingerprint: str) -> _Entry:
+def _maintained_entry(entry: _Entry, rt: DeltaRuntime, fingerprint: str) -> _Entry:
     """A copy of *entry* with the delta applied — O(|Δ|) plus the
     copy-on-write of the touched dicts.  Raises :class:`IvmError` when a
     multiplicity invariant breaks (the caller invalidates instead)."""
@@ -672,7 +302,7 @@ def _maintained_entry(entry: _Entry, rt: _ReadRuntime, fingerprint: str) -> _Ent
     for bi, (root, bag, branch) in enumerate(
         zip(entry.roots, entry.bags, entry.branches)
     ):
-        if not (root.tables & rt.touched):
+        if root.sources.isdisjoint(rt.touched):
             bags.append(bag)  # untouched branch: share the bag
             continue
         signed = root.delta(rt)
@@ -700,14 +330,10 @@ def _maintained_entry(entry: _Entry, rt: _ReadRuntime, fingerprint: str) -> _Ent
             else:
                 per[key] = (slot[0], count)
         bags.append(per)
-    return _Entry(
-        values=entry.values,
-        projection=projection,
-        branches=entry.branches,
-        roots=entry.roots,
+    return replace(
+        entry,
         bags=bags,
         constructed=constructed,
-        tables=entry.tables,
         fingerprint=fingerprint,
         cost=cost,
         results=None,  # rebuilt lazily from the constructed dict
@@ -905,7 +531,7 @@ class ResultCache:
         with self._lock:
             clone = self._clone_empty()
             items = list(self._entries.items())
-        rt = _ReadRuntime(delta, state)
+        rt = read_runtime(delta, state)
         touched = rt.touched
         for full, entry in items:
             if not (entry.tables & touched):
@@ -950,41 +576,22 @@ class ResultCache:
         with the evolved fingerprint — their sets and tables are provably
         outside the batch's touched neighborhood, so their data and
         model slice are unchanged."""
-        raw = delta.touched()
-        hood = delta.touched_neighborhood(mapping)
-        touched_sets = set(raw.sets) | set(hood.sets)
-        touched_tables = set(raw.tables) | set(hood.tables)
-        schema = (
-            mapping.client_schema
-            if hasattr(mapping, "client_schema")
-            else mapping
-        )
+        stale = delta.stale_region(mapping)
+        schema = mapping.client_schema
         with self._lock:
             clone = self._clone_empty()
             clone._unsupported = set()  # shapes may become maintainable
             for full, entry in self._entries.items():
                 set_name = full[0][0]
                 if (
-                    set_name in touched_sets
+                    set_name in stale.sets
                     or not schema.has_entity_set(set_name)
-                    or (entry.tables & touched_tables)
+                    or (entry.tables & stale.tables)
                 ):
                     clone.invalidated += 1
                     continue
                 if entry.fingerprint != fingerprint:
-                    entry = _Entry(
-                        values=entry.values,
-                        projection=entry.projection,
-                        branches=entry.branches,
-                        roots=entry.roots,
-                        bags=entry.bags,
-                        constructed=entry.constructed,
-                        tables=entry.tables,
-                        fingerprint=fingerprint,
-                        cost=entry.cost,
-                        results=entry.results,
-                        maintains=entry.maintains,
-                    )
+                    entry = replace(entry, fingerprint=fingerprint)
                 clone._entries[full] = entry
                 clone._cost += entry.cost
         return clone

@@ -165,6 +165,37 @@ class TestWriteplanCache:
         assert stats.hits >= stats.compiled  # later rounds reuse the plan
         assert stats.entries >= 1
 
+    def test_one_plan_serves_every_delta_shape(self):
+        """The ``Pass`` view scans ``Passports`` and ``Holds``: a
+        Passports-only delta and a Holds-only one share one lowered plan,
+        the runtime delta deciding which subtrees propagate."""
+        model = holds_model()
+        session = OrmSession(model)
+        state = ClientState(model.client_schema)
+        state.add_entity("P2s", Entity.of("Person2", Id=1, Name="ann"))
+        state.add_entity("Passports", Entity.of("Passport", Pno=10, Country="fr"))
+        session.save(state)
+        session.save_delta(
+            DeltaScript(
+                (
+                    EntityOp(
+                        "update", "Passports",
+                        entity=Entity.of("Passport", Pno=10, Country="de"),
+                    ),
+                )
+            )
+        )
+        session.save_delta(
+            DeltaScript((AssociationOp("insert", "Holds", key1=(1,), key2=(10,)),))
+        )
+        stats = session.serving_stats().writeplans
+        assert stats.compiled == 1
+        assert stats.hits == 1
+        assert session.engine.stats().ivm_fallbacks == 0
+        assert session.store_state.rows("Pass") == (
+            make_row(Pno=10, Country="de", OwnerId=1),
+        )
+
     def test_evolution_invalidates_touched_writeplans(self):
         from tests.conftest import employee_smo
 

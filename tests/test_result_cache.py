@@ -32,7 +32,8 @@ from tests.test_backend_differential import (
 from tests.test_ivm_differential import clone, random_script
 from repro.algebra.conditions import Comparison
 from repro.algebra.evaluate import StoreContext, evaluate_query_bag
-from repro.algebra.queries import FullOuterJoin, LeftOuterJoin, TableScan
+from repro.algebra.delta import compile_delta
+from repro.algebra.queries import FullOuterJoin, Join, LeftOuterJoin, TableScan
 from repro.backend import MemoryBackend, SqliteBackend, create_backend
 from repro.compiler import compile_mapping
 from repro.edm import INT, STRING, Entity
@@ -41,7 +42,7 @@ from repro.incremental import CompiledModel
 from repro.ivm import DeltaScript, EntityOp
 from repro.query.dml import StoreDelta, TableDelta
 from repro.query.language import EntityQuery
-from repro.query.resultcache import _compile, _ReadRuntime
+from repro.query.resultcache import read_runtime, table_leaf
 from repro.relational.instances import StoreState, row_from_mapping
 from repro.relational.schema import Column, StoreSchema, Table
 from repro.session import OrmSession
@@ -284,18 +285,20 @@ class TestLojPadTransitions:
             cached.backend.close()
             reference.backend.close()
 
-    def test_loj_delta_rule_pad_terms_directly(self):
-        """White-box: the compiled ⟕ rule over two tables must emit the
-        pad-transition terms so the maintained bag equals a fresh bag
-        evaluation, for right-side deltas crossing 0 in both directions."""
+    @pytest.mark.parametrize("join", [Join, LeftOuterJoin], ids=lambda j: j.__name__)
+    def test_loj_delta_rule_pad_terms_directly(self, join):
+        """White-box: the compiled ⋈ / ⟕ rule over two tables must keep
+        the maintained bag equal to a fresh bag evaluation — for ⟕ that
+        takes the pad-transition terms — for right-side deltas crossing 0
+        in both directions."""
         schema = StoreSchema(
             [
                 Table("L", (Column("K", INT, False), Column("A", STRING)), ("K",)),
                 Table("R", (Column("K", INT, False), Column("B", STRING)), ("K",)),
             ]
         )
-        query = LeftOuterJoin(TableScan("L"), TableScan("R"), on=("K",))
-        node = _compile(query, StoreContext(StoreState(schema)))
+        query = join(TableScan("L"), TableScan("R"), on=("K",))
+        node = compile_delta(query, StoreContext(StoreState(schema)), table_leaf)
 
         def state_of(l_rows, r_rows):
             state = StoreState(schema)
@@ -320,7 +323,7 @@ class TestLojPadTransitions:
             {"R": TableDelta("R", inserts=[row_from_mapping(new_r[0])])}
         )
         maintained = dict(bag(old))
-        for sign, row in node.delta(_ReadRuntime(delta, new)):
+        for sign, row in node.delta(read_runtime(delta, new)):
             key = tuple(sorted(row.items()))
             maintained[key] = maintained.get(key, 0) + sign
         maintained = {k: c for k, c in maintained.items() if c}
@@ -331,7 +334,7 @@ class TestLojPadTransitions:
             {"R": TableDelta("R", deletes=[row_from_mapping(new_r[0])])}
         )
         rewound = dict(bag(new))
-        for sign, row in node.delta(_ReadRuntime(back_delta, old)):
+        for sign, row in node.delta(read_runtime(back_delta, old)):
             key = tuple(sorted(row.items()))
             rewound[key] = rewound.get(key, 0) + sign
         rewound = {k: c for k, c in rewound.items() if c}
@@ -346,7 +349,7 @@ class TestLojPadTransitions:
         )
         query = FullOuterJoin(TableScan("L"), TableScan("R"), on=("K",))
         with pytest.raises(IvmError):
-            _compile(query, StoreContext(StoreState(schema)))
+            compile_delta(query, StoreContext(StoreState(schema)), table_leaf)
 
 
 # ---------------------------------------------------------------------------
