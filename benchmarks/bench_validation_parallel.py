@@ -1,16 +1,13 @@
-"""Validation pipeline scaling: workers, shards, and the cache hierarchy.
+"""Validation pipeline scaling: workers and the cache hierarchy.
 
-Three axes over the hub-and-rim workload (fan-out M >= 3, so validation
+Two axes over the hub-and-rim workload (fan-out M >= 3, so validation
 decomposes into many independent per-FK containment checks):
 
-* **workers** — the check scheduler at 1, 2, 4 and 8 workers.  Serial is
-  the byte-identical historical path; multi-worker runs use the process
-  executor with work-stealing shards.  On a single-core container the
-  sweep documents the overhead floor rather than a speedup — the JSON
-  records ``cpu_count`` so readers can interpret the numbers.
-* **shard size** — the stealing granularity at a fixed worker count:
-  1 check per shard (maximum stealing, maximum dispatch overhead) up to
-  everything in one shard (no stealing at all).
+* **workers** — the check scheduler at 1, 2, 4 and 8 workers.  One worker
+  is the byte-identical serial path; more run on the persistent process
+  pool with work-stealing shards.  On a single-core container the sweep
+  documents the overhead floor rather than a speedup — the JSON records
+  ``cpu_count`` so readers can interpret the numbers.
 * **cache** — cold vs warm-memory (one :class:`ValidationCache`, the
   intra-session re-validation scenario) vs warm-disk (a *fresh* cache
   over a shared :class:`PersistentCacheStore` — the fleet scenario), and
@@ -50,8 +47,6 @@ from repro.workloads.hub_rim import hub_rim_mapping, type_count
 SMOKE_POINT = (2, 2)
 SWEEP_POINT = (3, 3)
 WORKER_COUNTS = (1, 2, 4, 8)
-SHARD_SIZES = (1, 2, 4, None)  # None = auto (~4 shards per worker)
-SHARD_SWEEP_WORKERS = 4
 
 # the scale tier (REPRO_FULL=1): the paper's 1002-type incremental
 # target as a chain, plus a hub-and-rim with ~10x the types of the
@@ -73,9 +68,8 @@ def smoke():
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_validation_worker_sweep(benchmark, smoke, workers):
     mapping, views = smoke
-    executor = "serial" if workers == 1 else "process"
     benchmark.pedantic(
-        lambda: validate_mapping(mapping, views, workers=workers, executor=executor),
+        lambda: validate_mapping(mapping, views, workers=workers),
         rounds=1,
         iterations=1,
     )
@@ -218,35 +212,10 @@ def run_sweep(n: int, m: int) -> dict:
 
     workers_axis = []
     for workers in WORKER_COUNTS:
-        executor = "serial" if workers == 1 else "process"
         report, elapsed = _timed(
-            lambda: validate_mapping(
-                mapping, views, workers=workers, executor=executor
-            )
+            lambda: validate_mapping(mapping, views, workers=workers)
         )
-        workers_axis.append(
-            _report_row(report, elapsed, workers=workers, executor=executor)
-        )
-
-    shards_axis = []
-    for shard_size in SHARD_SIZES:
-        report, elapsed = _timed(
-            lambda: validate_mapping(
-                mapping,
-                views,
-                workers=SHARD_SWEEP_WORKERS,
-                executor="process",
-                shard_size=shard_size,
-            )
-        )
-        shards_axis.append(
-            _report_row(
-                report,
-                elapsed,
-                workers=SHARD_SWEEP_WORKERS,
-                shard_size=shard_size if shard_size is not None else "auto",
-            )
-        )
+        workers_axis.append(_report_row(report, elapsed, workers=workers))
 
     # cache hierarchy: cold -> warm-memory (same cache object) ->
     # warm-disk (fresh cache, shared store)
@@ -293,7 +262,6 @@ def run_sweep(n: int, m: int) -> dict:
             str(row["workers"]): round(serial_s / row["elapsed_s"], 2)
             for row in workers_axis
         },
-        "shards": shards_axis,
         "cache": cache_axis,
         "cross_process": cross_row,
         "per_check_timings_serial": {
@@ -315,9 +283,7 @@ def run_scale_tier() -> dict:
     cross, report, elapsed = _cross_process(
         {"model": "chain", "types": FULL_CHAIN_TYPES}, chain, chain_views
     )
-    tiers["chain"] = _report_row(
-        report, elapsed, types=FULL_CHAIN_TYPES, executor="serial"
-    )
+    tiers["chain"] = _report_row(report, elapsed, types=FULL_CHAIN_TYPES)
     tiers["chain"]["cross_process"] = cross
 
     n, m, style = FULL_HUB_RIM
@@ -332,7 +298,6 @@ def run_scale_tier() -> dict:
         m=m,
         style=style,
         types=type_count(n, m),
-        executor="serial",
     )
     tiers["hub_rim"]["cross_process"] = cross
     return tiers

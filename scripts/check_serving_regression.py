@@ -49,7 +49,7 @@ physical-plan layer exists to keep that from coming back.
   first one's compile;
 * the cross-process child (a real subprocess sharing only the cache
   directory) is held to the same floor;
-* at 4 workers the process executor must reach parallel efficiency
+* at 4 workers the process pool must reach parallel efficiency
   >= 0.5 — speedup >= 2.0× over serial (override with
   ``REPRO_MULTICORE_MIN_EFFICIENCY``).  Auto-skipped when the recorded
   ``cpu_count`` is below 2: a single-core container cannot speed

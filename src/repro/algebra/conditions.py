@@ -133,9 +133,9 @@ class Condition:
 
     def __getstate__(self):
         # The structural hash uses Python's per-process salted string hash;
-        # shipping it across a process boundary (the process executor
-        # pickles mappings and views) would break dict invariants in the
-        # worker.  Drop it; __hash__ recomputes lazily.
+        # shipping it across a process boundary (parallel validation and
+        # the persistent cache pickle mappings, views and conditions)
+        # would break dict invariants in the receiver.  Drop it; __hash__ recomputes lazily.
         state = dict(self.__dict__)
         state.pop("_shash", None)
         return state

@@ -8,11 +8,13 @@ potentially-exponential loop in the compilers accepts an optional
 work.  Exceeding the budget raises :class:`CompilationBudgetExceeded`,
 which the bench harness records as a budget-exceeded point.
 
-One budget may be shared by several validation workers (the parallel
-scheduler of :mod:`repro.compiler.scheduler`), so step accounting is
-atomic: a lock serialises the increment, and the budget trips no earlier
-than the tick that actually crosses ``max_steps`` — no steps are lost
-under concurrent ticking.
+One budget may be shared by several threads of a serving process, so
+step accounting is atomic: a lock serialises the increment, and the
+budget trips no earlier than the tick that actually crosses
+``max_steps`` — no steps are lost under concurrent ticking.  Parallel
+validation (:mod:`repro.compiler.scheduler`) runs checks in worker
+processes, which cannot tick the caller's budget; the parent replays
+their reported step counts into it with bulk ``tick(steps)`` calls.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from repro.errors import CompilationBudgetExceeded
 class WorkBudget:
     """A step and wall-clock budget shared across one compilation.
 
-    Thread-safe: concurrent :meth:`tick` calls from validation workers are
-    serialised on a lock, so ``steps`` never undercounts and the budget
+    Thread-safe: concurrent :meth:`tick` calls are serialised on a lock, so ``steps`` never undercounts and the budget
     trips exactly when the accumulated total first exceeds ``max_steps``.
     """
 

@@ -132,10 +132,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
             model.views,
             budget,
             workers=args.workers,
-            executor=args.executor,
             symbolic=not args.no_symbolic,
             cache=cache,
-            shard_size=args.shard_size,
         )
     finally:
         if cache is not None:
@@ -395,7 +393,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
             model.views,
             budget,
             workers=args.workers,
-            executor=args.executor,
             cache=cache,
         )
         print(f"warmed: {report}")
@@ -462,13 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--budget", type=float, default=None)
     p.add_argument(
-        "--workers", type=int, default=1, help="validation scheduler workers"
-    )
-    p.add_argument(
-        "--executor",
-        choices=["serial", "thread", "process"],
-        default=None,
-        help="check executor (default: serial for 1 worker, thread otherwise)",
+        "--workers",
+        type=int,
+        default=1,
+        help="validation workers (1: serial; more: a process pool)",
     )
     p.add_argument(
         "--stats",
@@ -486,14 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="persistent validation cache directory "
         "(default: $REPRO_CACHE_DIR; omit both for in-memory only)",
-    )
-    p.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="checks per work-stealing shard for parallel executors "
-        "(default: auto, ~4 shards per worker)",
     )
     p.set_defaults(fn=cmd_validate)
 
@@ -697,13 +683,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--budget", type=float, default=None, help="seconds")
     p.add_argument(
-        "--workers", type=int, default=1, help="validation scheduler workers"
-    )
-    p.add_argument(
-        "--executor",
-        choices=["serial", "thread", "process"],
-        default=None,
-        help="check executor for 'warm'",
+        "--workers",
+        type=int,
+        default=1,
+        help="validation workers for 'warm' (1: serial; more: a process pool)",
     )
     p.set_defaults(fn=cmd_cache)
 

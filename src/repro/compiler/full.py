@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.budget import WorkBudget
-from repro.compiler.analysis import SetAnalysis
 from repro.compiler.validation import ValidationReport, validate_mapping
 from repro.compiler.viewgen import generate_views
 from repro.containment.cache import ValidationCache
@@ -42,8 +41,6 @@ def compile_mapping(
     validate: bool = True,
     optimize: bool = False,
     *,
-    workers: int = 1,
-    executor: Optional[str] = None,
     cache: Optional[ValidationCache] = None,
 ) -> CompilationResult:
     """Compile *mapping* into query and update views.
@@ -53,24 +50,15 @@ def compile_mapping(
     compilation.  ``validate=False`` generates views only — used by the
     view-reuse ablation benchmark.  ``optimize=True`` additionally rewrites
     the query views into the cheaper LOJ/UNION ALL shapes (Section 6).
-    ``workers``/``executor``/``cache`` configure the validation scheduler
-    and memo (see :func:`repro.compiler.validation.validate_mapping`).
+    ``cache`` memoises the validation checks (see
+    :func:`repro.compiler.validation.validate_mapping`).
     """
     started = time.perf_counter()
     mapping.check_well_formed()
-    analyses: Dict[str, SetAnalysis] = {}
     views = generate_views(mapping, budget)
     report: Optional[ValidationReport] = None
     if validate:
-        report = validate_mapping(
-            mapping,
-            views,
-            budget,
-            analyses,
-            workers=workers,
-            executor=executor,
-            cache=cache,
-        )
+        report = validate_mapping(mapping, views, budget, cache=cache)
     if optimize:
         from repro.compiler.optimize import optimize_views
 

@@ -4,30 +4,28 @@ Full-mapping validation (Algorithm 1 of [13]) decomposes into many
 *independent* units of exponential work: one cell enumeration per store
 table, one containment check per foreign key, one coverage check and one
 roundtrip batch per entity set.  The serial baseline runs them one after
-another; this module executes the same units through an explicit DAG of
-:class:`ValidationCheck` nodes so independent checks can run concurrently.
+another; this module executes the same units, declared as
+:class:`ValidationCheck` nodes, so independent checks can run in parallel.
 
-Three executors:
+One scheduling option, ``workers``, picks one of two modes:
 
-* ``"serial"`` — run checks in declaration order on the calling thread.
-  Byte-identical behaviour (work order, budget ticks, first error raised)
-  to the pre-scheduler validation loop; the default for ``workers <= 1``.
-* ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`
-  sharing the budget and cache directly.  Under a GIL interpreter this
-  adds no CPU parallelism for the pure-Python checks, but it preserves
-  exact budget/cache semantics and overlaps any releases of the GIL; the
-  default for ``workers > 1``.
-* ``"process"`` — real CPU parallelism on GIL builds, via a *persistent*
+* ``workers == 1`` — run checks in declaration order on the calling
+  thread.  Byte-identical behaviour (work order, budget ticks, first error
+  raised) to the pre-scheduler validation loop.
+* ``workers > 1`` — real CPU parallelism on GIL builds, via a *persistent*
   :class:`~concurrent.futures.ProcessPoolExecutor` and **shard
-  stealing**: the check DAG is packed into per-neighborhood shards
+  stealing**: the checks are packed into per-neighborhood shards
   (:func:`build_shards`) that idle workers pull from the pool's shared
   queue.  Shards — not single checks — are the unit of stealing, so the
-  cost of shipping the mapping/views payload and rebuilding per-process
-  state amortizes over every check in the shard, and the pool itself is
-  reused across runs (e.g. the batches of an ``evolve_many`` session), so
-  a warm worker often needs no payload at all: contexts are cached
-  worker-side under a digest of the payload, and the parent only ships
-  the bytes when a worker reports it has never seen that digest.
+  cost of rebuilding per-process state amortizes over every check in the
+  shard.  Every shard carries the pickled mapping/views payload; workers
+  cache the context they build from it under the payload's digest, and
+  the pool itself is reused across runs, so a warm worker unpickles each
+  model once.
+
+Both modes run a check the same way — :func:`repro.compiler.validation.run_check`
+on the check's ``(kind, *args)`` spec — so serial and process runs share
+the check code by construction.
 
 Shard affinity follows the data: a table's store-cell check lands in the
 same shard as the coverage checks of the entity sets it reads (they share
@@ -41,10 +39,9 @@ persistent store, workers attach to the same on-disk store, so their
 subproblem results are shared with the parent, with each other, and with
 every later process.
 
-Error determinism: in parallel modes, every scheduled check runs (or is
-skipped because a dependency failed) and the error of the *earliest
-failing check in declaration order* is raised — the same error a serial
-run would surface first.
+Error determinism: in process mode, every scheduled check runs and the
+error of the *earliest failing check in declaration order* is raised —
+the same error a serial run would surface first.
 """
 
 from __future__ import annotations
@@ -54,38 +51,33 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.budget import WorkBudget, ensure_budget
-
-EXECUTORS = ("serial", "thread", "process")
 
 
 @dataclass
 class ValidationCheck:
     """One schedulable unit of validation work.
 
-    ``run`` executes the check in-process and returns its counters
-    (e.g. ``{"store_cells": 12}``); a failing check raises.  ``deps`` name
+    ``spec`` is a small picklable ``(kind, *args)`` tuple from which
+    :func:`repro.compiler.validation.run_check` runs the check — in
+    process or in a worker — and returns its counters (e.g.
+    ``{"store_cells": 12}``); a failing check raises.  ``deps`` name
     checks that must complete first (e.g. store-cell reasoning reads the
-    set analyses the coverage checks build).  ``spec`` is a small picklable
-    ``(kind, *args)`` tuple from which a process worker can re-run the
-    check against its own copy of the mapping and views.
+    set analyses the coverage checks build); declaration order and shard
+    affinity both honour them.
     """
 
     name: str
-    kind: str
-    run: Callable[[], Dict[str, int]]
+    spec: Tuple[object, ...]
     deps: Tuple[str, ...] = ()
-    spec: Optional[Tuple[object, ...]] = None
+
+    @property
+    def kind(self) -> str:
+        return str(self.spec[0])
 
 
 @dataclass
@@ -121,11 +113,9 @@ def describe_checks(checks: Sequence[object]) -> str:
 
 
 def build_shards(
-    checks: Sequence[ValidationCheck],
-    workers: int,
-    shard_size: Optional[int] = None,
+    checks: Sequence[ValidationCheck], workers: int
 ) -> List[List[ValidationCheck]]:
-    """Pack *checks* into affinity shards for the process executor.
+    """Pack *checks* into affinity shards for the process pool.
 
     Grouping rule: a ``store-cells`` check is fused with the ``coverage``
     checks it depends on (they share the per-set analyses through the
@@ -135,11 +125,11 @@ def build_shards(
     individual groups, free to land on any worker.
 
     Groups are then packed, in declaration order, into shards of at least
-    *shard_size* checks (default: enough shards for every worker to steal
-    a few — ``len(checks) / (workers * 4)``).  A fused group larger than
-    the target becomes its own shard; declaration order is preserved both
-    across and within shards, so intra-shard dependencies always run
-    before their dependents.
+    ``len(checks) / (workers * 4)`` checks — enough shards for every
+    worker to steal a few.  A fused group larger than the target becomes
+    its own shard; declaration order is preserved both across and within
+    shards, so intra-shard dependencies always run before their
+    dependents.
     """
     checks = list(checks)
     if not checks:
@@ -178,11 +168,7 @@ def build_shards(
     for check in checks:
         groups.setdefault(find(labels[check.name]), []).append(check)
 
-    if shard_size is None:
-        target = max(1, (len(checks) + workers * 4 - 1) // (workers * 4))
-    else:
-        target = max(1, int(shard_size))
-
+    target = max(1, (len(checks) + workers * 4 - 1) // (workers * 4))
     shards: List[List[ValidationCheck]] = []
     current: List[ValidationCheck] = []
     for group in groups.values():
@@ -196,125 +182,38 @@ def build_shards(
 
 
 class ValidationScheduler:
-    """Executes a list of :class:`ValidationCheck` units."""
+    """Executes a list of :class:`ValidationCheck` units: serially for one
+    worker, on the persistent process pool for more."""
 
-    def __init__(
-        self,
-        workers: int = 1,
-        executor: Optional[str] = None,
-        shard_size: Optional[int] = None,
-    ) -> None:
+    def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, int(workers))
-        if executor is None:
-            executor = "serial" if self.workers == 1 else "thread"
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown validation executor {executor!r}; expected one of {EXECUTORS}"
-            )
-        if self.workers == 1 and executor == "thread":
-            executor = "serial"  # one thread is the serial path, minus the pool
-        self.executor = executor
-        #: target checks per process shard (None: sized for the pool)
-        self.shard_size = shard_size
 
     # ------------------------------------------------------------------
     def run(
         self,
         checks: Sequence[ValidationCheck],
-        mapping=None,
-        views=None,
+        mapping,
+        views,
         budget: Optional[WorkBudget] = None,
         symbolic: bool = True,
         cache=None,
     ) -> List[CheckResult]:
-        """Execute all *checks*; return results in declaration order.
+        """Execute all *checks* against *mapping*/*views*; return results
+        in declaration order.
 
         Raises the (deterministically chosen) first error when any check
-        fails.  ``mapping``/``views``/``budget`` are only required by the
-        process executor, which re-materialises them per worker;
-        ``symbolic`` is shipped to process workers so their re-run of a
-        check spec uses the same containment fast-path setting as the
-        in-process runners (serial/thread runners have it baked into
-        their closures already).  ``cache`` (the parent's
-        :class:`~repro.containment.cache.ValidationCache`) lets process
-        workers mirror its setup — in particular, attach to the same
-        persistent on-disk store when one is configured.
+        fails.  ``symbolic`` selects the containment fast path of the
+        foreign-key checks.  ``cache`` (a
+        :class:`~repro.containment.cache.ValidationCache`) memoises check
+        units; process workers mirror its setup — in particular, they
+        attach to the same persistent on-disk store when one is
+        configured.
         """
         checks = list(checks)
-        if self.executor == "serial":
-            return self._run_serial(checks)
-        if self.executor == "thread":
-            return self._run_threads(checks)
+        budget = ensure_budget(budget)
+        if self.workers == 1:
+            return _run_serial(checks, mapping, views, budget, symbolic, cache)
         return self._run_processes(checks, mapping, views, budget, symbolic, cache)
-
-    # ------------------------------------------------------------------
-    def _run_serial(self, checks: List[ValidationCheck]) -> List[CheckResult]:
-        results: List[CheckResult] = []
-        for check in checks:
-            started = time.perf_counter()
-            counters = check.run()
-            results.append(
-                CheckResult(
-                    name=check.name,
-                    kind=check.kind,
-                    counters=counters,
-                    elapsed=time.perf_counter() - started,
-                )
-            )
-        return results
-
-    # ------------------------------------------------------------------
-    def _run_threads(self, checks: List[ValidationCheck]) -> List[CheckResult]:
-        by_name = {check.name: check for check in checks}
-        waiting: Dict[str, Set[str]] = {
-            check.name: {dep for dep in check.deps if dep in by_name}
-            for check in checks
-        }
-        dependents: Dict[str, List[str]] = {}
-        for check in checks:
-            for dep in check.deps:
-                if dep in by_name:
-                    dependents.setdefault(dep, []).append(check.name)
-
-        results: Dict[str, CheckResult] = {}
-        errors: Dict[str, BaseException] = {}
-        submitted: Set[str] = set()
-
-        def timed(check: ValidationCheck) -> CheckResult:
-            started = time.perf_counter()
-            counters = check.run()
-            return CheckResult(
-                name=check.name,
-                kind=check.kind,
-                counters=counters,
-                elapsed=time.perf_counter() - started,
-            )
-
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures: Dict[Future, str] = {}
-
-            def submit_ready() -> None:
-                for name, deps in waiting.items():
-                    if not deps and name not in submitted:
-                        submitted.add(name)
-                        futures[pool.submit(timed, by_name[name])] = name
-
-            submit_ready()
-            while futures:
-                done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                for future in done:
-                    name = futures.pop(future)
-                    try:
-                        results[name] = future.result()
-                    except BaseException as exc:  # noqa: BLE001 - re-raised below
-                        errors[name] = exc
-                        continue
-                    for dependent in dependents.get(name, ()):
-                        waiting[dependent].discard(name)
-                submit_ready()
-
-        self._raise_first_error(checks, errors)
-        return [results[c.name] for c in checks if c.name in results]
 
     # ------------------------------------------------------------------
     def _run_processes(
@@ -322,25 +221,10 @@ class ValidationScheduler:
         checks: List[ValidationCheck],
         mapping,
         views,
-        budget: Optional[WorkBudget],
-        symbolic: bool = True,
-        cache=None,
+        budget: WorkBudget,
+        symbolic: bool,
+        cache,
     ) -> List[CheckResult]:
-        missing = [
-            name
-            for name, value in (("mapping", mapping), ("views", views))
-            if value is None
-        ]
-        if missing:
-            raise ValueError(
-                "the process executor re-runs each check from its spec in "
-                "worker processes and needs the compiled inputs to do so: "
-                f"missing required argument(s) {', '.join(repr(m) for m in missing)} "
-                "— pass them to ValidationScheduler.run() (or use the "
-                "'serial'/'thread' executor, which runs the checks' own "
-                "closures)"
-            )
-        budget = ensure_budget(budget)
         payload = pickle.dumps(
             (
                 mapping,
@@ -352,79 +236,74 @@ class ValidationScheduler:
             )
         )
         context_key = hashlib.sha256(payload).hexdigest()
-        if any(check.spec is None for check in checks):
-            raise ValueError("every check needs a picklable spec for process mode")
-
-        shards = build_shards(checks, self.workers, self.shard_size)
         pool = _get_pool(self.workers)
+        futures = {
+            pool.submit(
+                _run_shard, context_key, payload, [check.spec for check in shard]
+            ): shard
+            for shard in build_shards(checks, self.workers)
+        }
         results: Dict[str, CheckResult] = {}
         errors: Dict[str, BaseException] = {}
-
-        futures: Dict[Future, List[ValidationCheck]] = {}
-        # The first wave (one submission per worker) carries the payload so
-        # cold workers can build their context; the rest ship the digest
-        # only, and a worker that turns out not to know it sends the shard
-        # back for resubmission with the bytes attached.
-        for index, shard in enumerate(shards):
-            blob = payload if index < self.workers else None
-            future = pool.submit(
-                _run_shard, context_key, blob, [check.spec for check in shard]
-            )
-            futures[future] = shard
-
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                shard = futures.pop(future)
-                try:
-                    outcome = future.result()
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    for check in shard:
+        for future in as_completed(futures):
+            shard = futures[future]
+            try:
+                outcome = future.result()
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                for check in shard:
+                    errors.setdefault(check.name, exc)
+                continue
+            for check, (counters, error, steps, elapsed) in zip(shard, outcome):
+                # Reconcile the worker's consumed steps into the shared
+                # budget first — failed checks included — so process
+                # totals match a serial run over the same list.
+                if steps:
+                    try:
+                        budget.tick(steps)
+                    except BaseException as exc:  # CompilationBudgetExceeded
                         errors.setdefault(check.name, exc)
-                    continue
-                if outcome == _NEED_PAYLOAD:
-                    retry = pool.submit(
-                        _run_shard,
-                        context_key,
-                        payload,
-                        [check.spec for check in shard],
+                if error is not None:
+                    errors.setdefault(check.name, error)
+                elif counters is not None:
+                    results[check.name] = CheckResult(
+                        name=check.name,
+                        kind=check.kind,
+                        counters=counters,
+                        elapsed=elapsed,
                     )
-                    futures[retry] = shard
-                    pending.add(retry)
-                    continue
-                for check, (counters, error, steps, elapsed) in zip(shard, outcome):
-                    # Reconcile the worker's consumed steps into the shared
-                    # budget first — failed checks included — so process
-                    # totals match a serial run over the same list.
-                    if steps:
-                        try:
-                            budget.tick(steps)
-                        except BaseException as exc:  # CompilationBudgetExceeded
-                            errors.setdefault(check.name, exc)
-                    if error is not None:
-                        errors.setdefault(check.name, error)
-                    elif counters is not None:
-                        results[check.name] = CheckResult(
-                            name=check.name,
-                            kind=check.kind,
-                            counters=counters,
-                            elapsed=elapsed,
-                        )
 
-        self._raise_first_error(checks, errors)
-        return [results[c.name] for c in checks if c.name in results]
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _raise_first_error(
-        checks: Sequence[ValidationCheck], errors: Dict[str, BaseException]
-    ) -> None:
-        if not errors:
-            return
         for check in checks:  # declaration order == serial surfacing order
             if check.name in errors:
                 raise errors[check.name]
+        return [results[c.name] for c in checks if c.name in results]
+
+
+def _run_serial(
+    checks: List[ValidationCheck],
+    mapping,
+    views,
+    budget: WorkBudget,
+    symbolic: bool,
+    cache,
+) -> List[CheckResult]:
+    from repro.compiler.validation import run_check
+
+    analyses: Dict[str, object] = {}
+    results: List[CheckResult] = []
+    for check in checks:
+        started = time.perf_counter()
+        counters = run_check(
+            check.spec, mapping, views, analyses, budget, cache, symbolic
+        )
+        results.append(
+            CheckResult(
+                name=check.name,
+                kind=check.kind,
+                counters=counters,
+                elapsed=time.perf_counter() - started,
+            )
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +317,11 @@ _POOLS_LOCK = threading.Lock()
 def _get_pool(workers: int) -> ProcessPoolExecutor:
     """The shared process pool for *workers*, created on first use.
 
-    Persistent by design: reusing live workers across validation runs is
-    what lets their cached contexts amortize the payload shipping — the
-    dominant cost of the old per-run pool — across every batch of an
-    ``evolve_many`` session.  ``concurrent.futures`` joins the workers at
-    interpreter exit; :func:`shutdown_pools` releases them earlier.
+    Persistent by design: reusing live workers across ``validate_mapping``
+    calls in one process pays the spawn cost once and lets their cached
+    contexts skip unpickling a model they have seen.  ``concurrent.futures``
+    joins the workers at interpreter exit; :func:`shutdown_pools` releases
+    them earlier.
     """
     with _POOLS_LOCK:
         pool = _POOLS.get(workers)
@@ -480,10 +359,6 @@ def _cache_spec(cache) -> Optional[Tuple[str, Optional[str]]]:
 # Process-pool worker side
 # ---------------------------------------------------------------------------
 
-#: marker returned by a worker that was handed a digest it has no context
-#: for (the parent resubmits the shard with the payload bytes attached)
-_NEED_PAYLOAD = "need-payload"
-
 #: per-process context cache: payload digest -> materialized context.
 #: Bounded, LRU — a long-lived pool serving several sessions/models keeps
 #: the few contexts in active rotation and drops the rest.
@@ -491,16 +366,11 @@ _WORKER_CONTEXTS: "OrderedDict[str, dict]" = OrderedDict()
 _WORKER_CONTEXT_BOUND = 4
 
 
-def _worker_context(context_key: str, payload: Optional[bytes]) -> Optional[dict]:
-    """The cached context for *context_key*, building it from *payload*.
-
-    Returns ``None`` when the context is unknown and no payload came
-    along — the caller answers :data:`_NEED_PAYLOAD`.
-    """
+def _worker_context(context_key: str, payload: bytes) -> dict:
+    """The cached context for *context_key*; *payload* is unpickled only
+    when this worker has not seen that digest yet."""
     context = _WORKER_CONTEXTS.get(context_key)
     if context is None:
-        if payload is None:
-            return None
         from repro.containment.cache import ValidationCache
 
         mapping, views, max_steps, max_seconds, symbolic, cache_spec = (
@@ -535,19 +405,19 @@ def _worker_context(context_key: str, payload: Optional[bytes]) -> Optional[dict
 
 def _run_shard(
     context_key: str,
-    payload: Optional[bytes],
+    payload: bytes,
     specs: List[Tuple[object, ...]],
 ):
     """Run one shard of check specs inside a worker process.
 
-    Returns :data:`_NEED_PAYLOAD`, or a list aligned with *specs* of
-    ``(counters | None, error | None, steps, elapsed)`` — steps are
-    reported even for failing checks, so the parent's budget
-    reconciliation sees every unit of work this worker performed.
+    Returns a list aligned with *specs* of ``(counters | None, error |
+    None, steps, elapsed)`` — steps are reported even for failing checks,
+    so the parent's budget reconciliation sees every unit of work this
+    worker performed.
     """
+    from repro.compiler.validation import run_check
+
     context = _worker_context(context_key, payload)
-    if context is None:
-        return _NEED_PAYLOAD
     max_steps, max_seconds = context["limits"]
     if max_steps is None and max_seconds is None:
         budget = ensure_budget(None)
@@ -560,7 +430,15 @@ def _run_shard(
         steps_before = budget.steps
         started = time.perf_counter()
         try:
-            counters = _run_one_spec(context, spec, budget)
+            counters = run_check(
+                spec,
+                context["mapping"],
+                context["views"],
+                context["analyses"],
+                budget,
+                context["cache"],
+                context["symbolic"],
+            )
             error: Optional[BaseException] = None
         except BaseException as exc:  # noqa: BLE001 - shipped to the parent
             counters, error = None, exc
@@ -573,39 +451,3 @@ def _run_shard(
             )
         )
     return outcomes
-
-
-def _run_one_spec(
-    context: dict, spec: Tuple[object, ...], budget: WorkBudget
-) -> Dict[str, int]:
-    """Re-run one check from its picklable spec against a worker context."""
-    from repro.compiler import validation as V
-
-    mapping, views = context["mapping"], context["views"]
-    analyses, cache = context["analyses"], context["cache"]
-    kind, args = spec[0], spec[1:]
-    if kind == "coverage":
-        return V.run_coverage_check(mapping, args[0], analyses, budget, cache)
-    if kind == "store-cells":
-        cells = V.check_store_cells(mapping, args[0], analyses, budget, cache)
-        return {"store_cells": cells}
-    if kind == "fk-preservation":
-        table_name, index = args
-        foreign_key = mapping.store_schema.table(table_name).foreign_keys[index]
-        return V.check_foreign_key_preserved(
-            mapping,
-            views,
-            table_name,
-            foreign_key,
-            budget,
-            cache,
-            symbolic=context["symbolic"],
-        )
-    if kind == "roundtrip":
-        counters: Dict[str, int] = {}
-        counters["roundtrip_states"] = V.roundtrip_spotcheck(
-            mapping, views, budget, set_names=[args[0]], cache=cache,
-            counters=counters,
-        )
-        return counters
-    raise ValueError(f"unknown check kind {kind!r}")

@@ -16,10 +16,12 @@ conditions per table (the hub-and-rim blow-up of Figure 4), and each
 containment / roundtrip check enumerates canonical states.
 
 The steps decompose into independent per-set / per-table / per-foreign-key
-check units, declared through :func:`build_validation_checks` and executed
-by :class:`repro.compiler.scheduler.ValidationScheduler` — serially by
-default (bit-for-bit the behaviour of the historical sequential loop), or
-concurrently with ``workers > 1``.  Every check unit can additionally be
+check units, declared through :func:`build_validation_checks` as
+``(kind, *args)`` specs, run by the single dispatch :func:`run_check`, and
+scheduled by :class:`repro.compiler.scheduler.ValidationScheduler` —
+serially by default (bit-for-bit the behaviour of the historical
+sequential loop), or on a process pool with ``workers > 1`` (full
+validation only).  Every check unit can additionally be
 memoised in a :class:`~repro.containment.cache.ValidationCache` keyed by
 structural fingerprints of exactly the inputs it reads, which makes
 re-validation after an SMO that left a neighborhood untouched a cache hit.
@@ -65,7 +67,6 @@ class ValidationReport:
     roundtrip_states: int = 0
     elapsed: float = 0.0
     workers: int = 1
-    executor: str = "serial"
     cache_hits: int = 0
     cache_misses: int = 0
     #: L1 misses served from the persistent (cross-process) cache store
@@ -112,8 +113,8 @@ class ValidationReport:
             f"cells={self.store_cells}, containments={self.containment_checks}, "
             f"roundtrip_states={self.roundtrip_states}, elapsed={self.elapsed:.3f}s"
         )
-        if self.workers != 1 or self.executor != "serial":
-            text += f", workers={self.workers}, executor={self.executor}"
+        if self.workers > 1:
+            text += f", workers={self.workers}"
         if self.cache_hits or self.cache_misses:
             text += f", cache={self.cache_hits}h/{self.cache_misses}m"
         if self.l2_hits or self.l2_misses:
@@ -133,75 +134,25 @@ def validate_mapping(
     mapping: Mapping,
     views: CompiledViews,
     budget: Optional[WorkBudget] = None,
-    analyses: Optional[Dict[str, SetAnalysis]] = None,
     *,
     workers: int = 1,
-    executor: Optional[str] = None,
     cache: Optional[ValidationCache] = None,
     symbolic: bool = True,
-    shard_size: Optional[int] = None,
 ) -> ValidationReport:
     """Run all five validation steps; raise ValidationError on failure.
 
-    ``workers``/``executor`` select how the independent check units run
-    (see :class:`~repro.compiler.scheduler.ValidationScheduler`); the
-    default serial path is behaviour-identical to the historical
-    sequential loop.  ``cache`` memoises check units and their containment
-    / cell-enumeration subproblems across validations.  ``symbolic``
-    enables the layered containment fast path (subsumption before state
-    enumeration, counterexample replay); ``symbolic=False`` restores the
-    pure enumerator baseline with identical verdicts.
+    ``workers`` is the one scheduling option: ``1`` runs the check units
+    serially (behaviour-identical to the historical sequential loop),
+    more runs them on the persistent process pool (see
+    :class:`~repro.compiler.scheduler.ValidationScheduler`).  ``cache``
+    memoises check units and their containment / cell-enumeration
+    subproblems across validations.  ``symbolic`` enables the layered
+    containment fast path (subsumption before state enumeration,
+    counterexample replay); ``symbolic=False`` restores the pure
+    enumerator baseline with identical verdicts.
     """
-    budget = ensure_budget(budget)
-    report = ValidationReport()
-    started = time.perf_counter()
-    counters_before = _cache_counters(cache)
-
-    # Step 1: structural well-formedness (cheap, always in-process).
-    mapping.check_well_formed()
-
-    if analyses is None:
-        analyses = {}
-
-    # Steps 2-5 as a DAG of independent check units.
-    checks = build_validation_checks(
-        mapping, views, budget, analyses, cache, symbolic=symbolic
-    )
-    scheduler = ValidationScheduler(
-        workers=workers, executor=executor, shard_size=shard_size
-    )
-    results = scheduler.run(
-        checks, mapping, views, budget, symbolic=symbolic, cache=cache
-    )
-
-    for result in results:
-        report.apply_counters(result.counters)
-        report.check_timings[result.name] = result.elapsed
-
-    report.workers = scheduler.workers
-    report.executor = scheduler.executor
-    _apply_cache_counters(report, cache, counters_before)
-    report.elapsed = time.perf_counter() - started
+    report, _ = _run_validation(mapping, views, budget, workers, cache, symbolic)
     return report
-
-
-def _cache_counters(cache: Optional[ValidationCache]) -> Tuple[int, int, int, int]:
-    if cache is None:
-        return (0, 0, 0, 0)
-    return (cache.hits, cache.misses, cache.l2_hits, cache.l2_misses)
-
-
-def _apply_cache_counters(
-    report: ValidationReport,
-    cache: Optional[ValidationCache],
-    before: Tuple[int, int, int, int],
-) -> None:
-    if cache is None:
-        return
-    report.cache_hits = cache.hits - before[0]
-    report.cache_misses = cache.misses - before[1]
-    report.l2_hits = cache.l2_hits - before[2]
-    report.l2_misses = cache.l2_misses - before[3]
 
 
 def validate_delta_neighborhood(
@@ -210,75 +161,85 @@ def validate_delta_neighborhood(
     neighborhood,
     budget: Optional[WorkBudget] = None,
     *,
-    workers: int = 1,
-    executor: Optional[str] = None,
     cache: Optional[ValidationCache] = None,
     symbolic: bool = True,
-    shard_size: Optional[int] = None,
 ) -> Tuple[ValidationReport, List[str]]:
     """Validate only a delta's touched neighborhood (steps 2-5, scoped).
 
     ``neighborhood`` is a :class:`~repro.incremental.delta.Neighborhood`
     (anything with ``sets``/``tables`` works).  The same check units as
     :func:`validate_mapping` are generated, restricted to the touched
-    entity sets and tables, and run through the scheduler — this is the
-    single validation pass a batched evolution pays for its composed
-    delta.  Returns the report plus the names of the checks that ran.
+    entity sets and tables, and run serially — this is the single
+    validation pass a batched evolution pays for its composed delta.
+    Returns the report plus the names of the checks that ran.
     """
-    budget = ensure_budget(budget)
-    report = ValidationReport()
-    started = time.perf_counter()
-    counters_before = _cache_counters(cache)
-
-    mapping.check_well_formed()
-
-    checks = build_validation_checks(
+    report, checks = _run_validation(
         mapping,
         views,
         budget,
-        {},
+        1,
         cache,
+        symbolic,
         sets=tuple(neighborhood.sets),
         tables=tuple(neighborhood.tables),
-        symbolic=symbolic,
     )
-    scheduler = ValidationScheduler(
-        workers=workers, executor=executor, shard_size=shard_size
-    )
-    results = scheduler.run(
-        checks, mapping, views, budget, symbolic=symbolic, cache=cache
-    )
+    return report, [check.name for check in checks]
 
-    for result in results:
+
+def _run_validation(
+    mapping: Mapping,
+    views: CompiledViews,
+    budget: Optional[WorkBudget],
+    workers: int,
+    cache: Optional[ValidationCache],
+    symbolic: bool,
+    *,
+    sets: Optional[Sequence[str]] = None,
+    tables: Optional[Sequence[str]] = None,
+) -> Tuple[ValidationReport, List[ValidationCheck]]:
+    """The one validation body: check well-formedness, schedule the check
+    units, and report their counters, cache-counter deltas and timings."""
+    report = ValidationReport()
+    started = time.perf_counter()
+    if cache is not None:
+        before = (cache.hits, cache.misses, cache.l2_hits, cache.l2_misses)
+
+    # Step 1: structural well-formedness (cheap, always in-process).
+    mapping.check_well_formed()
+
+    # Steps 2-5 as independent check units.
+    checks = build_validation_checks(mapping, sets=sets, tables=tables)
+    scheduler = ValidationScheduler(workers)
+    for result in scheduler.run(
+        checks, mapping, views, budget, symbolic=symbolic, cache=cache
+    ):
         report.apply_counters(result.counters)
         report.check_timings[result.name] = result.elapsed
 
     report.workers = scheduler.workers
-    report.executor = scheduler.executor
-    _apply_cache_counters(report, cache, counters_before)
+    if cache is not None:
+        report.cache_hits = cache.hits - before[0]
+        report.cache_misses = cache.misses - before[1]
+        report.l2_hits = cache.l2_hits - before[2]
+        report.l2_misses = cache.l2_misses - before[3]
     report.elapsed = time.perf_counter() - started
-    return report, [check.name for check in checks]
+    return report, checks
 
 
 def build_validation_checks(
     mapping: Mapping,
-    views: CompiledViews,
-    budget: WorkBudget,
-    analyses: Dict[str, SetAnalysis],
-    cache: Optional[ValidationCache] = None,
     *,
     sets: Optional[Sequence[str]] = None,
     tables: Optional[Sequence[str]] = None,
-    symbolic: bool = True,
 ) -> List[ValidationCheck]:
     """Declare validation steps 2-5 as schedulable check units.
 
     Declaration order is exactly the historical sequential order, so the
-    serial executor reproduces the pre-scheduler behaviour tick for tick:
+    serial run reproduces the pre-scheduler behaviour tick for tick:
     coverage per entity set, store cells per mapped table, one containment
     per foreign key, one roundtrip batch per entity set.
 
-    ``sets``/``tables`` scope the check DAG to a delta's touched
+    ``sets``/``tables`` scope the checks to a delta's touched
     neighborhood (both default to everything the mapping mentions);
     unmapped names in either are silently dropped, so callers can pass a
     :class:`~repro.incremental.delta.Neighborhood` verbatim.
@@ -306,14 +267,12 @@ def build_validation_checks(
         checks.append(
             ValidationCheck(
                 name=f"coverage:{set_name}",
-                kind="coverage",
-                run=_coverage_runner(mapping, set_name, analyses, budget, cache),
                 spec=("coverage", set_name),
             )
         )
 
     # Step 3: store-cell reasoning per table.  Reads the set analyses the
-    # coverage checks build, so depend on them (shared dict in thread mode).
+    # coverage checks build, so depend on them.
     for table_name in mapped_tables:
         table_sets = {
             fragment.client_source
@@ -328,24 +287,18 @@ def build_validation_checks(
         checks.append(
             ValidationCheck(
                 name=f"store-cells:{table_name}",
-                kind="store-cells",
-                run=_store_cells_runner(mapping, table_name, analyses, budget, cache),
-                deps=deps,
                 spec=("store-cells", table_name),
+                deps=deps,
             )
         )
 
     # Step 4: foreign-key preservation, one check per foreign key.
     for table_name in mapped_tables:
         table = mapping.store_schema.table(table_name)
-        for index, foreign_key in enumerate(table.foreign_keys):
+        for index in range(len(table.foreign_keys)):
             checks.append(
                 ValidationCheck(
                     name=f"fk:{table_name}:{index}",
-                    kind="fk-preservation",
-                    run=_fk_runner(
-                        mapping, views, table_name, foreign_key, budget, cache, symbolic
-                    ),
                     spec=("fk-preservation", table_name, index),
                 )
             )
@@ -355,40 +308,48 @@ def build_validation_checks(
         checks.append(
             ValidationCheck(
                 name=f"roundtrip:{set_name}",
-                kind="roundtrip",
-                run=_roundtrip_runner(mapping, views, set_name, budget, cache),
                 spec=("roundtrip", set_name),
             )
         )
     return checks
 
 
-def _coverage_runner(mapping, set_name, analyses, budget, cache):
-    return lambda: run_coverage_check(mapping, set_name, analyses, budget, cache)
+def run_check(
+    spec: Tuple[object, ...],
+    mapping: Mapping,
+    views: CompiledViews,
+    analyses: Dict[str, SetAnalysis],
+    budget: WorkBudget,
+    cache: Optional[ValidationCache] = None,
+    symbolic: bool = True,
+) -> Dict[str, int]:
+    """Run one check from its ``(kind, *args)`` spec; return its counters.
 
-
-def _store_cells_runner(mapping, table_name, analyses, budget, cache):
-    return lambda: {
-        "store_cells": check_store_cells(mapping, table_name, analyses, budget, cache)
-    }
-
-
-def _fk_runner(mapping, views, table_name, foreign_key, budget, cache, symbolic):
-    return lambda: check_foreign_key_preserved(
-        mapping, views, table_name, foreign_key, budget, cache, symbolic=symbolic
-    )
-
-
-def _roundtrip_runner(mapping, views, set_name, budget, cache):
-    def run() -> Dict[str, int]:
+    The one check dispatch: the serial scheduler calls it on the caller's
+    inputs, process workers on their unpickled copies.  *analyses* holds
+    the per-set analyses the coverage and store-cells checks of one run
+    share.
+    """
+    kind, args = spec[0], spec[1:]
+    if kind == "coverage":
+        return run_coverage_check(mapping, args[0], analyses, budget, cache)
+    if kind == "store-cells":
+        cells = check_store_cells(mapping, args[0], analyses, budget, cache)
+        return {"store_cells": cells}
+    if kind == "fk-preservation":
+        table_name, index = args
+        foreign_key = mapping.store_schema.table(table_name).foreign_keys[index]
+        return check_foreign_key_preserved(
+            mapping, views, table_name, foreign_key, budget, cache, symbolic=symbolic
+        )
+    if kind == "roundtrip":
         counters: Dict[str, int] = {}
         counters["roundtrip_states"] = roundtrip_spotcheck(
-            mapping, views, budget, set_names=[set_name], cache=cache,
+            mapping, views, budget, set_names=[args[0]], cache=cache,
             counters=counters,
         )
         return counters
-
-    return run
+    raise ValueError(f"unknown check kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -209,12 +209,6 @@ class SessionEngine:
         self._compiler = IncrementalCompiler(
             budget=budget, cache=self.validation_cache
         )
-        #: scheduler defaults for batch validation (evolve/evolve_many);
-        #: sessions doing heavy evolution can point these at the process
-        #: executor, whose persistent pool amortizes across batches
-        self.validation_workers = 1
-        self.validation_executor: Optional[str] = None
-        self.validation_shard_size: Optional[int] = None
         #: composition of every delta committed since the last successful
         #: validate() — its touched neighborhood is the minimal re-check
         #: scope after an arbitrarily long SMO history
@@ -687,13 +681,7 @@ class SessionEngine:
             epoch = self._epoch
             model = epoch.model
             old_client = self.load()
-            batch = self._compiler.compile_batch(
-                model,
-                smos,
-                workers=self.validation_workers,
-                executor=self.validation_executor,
-                shard_size=self.validation_shard_size,
-            )
+            batch = self._compiler.compile_batch(model, smos)
             evolved = batch.model
             migrated_client = old_client.embed_into(evolved.client_schema)
             new_store = apply_update_views(
@@ -839,11 +827,8 @@ class SessionEngine:
     def validate(
         self,
         budget: Optional[WorkBudget] = None,
-        workers: int = 1,
-        executor: Optional[str] = None,
         symbolic: bool = True,
         scope: str = "full",
-        shard_size: Optional[int] = None,
     ) -> ValidationReport:
         """Validate the current model through the engine cache.
 
@@ -870,22 +855,16 @@ class SessionEngine:
                 model.views,
                 neighborhood,
                 budget,
-                workers=workers,
-                executor=executor,
                 cache=self.validation_cache,
                 symbolic=symbolic,
-                shard_size=shard_size,
             )
         else:
             report = validate_mapping(
                 model.mapping,
                 model.views,
                 budget,
-                workers=workers,
-                executor=executor,
                 cache=self.validation_cache,
                 symbolic=symbolic,
-                shard_size=shard_size,
             )
         # Success: everything up to the snapshot we validated is covered.
         # (A writer that slipped in mid-validation replaced the attribute,

@@ -215,10 +215,6 @@ class IncrementalCompiler:
         self,
         model: CompiledModel,
         smos: Sequence[Smo],
-        *,
-        workers: int = 1,
-        executor: Optional[str] = None,
-        shard_size: Optional[int] = None,
     ) -> BatchResult:
         """Apply several SMOs, validating the union neighborhood *once*.
 
@@ -257,10 +253,7 @@ class IncrementalCompiler:
                 evolved.views,
                 neighborhood,
                 self.budget,
-                workers=workers,
-                executor=executor,
                 cache=self.cache,
-                shard_size=shard_size,
             )
         except BaseException:
             if transaction is not None:
@@ -320,13 +313,7 @@ class IncrementalCompiler:
         evolved = recorder.working
         neighborhood = delta.touched_neighborhood(evolved.mapping)
         checks = build_validation_checks(
-            evolved.mapping,
-            evolved.views,
-            self.budget,
-            {},
-            self.cache,
-            sets=neighborhood.sets,
-            tables=neighborhood.tables,
+            evolved.mapping, sets=neighborhood.sets, tables=neighborhood.tables
         )
         return EvolutionPlan(
             smos=smos,

@@ -309,11 +309,8 @@ class OrmSession:
     def validate(
         self,
         budget: Optional[WorkBudget] = None,
-        workers: int = 1,
-        executor: Optional[str] = None,
         symbolic: bool = True,
         scope: str = "full",
-        shard_size: Optional[int] = None,
     ) -> ValidationReport:
         """Validate the current model through the session cache.
 
@@ -326,17 +323,9 @@ class OrmSession:
         way (``l2_hits``).  ``symbolic`` toggles the layered containment
         fast path; ``scope="delta"`` re-checks only the neighborhood of
         the deltas composed since the last successful validate (see
-        :meth:`SessionEngine.validate`); ``shard_size`` tunes the
-        work-stealing shard granularity of parallel executors.
+        :meth:`SessionEngine.validate`).
         """
-        return self.engine.validate(
-            budget=budget,
-            workers=workers,
-            executor=executor,
-            symbolic=symbolic,
-            scope=scope,
-            shard_size=shard_size,
-        )
+        return self.engine.validate(budget=budget, symbolic=symbolic, scope=scope)
 
     def cache_stats(self) -> CacheStats:
         return self.engine.validation_cache.stats()

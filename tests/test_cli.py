@@ -1,6 +1,7 @@
 """Integration tests: the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -80,6 +81,35 @@ def test_validate_no_symbolic(mapping_document, tmp_path, capsys):
     assert main(["validate", str(out), "--no-symbolic", "--stats"]) == 0
     printed = capsys.readouterr().out
     assert "symbolic discharged : 0/" in printed
+
+
+def test_validate_workers_matches_serial(tmp_path, capsys):
+    """`--workers 2` runs the checks on the process pool and reports the
+    serial run's counters."""
+    from repro.compiler import generate_views
+    from repro.incremental import CompiledModel
+    from repro.workloads.hub_rim import hub_rim_mapping
+
+    mapping = hub_rim_mapping(2, 2, "TPH")
+    path = tmp_path / "hub.json"
+    model = CompiledModel(mapping, generate_views(mapping))
+    path.write_text(json.dumps(save_model(model)))
+
+    def validate(workers):
+        capsys.readouterr()
+        assert main(["validate", str(path), "--workers", workers]) == 0
+        printed = capsys.readouterr().out
+        counters = re.search(
+            r"coverage=\d+, cells=\d+, containments=\d+, roundtrip_states=\d+",
+            printed,
+        )
+        assert counters is not None, printed
+        return counters.group(0), printed
+
+    serial, _ = validate("1")
+    parallel, printed = validate("2")
+    assert parallel == serial
+    assert "workers=2" in printed
 
 
 def test_views_command(mapping_document, tmp_path, capsys):
