@@ -38,7 +38,12 @@ physical-plan layer exists to keep that from coming back.
   by at least MIN_SPEEDUP× on every backend.  That is the whole point
   of the incremental write path: O(|delta|) instead of O(|state|) per
   save.  MIN_SPEEDUP defaults to 5 and can be overridden with
-  ``REPRO_INCREMENTAL_MIN_SPEEDUP``.
+  ``REPRO_INCREMENTAL_MIN_SPEEDUP``;
+* the slope gate: ``save_delta`` is documented as O(|delta|), so its
+  ``incremental_ms`` at 10^5 rows may be at most MAX_SLOPE× (2×) its
+  value at 10^4 rows on every backend.  A ratio gate alone passed while
+  both paths copied whole tables; ten times the rows at the same delta
+  must not cost ten times as much.
 
 **BENCH_validation.json** — the validation-scaling gates:
 
@@ -84,6 +89,9 @@ import sys
 DEFAULT_FACTOR = 2.0
 DEFAULT_MIN_SPEEDUP = 5.0
 GATED_SIZE = "100000"
+#: the slope gate: incremental_ms at GATED_SIZE over SLOPE_BASE_SIZE
+SLOPE_BASE_SIZE = "10000"
+MAX_SLOPE = 2.0
 DEFAULT_WARM_DISK_MIN_SPEEDUP = 5.0
 DEFAULT_MULTICORE_MIN_EFFICIENCY = 0.5
 MULTICORE_GATED_WORKERS = 4
@@ -206,11 +214,35 @@ def check_incremental(path: str) -> int:
                 file=sys.stderr,
             )
             failures += 1
+        base = result["sizes"].get(SLOPE_BASE_SIZE)
+        if base is None:
+            print(
+                f"FAIL [{backend}]: no {SLOPE_BASE_SIZE}-row tier to fit the "
+                "save_delta slope against",
+                file=sys.stderr,
+            )
+            failures += 1
+            continue
+        slope = gated["incremental_ms"] / base["incremental_ms"]
+        print(
+            f"{backend}: save_delta {base['incremental_ms']}ms at "
+            f"{SLOPE_BASE_SIZE} rows -> {gated['incremental_ms']}ms at "
+            f"{GATED_SIZE} rows (slope {slope:.2f}x, ceiling {MAX_SLOPE}x)"
+        )
+        if slope > MAX_SLOPE:
+            print(
+                f"FAIL [{backend}]: save_delta grows {slope:.2f}x from "
+                f"{SLOPE_BASE_SIZE} to {GATED_SIZE} rows, above the "
+                f"{MAX_SLOPE}x ceiling — a layer documented as O(|delta|) "
+                "scales with the table",
+                file=sys.stderr,
+            )
+            failures += 1
     if failures:
         return 1
     print(
         f"OK: incremental saves equivalent, no fallbacks, >= {min_speedup}x "
-        f"at {GATED_SIZE} rows"
+        f"at {GATED_SIZE} rows, slope <= {MAX_SLOPE}x from {SLOPE_BASE_SIZE}"
     )
     return 0
 

@@ -124,11 +124,11 @@ def diff_store_states(old: StoreState, new: StoreState) -> StoreDelta:
 def apply_delta(store_state: StoreState, delta: StoreDelta) -> StoreState:
     """A new store state with *delta* applied (deletes, updates, inserts).
 
-    Cost is O(|delta| + touched tables' rows): tables the delta does not
-    touch share the input state's row storage by reference (see
-    :meth:`StoreState.adopt_table`) instead of being copied row by row —
-    that copy was the hidden O(n) that made incremental saves pay full
-    re-materialization just to maintain the backend's state cache.
+    Cost is O(|delta|): tables the delta does not touch are shared by
+    reference (:meth:`StoreState.adopt_table`), and each touched table
+    becomes a successor that shares every chunk, map partition and index
+    bucket its delta does not touch (:meth:`StoreState.carry_rows`).
+    The input state is left unchanged.
     """
     result = StoreState(store_state.schema)
     touched = {name for name, td in delta.tables.items() if not td.empty}

@@ -97,9 +97,11 @@ def check_delta(
       skipped — the outgoing pass already covered them).
 
     All probes go through :meth:`StoreState.key_index`, which successor
-    states inherit adjusted in O(|delta|) — so a *warm* check costs
-    O(delta); only the first check after a cold load pays one O(rows)
-    index build per (table, key) pair.
+    states inherit adjusted in O(|delta|), and each is one lookup per
+    new row or removed key — so a *warm* check costs O(|delta|); only
+    the first check after a cold load pays one O(rows) index build per
+    (table, key) pair.  Key indexes hold no NULL-keyed entry, which is
+    exact here: a NULL key is never a violation and never referenced.
     """
     schema = candidate.schema
     new_rows: Dict[str, List[Row]] = {}
@@ -167,15 +169,19 @@ def check_delta(
             still_present = candidate.key_index(
                 foreign_key.ref_table, foreign_key.ref_columns
             )
-            gone_keys = {
-                row_values(r, foreign_key.ref_columns) for r in removed
-            } - still_present.keys()
+            # one probe per removed key: NULL keys reference nothing, and
+            # a key another row still holds strands no referrer
+            gone_keys = [
+                key
+                for key in dict.fromkeys(
+                    row_values(r, foreign_key.ref_columns) for r in removed
+                )
+                if None not in key and key not in still_present
+            ]
             if not gone_keys:
                 continue
             referrers = candidate.key_index(table.name, foreign_key.columns)
             for value in gone_keys:
-                if any(v is None for v in value):
-                    continue
                 for row in referrers.get(value, ()):
                     if row in fresh_set:
                         continue  # the outgoing pass already checked it

@@ -4,12 +4,21 @@ Rows are immutable mappings from column name to value.  Update views emit
 rows; constraint checking (`repro.relational.constraints`) then verifies
 keys and foreign keys — the runtime counterpart of the compiler's symbolic
 constraint-preservation checks.
+
+Table storage is structurally shared, so a successor state (one store
+delta applied to a predecessor) costs O(|delta|), not O(table): each
+table is a :class:`ChunkedRows` — its rows in fixed-size chunks in
+insertion order, plus a :class:`PartitionedMap` from each row to its
+chunk — and each key index is a :class:`PartitionedMap` as well.  A
+successor copies the spines (one pointer per chunk or partition) and
+only the chunks, partitions and buckets its delta touches.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Tuple
 
 from repro.errors import EvaluationError, SchemaError
 from repro.relational.schema import StoreSchema
@@ -72,31 +81,266 @@ def row_view(row: Row) -> Dict[str, object]:
     return _row_dict(row)
 
 
+#: rows per chunk; a delete copies and scans at most one chunk
+CHUNK_ROWS = 64
+#: mean entries per partition above which a successor re-splits a map
+PARTITION_ENTRIES = 32
+#: partitions are chosen by hash bits from here up, clear of the low
+#: bits each partition dict picks its own slots by
+_PARTITION_SHIFT = 20
+
+
+class PartitionedMap:
+    """A hash map split into dict partitions that successors share.
+
+    :meth:`successor` copies only the spine, one pointer per partition.
+    After that, the first write to a shared partition, on either side,
+    copies that partition alone, so a write costs O(partition).
+    Partitions matter only once a successor shares them, so that is when
+    they are sized: a successor of a map whose partitions average more
+    than :data:`PARTITION_ENTRIES` entries gets twice as many (or more),
+    an O(n) split at most once per doubling of the map.  A map no
+    successor shares, such as a bulk load, stays as it was built.
+    Iteration order follows the hash, so callers that need a stable
+    order keep it elsewhere.
+    """
+
+    __slots__ = ("_parts", "_mask", "_len", "_owned")
+
+    def __init__(self, entries: Mapping[object, object] = {}) -> None:
+        self._len = len(entries)
+        self._spread(entries.items())
+
+    def _spread(self, items) -> None:
+        count = 1
+        while count * PARTITION_ENTRIES < self._len:
+            count *= 2
+        mask = count - 1
+        parts: List[dict] = [{} for _ in range(count)]
+        for key, value in items:
+            parts[(hash(key) >> _PARTITION_SHIFT) & mask][key] = value
+        self._parts = parts
+        self._mask = mask
+        #: partitions this map may write in place; the others are shared
+        self._owned = set(range(count))
+
+    def successor(self) -> "PartitionedMap":
+        """An equal map sharing every partition with this one, or split
+        afresh if the partitions are over-full; from now on neither side
+        writes a shared partition in place."""
+        other = PartitionedMap.__new__(PartitionedMap)
+        other._len = self._len
+        if self._len > PARTITION_ENTRIES * len(self._parts):
+            other._spread(self.items())
+            return other
+        other._parts = list(self._parts)
+        other._mask = self._mask
+        other._owned = set()
+        self._owned = set()
+        return other
+
+    def get(self, key, default=None):
+        return self._parts[(hash(key) >> _PARTITION_SHIFT) & self._mask].get(
+            key, default
+        )
+
+    def __contains__(self, key) -> bool:
+        return key in self._parts[(hash(key) >> _PARTITION_SHIFT) & self._mask]
+
+    def __getitem__(self, key):
+        return self._parts[(hash(key) >> _PARTITION_SHIFT) & self._mask][key]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator:
+        return chain.from_iterable(self._parts)
+
+    def items(self) -> Iterator[Tuple[object, object]]:
+        return chain.from_iterable(part.items() for part in self._parts)
+
+    def _writable(self, index: int) -> dict:
+        part = self._parts[index]
+        if index not in self._owned:
+            part = self._parts[index] = dict(part)
+            self._owned.add(index)
+        return part
+
+    def insert(self, key, value) -> bool:
+        """Map *key* to *value* unless *key* is present; True if it inserted."""
+        index = (hash(key) >> _PARTITION_SHIFT) & self._mask
+        part = self._parts[index] if index in self._owned else self._writable(index)
+        size = len(part)
+        part.setdefault(key, value)
+        if len(part) == size:
+            return False
+        self._len += 1
+        return True
+
+    def __setitem__(self, key, value) -> None:
+        index = (hash(key) >> _PARTITION_SHIFT) & self._mask
+        if key in self._parts[index]:
+            self._writable(index)[key] = value
+        else:
+            self.insert(key, value)
+
+    def pop(self, key, default=None):
+        index = (hash(key) >> _PARTITION_SHIFT) & self._mask
+        if key not in self._parts[index]:
+            return default
+        self._len -= 1
+        return self._writable(index).pop(key)
+
+
+class ChunkedRows:
+    """One table's rows, in insertion order, structurally shared.
+
+    Rows sit in chunks of at most :data:`CHUNK_ROWS`, appended in
+    insertion order, and ``_where`` maps each row to its chunk's number.
+    Iteration yields the surviving rows in the order they were added —
+    never in hash order, so answers are the same in every process.  A
+    delete removes the row from its chunk; once half the chunk slots
+    are dead the chunks are rebuilt dense, at O(1) amortized cost per
+    delete.
+
+    ``indexes`` holds the key indexes: column values → the tuple of rows
+    holding them, in iteration order.  A key with a NULL component has
+    no entry: NULL never joins or matches a foreign key, and every
+    caller skips NULL probes.
+
+    :meth:`successor` shares every chunk, partition and bucket; each
+    side copies what it writes.  A table held by two states at once
+    (:meth:`StoreState.adopt_table`) is ``shared`` and never written:
+    a state that writes to it takes a successor first.
+    """
+
+    __slots__ = ("_chunks", "_owned", "_where", "indexes", "shared")
+
+    def __init__(self) -> None:
+        self._chunks: List[List[Row]] = []
+        #: chunk numbers this table may write in place
+        self._owned: set = set()
+        self._where = PartitionedMap()
+        self.indexes: Dict[Tuple[str, ...], PartitionedMap] = {}
+        self.shared = False
+
+    def successor(self) -> "ChunkedRows":
+        """An equal table sharing every chunk, partition and bucket with
+        this one: O(chunks + partitions) pointer copies, no row copies
+        (bar the one-time split of a row map no successor shared yet)."""
+        other = ChunkedRows.__new__(ChunkedRows)
+        other._chunks = list(self._chunks)
+        other._owned = set()
+        self._owned = set()
+        other._where = self._where.successor()
+        other.indexes = {
+            columns: index.successor() for columns, index in self.indexes.items()
+        }
+        other.shared = False
+        return other
+
+    def __len__(self) -> int:
+        return len(self._where)
+
+    def __iter__(self) -> Iterator[Row]:
+        return chain.from_iterable(self._chunks)
+
+    def _writable(self, number: int) -> List[Row]:
+        chunk = self._chunks[number]
+        if number not in self._owned:
+            chunk = self._chunks[number] = list(chunk)
+            self._owned.add(number)
+        return chunk
+
+    def add(self, row: Row) -> None:
+        """Append *row* unless the table already holds it."""
+        chunks = self._chunks
+        number = len(chunks) - 1
+        if number < 0 or len(chunks[number]) >= CHUNK_ROWS:
+            number += 1
+        if not self._where.insert(row, number):
+            return
+        if number == len(chunks):
+            chunks.append([row])
+            self._owned.add(number)
+        else:
+            self._writable(number).append(row)
+        for columns, index in self.indexes.items():
+            values = row_values(row, columns)
+            if None not in values:
+                bucket = index.get(values)
+                index[values] = (row,) if bucket is None else bucket + (row,)
+
+    def discard(self, row: Row) -> None:
+        """Remove *row* if the table holds it."""
+        number = self._where.pop(row)
+        if number is None:
+            return
+        self._writable(number).remove(row)
+        for columns, index in self.indexes.items():
+            values = row_values(row, columns)
+            if None in values:
+                continue
+            bucket = index[values]
+            if len(bucket) == 1:
+                index.pop(values)
+            else:
+                index[values] = tuple(r for r in bucket if r != row)
+        # half the slots dead: O(table) once per O(table) deletes
+        if len(self._chunks) * CHUNK_ROWS >= 2 * (len(self) + CHUNK_ROWS):
+            self._compact()
+
+    def _compact(self) -> None:
+        rows = list(self)
+        self._chunks = [
+            rows[start:start + CHUNK_ROWS] for start in range(0, len(rows), CHUNK_ROWS)
+        ]
+        self._owned = set(range(len(self._chunks)))
+        self._where = PartitionedMap(
+            {row: position // CHUNK_ROWS for position, row in enumerate(rows)}
+        )
+
+    def index(self, columns: Tuple[str, ...]) -> PartitionedMap:
+        """The key index on *columns*, built on first use (one scan)."""
+        index = self.indexes.get(columns)
+        if index is None:
+            groups: Dict[Tuple, List[Row]] = {}
+            for row in self:
+                values = row_values(row, columns)
+                if None not in values:
+                    groups.setdefault(values, []).append(row)
+            index = self.indexes[columns] = PartitionedMap(
+                {values: tuple(rows) for values, rows in groups.items()}
+            )
+        return index
+
+
 class StoreState:
     """An instance of a :class:`StoreSchema`: a bag of rows per table.
 
     Rows are de-duplicated (set semantics): the view language projects keys
-    everywhere, so duplicates never carry information.
+    everywhere, so duplicates never carry information.  Each table is a
+    :class:`ChunkedRows`; a successor state shares the tables a delta does
+    not touch (:meth:`adopt_table`) and shares all but the touched chunks,
+    partitions and buckets of the ones it does (:meth:`carry_rows`), so
+    applying a delta costs O(|delta|).  A published state is never
+    written again; writes to a table another state shares go to a
+    successor of that table.
     """
 
     def __init__(self, schema: StoreSchema) -> None:
         self.schema = schema
         # populated lazily: large store schemas must not pay O(tables)
-        self._rows: Dict[str, List[Row]] = {}
-        # parallel membership sets: bulk loads (10^5-row benchmark
-        # stores) must not pay O(rows) per-row list-membership dedup
-        self._row_sets: Dict[str, set] = {}
-        # lazily-built key indexes, carried across successor states so
-        # delta-scoped constraint checks probe instead of re-scan; bucket
-        # lists are REPLACED, never mutated, because successors share them
-        self._indexes: Dict[Tuple[str, Tuple[str, ...]], Dict[Tuple, List[Row]]] = {}
+        self._rows: Dict[str, ChunkedRows] = {}
 
     def add_row(self, table_name: str, row: Mapping[str, object] | Row) -> Row:
-        if table_name not in self._rows:
+        rows = self._rows.get(table_name)
+        if rows is None:
             if not self.schema.has_table(table_name):
                 raise SchemaError(f"unknown table {table_name!r}")
-            self._rows[table_name] = []
-            self._row_sets[table_name] = set()
+            rows = self._rows[table_name] = ChunkedRows()
+        elif rows.shared:
+            rows = self._rows[table_name] = rows.successor()
         table = self.schema.table(table_name)
         canonical = row_from_mapping(row) if isinstance(row, Mapping) else row
         provided = {name for name, _ in canonical}
@@ -117,94 +361,62 @@ class StoreState:
                 raise SchemaError(
                     f"value {value!r} outside domain of {table_name}.{name}"
                 )
-        if canonical not in self._row_sets[table_name]:
-            self._rows[table_name].append(canonical)
-            self._row_sets[table_name].add(canonical)
-            for (indexed, columns), index in self._indexes.items():
-                if indexed == table_name:
-                    values = row_values(canonical, columns)
-                    bucket = index.get(values)
-                    # replace-on-write: buckets may be shared with the
-                    # predecessor state this one was carried from
-                    index[values] = (
-                        [canonical] if bucket is None else bucket + [canonical]
-                    )
+        rows.add(canonical)
         return canonical
 
     def adopt_table(self, other: "StoreState", table_name: str) -> None:
-        """Share *other*'s row storage for one table.
+        """Share *other*'s storage for one table, key indexes included.
 
         For successor states (delta application): tables the delta does
-        not touch are carried over by reference instead of re-validated
-        row by row.  Both states then alias one list, so neither may
-        ``add_row`` into an adopted table afterwards — successor states
-        are immutable once published, which the backends guarantee.
+        not touch are carried over by reference, in O(1), instead of
+        being re-validated row by row.  The table is marked shared, so a
+        later :meth:`add_row` into it, on either state, writes to a
+        successor of the table instead of the storage both states see.
         """
         rows = other._rows.get(table_name)
         if not rows:
             return
+        rows.shared = True
         self._rows[table_name] = rows
-        self._row_sets[table_name] = other._row_sets[table_name]
-        # the rows are aliased, so the indexes can be too
-        for key, index in other._indexes.items():
-            if key[0] == table_name:
-                self._indexes[key] = index
 
     def carry_rows(self, other: "StoreState", table_name: str, dead) -> None:
-        """Copy *other*'s rows for one table, minus the rows in *dead*.
+        """Take *other*'s rows for one table, minus the rows in *dead*.
 
-        The carried rows were validated when *other* first added them, so
-        this skips :meth:`add_row`'s per-row domain checks — delta
-        application over a large table must cost a C-level filter, not a
-        Python-level re-validation of every surviving row.  Unlike
-        :meth:`adopt_table` the storage is fresh (not aliased), so the
-        caller may keep adding rows to the table afterwards.
+        The result is a successor of *other*'s table: it shares every
+        chunk, map partition and index bucket except those holding a
+        dead row, so this costs O(|dead|) plus one pointer per chunk
+        and partition, not O(table) — except that the first successor
+        of a table no successor shared yet (a bulk load) splits its
+        row map into partitions, once.  The carried rows were validated
+        when *other* first added them, so they skip :meth:`add_row`'s
+        domain checks.  Surviving rows keep their order; rows added
+        afterwards are appended after them.
         """
         if not self.schema.has_table(table_name):
             raise SchemaError(f"unknown table {table_name!r}")
-        kept = [r for r in other._rows.get(table_name, ()) if r not in dead]
-        self._rows[table_name] = kept
-        self._row_sets[table_name] = set(kept)
-        # derive the predecessor's indexes in O(|dead|): copy the outer
-        # dict, rebuild only the buckets that lost rows
-        for (indexed, columns), index in other._indexes.items():
-            if indexed != table_name:
-                continue
-            derived = dict(index)
-            for row in dead:
-                values = row_values(row, columns)
-                bucket = derived.get(values)
-                if bucket is None:
-                    continue
-                remaining = [r for r in bucket if r not in dead]
-                if remaining:
-                    derived[values] = remaining
-                else:
-                    del derived[values]
-            self._indexes[(indexed, columns)] = derived
+        rows = other._rows.get(table_name)
+        rows = rows.successor() if rows is not None else ChunkedRows()
+        for row in dead:
+            rows.discard(row)
+        self._rows[table_name] = rows
 
-    def key_index(
-        self, table_name: str, columns: Tuple[str, ...]
-    ) -> Dict[Tuple, List[Row]]:
-        """The table's rows grouped by their values of *columns*.
+    def key_index(self, table_name: str, columns: Tuple[str, ...]) -> PartitionedMap:
+        """The table's rows grouped by their values of *columns*, as a map
+        from values to the tuple of rows holding them, in scan order.
 
-        Built lazily (one O(rows) pass), then maintained incrementally:
-        :meth:`add_row` appends to buckets (replace-on-write) and
-        :meth:`carry_rows` / :meth:`adopt_table` hand the index to
-        successor states, adjusted in O(|delta|).  Delta-scoped
-        constraint checking (:func:`repro.relational.constraints.
-        check_delta`) probes these instead of re-scanning tables, which
-        is what keeps incremental saves O(|delta|) warm.  Callers must
-        treat the buckets as immutable.
+        Keys with a NULL component have no entry (NULL never joins or
+        matches a foreign key).  Built lazily with one O(rows) pass, then
+        maintained with the table: :meth:`add_row`, :meth:`carry_rows` and
+        :meth:`adopt_table` carry the index to successor states in
+        O(|delta|).  Delta-scoped constraint checking
+        (:func:`repro.relational.constraints.check_delta`) and the result
+        tier probe these instead of re-scanning tables.  Callers must not
+        write to the returned map.
         """
-        cache_key = (table_name, columns)
-        index = self._indexes.get(cache_key)
-        if index is None:
-            index = {}
-            for row in self._rows.get(table_name, ()):
-                index.setdefault(row_values(row, columns), []).append(row)
-            self._indexes[cache_key] = index
-        return index
+        rows = self._rows.get(table_name)
+        if rows is None:
+            return PartitionedMap()
+        return rows.index(columns)
 
     def rows(self, table_name: str) -> Tuple[Row, ...]:
         if table_name not in self._rows:

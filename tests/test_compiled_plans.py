@@ -260,6 +260,20 @@ DELTA_SCENARIOS = [
         lambda rows: rows["T"][0].update(K=9),
     ),
     (
+        # the referenced key survives the update, so no referrer dangles
+        "update-keeps-referenced-key",
+        lambda rows: rows["T"][0].update(V="renamed"),
+    ),
+    (
+        # a NULL foreign key references nothing: deleting a referenced row
+        # and inserting another NULL-keyed referrer strand no row
+        "null-fk",
+        lambda rows: (
+            rows["T"].remove({"K": 3, "V": "v3"}),
+            rows["R"].append({"K2": 14, "Ref": None}),
+        ),
+    ),
+    (
         "mixed",
         lambda rows: (
             rows["T"].remove({"K": 2, "V": "v2"}),

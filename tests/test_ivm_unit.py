@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from tests.test_backend_differential import compiled, holds_model
+from tests.test_compiled_plans import _fk_schema
 from repro.backend import SqliteBackend
 from repro.backend.sqlgen import delta_statements, grouped_delta_statements
 from repro.edm.instances import ClientState, Entity
@@ -37,6 +38,13 @@ def ann_state(schema) -> ClientState:
     state = ClientState(schema)
     state.add_entity("Persons", Entity.of("Person", Id=1, Name="ann"))
     state.add_entity("Persons", Entity.of("Person", Id=2, Name="bob"))
+    return state
+
+
+def _numbered_state(count: int) -> StoreState:
+    state = StoreState(_fk_schema())
+    for k in range(count):
+        state.add_row("T", make_row(K=k, V=f"v{k}"))
     return state
 
 
@@ -408,6 +416,104 @@ class TestStructuralSharing:
         assert result._rows["Pass"] is not base._rows["Pass"]
         assert len(result.rows("Pass")) == 2
         assert len(base.rows("Pass")) == 1
+
+    def test_predecessor_unchanged_and_scan_order_kept(self):
+        base = _numbered_state(200)
+        before_rows = base.rows("T")
+        before_snapshot = base.snapshot()
+        dead = {make_row(K=k, V=f"v{k}") for k in (3, 70, 150)}
+        successor = StoreState(base.schema)
+        successor.carry_rows(base, "T", dead)
+        successor.add_row("T", make_row(K=1000, V="new"))
+        successor.add_row("T", make_row(K=1001, V="newer"))
+        # the predecessor reads exactly as before ...
+        assert base.rows("T") == before_rows
+        assert base.snapshot() == before_snapshot
+        # ... and the successor scans survivors in their old order, then
+        # new rows in insertion order
+        assert successor.rows("T") == tuple(
+            r for r in before_rows if r not in dead
+        ) + (make_row(K=1000, V="new"), make_row(K=1001, V="newer"))
+
+    def test_writes_to_a_shared_table_leave_the_other_state_alone(self):
+        base = _numbered_state(10)
+        successor = StoreState(base.schema)
+        successor.adopt_table(base, "T")
+        assert successor._rows["T"] is base._rows["T"]
+        successor.add_row("T", make_row(K=99, V="x"))
+        base.add_row("T", make_row(K=98, V="y"))
+        assert make_row(K=99, V="x") not in base.rows("T")
+        assert make_row(K=98, V="y") not in successor.rows("T")
+        assert len(base.rows("T")) == len(successor.rows("T")) == 11
+
+    def test_key_index_has_no_null_keyed_entry(self):
+        schema = _fk_schema()
+        state = StoreState(schema)
+        state.add_row("T", make_row(K=1, V="a"))
+        state.add_row("R", make_row(K2=10, Ref=1))
+        state.add_row("R", make_row(K2=11, Ref=None))
+        index = state.key_index("R", ("Ref",))
+        assert list(index) == [(1,)]
+        assert (None,) not in index
+        # maintained writes keep NULL keys out as well
+        successor = StoreState(schema)
+        successor.carry_rows(state, "R", {make_row(K2=10, Ref=1)})
+        successor.add_row("R", make_row(K2=12, Ref=None))
+        assert len(successor.key_index("R", ("Ref",))) == 0
+        assert len(state.key_index("R", ("Ref",))) == 1
+
+    def test_map_growth_and_compaction_keep_contents_and_order(self):
+        from repro.relational import instances
+
+        state = _numbered_state(5 * instances.CHUNK_ROWS)
+        rows = list(state.rows("T"))
+        table = state._rows["T"]
+        # a map no successor shares stays one partition ...
+        assert len(table._where._parts) == 1
+        grown = StoreState(state.schema)
+        grown.carry_rows(state, "T", set())
+        grown_table = grown._rows["T"]
+        # ... and the first successor splits it to fit
+        assert len(grown_table._where._parts) > 1
+        assert dict(grown_table._where.items()) == dict(table._where.items())
+        assert grown.rows("T") == tuple(rows)
+        assert len(grown.key_index("T", ("K",))._parts) > 1
+        # kill well over half the slots: the chunks are rebuilt dense
+        dead = set(rows[: 4 * instances.CHUNK_ROWS])
+        successor = StoreState(state.schema)
+        successor.carry_rows(grown, "T", dead)
+        survivors = [r for r in rows if r not in dead]
+        carried = successor._rows["T"]
+        assert len(carried._chunks) < len(grown_table._chunks)
+        assert successor.rows("T") == tuple(survivors)
+        assert all(r in carried._chunks[carried._where[r]] for r in survivors)
+        assert set(successor.key_index("T", ("K",))) == {
+            (row[0][1],) for row in survivors
+        }
+        assert state.rows("T") == grown.rows("T") == tuple(rows)
+
+    def test_carrying_one_dead_row_shares_all_but_a_few_objects(self):
+        """O(|delta|) by identity: after dropping one row from a 10^4-row
+        table, every chunk and partition but a constant few is still the
+        predecessor's own object."""
+        bulk = _numbered_state(10_000)
+        state = StoreState(bulk.schema)
+        state.carry_rows(bulk, "T", set())  # splits the bulk load's map
+        state.key_index("T", ("K",))
+        old = state._rows["T"]
+        successor = StoreState(state.schema)
+        successor.carry_rows(state, "T", {make_row(K=5000, V="v5000")})
+        new = successor._rows["T"]
+
+        def fresh(before, after):
+            assert len(before) == len(after)
+            return sum(a is not b for a, b in zip(before, after))
+
+        assert len(old._chunks) > 100
+        assert fresh(old._chunks, new._chunks) == 1
+        assert len(old._where._parts) > 100
+        assert fresh(old._where._parts, new._where._parts) == 1
+        assert fresh(old.indexes[("K",)]._parts, new.indexes[("K",)]._parts) == 1
 
     def test_sqlite_state_cache_absorbs_incremental_saves(self):
         session = stage1_session("sqlite")
