@@ -138,7 +138,7 @@ def _measure(
             "writeplans": {
                 "hits": writeplans.hits,
                 "misses": writeplans.misses,
-                "compiled": writeplans.compiled,
+                "compiled": writeplans.misses,
                 "entries": writeplans.entries,
             },
             "ivm_fallbacks": session.engine.stats().ivm_fallbacks,

@@ -166,12 +166,6 @@ def _drop_backend_caches(session: OrmSession) -> None:
         clear()
 
 
-def _reset_statement_stats(session: OrmSession) -> None:
-    statements = getattr(session.backend, "_statements", None)
-    if statements is not None:
-        statements.reset_stats()
-
-
 def _serve(session: OrmSession, bindings: int, mode: str):
     """(elapsed seconds, query count, answer digest) for one run.
 
@@ -210,10 +204,12 @@ def _measure_serving(
         cold_s, _, cold_digest = _serve(session, bindings, "cold")
         session.plan_cache.clear()
         _drop_backend_caches(session)
-        # warm-up pass builds plans and indexes; counters reset so the
-        # timed pass reports pure steady state, not warm-up pollution
+        # warm-up pass builds plans and indexes; the statement counters
+        # are diffed across the timed pass so it reports pure steady
+        # state, not warm-up pollution
         _serve(session, bindings, "warm")
-        _reset_statement_stats(session)
+        statements = getattr(session.backend, "statement_cache_stats", None)
+        warm_before = statements() if statements is not None else None
         warm_s, _, warm_digest = _serve(session, bindings, "warm")
         assert base_digest == cold_digest == warm_digest, (
             "cached plans changed the answers"
@@ -236,15 +232,18 @@ def _measure_serving(
                 "entries": stats.entries,
             },
         }
-        statements = getattr(session.backend, "statement_cache_stats", None)
         if statements is not None:
-            st = statements()  # steady-state warm pass only (reset above)
-            result["statement_cache"] = {
-                "hits": st.hits,
-                "misses": st.misses,
+            st = statements()
+            hits = st.hits - warm_before.hits
+            misses = st.misses - warm_before.misses
+            dml_hits = st.dml_hits - warm_before.dml_hits
+            dml_misses = st.dml_misses - warm_before.dml_misses
+            result["statement_cache"] = {  # the timed warm pass only
+                "hits": hits,
+                "misses": misses,
                 "entries": st.entries,
-                "select": {"hits": st.select_hits, "misses": st.select_misses},
-                "dml": {"hits": st.dml_hits, "misses": st.dml_misses},
+                "select": {"hits": hits - dml_hits, "misses": misses - dml_misses},
+                "dml": {"hits": dml_hits, "misses": dml_misses},
             }
         index_stats = getattr(session.backend, "index_stats", None)
         if index_stats is not None:
@@ -348,7 +347,7 @@ def _measure_interleaved(backend_name: str, size: int = 50) -> dict:
         return {
             "backend": backend_name,
             "warm_hits_before_smo": before.hits,
-            "invalidations": after_smo.invalidations,
+            "invalidations": after_smo.invalidated,
             "entries_after_smo": after_smo.entries,
             "untouched_set_hit_after_smo": untouched_hit,
             "touched_set_rebuilt_after_smo": touched_rebuilt,

@@ -198,7 +198,7 @@ def _measure(
                 "validation_failures": stats.validation_failures,
                 "entries": stats.entries,
                 "cost": stats.cost,
-                "budget": stats.budget,
+                "budget": stats.bound,
             },
         }
     finally:

@@ -291,7 +291,7 @@ def _measure_backend(
             "plan_cache": {
                 "hits": plans_after.hits,
                 "misses": plans_after.misses,
-                "invalidations": plans_after.invalidations,
+                "invalidations": plans_after.invalidated,
                 "hits_during_churn": plans_after.hits - plans_before.hits,
                 "misses_during_churn": plans_after.misses
                 - plans_before.misses,

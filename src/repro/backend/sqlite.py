@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import sqlite3
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -36,6 +35,7 @@ from repro.backend.sqlgen import (
     grouped_delta_statements,
     quote,
 )
+from repro.cache import CacheStats, LruCache
 from repro.errors import SchemaError, SmoError, ValidationError
 from repro.query.dml import StoreDelta
 from repro.query.dml import apply_delta as apply_store_delta
@@ -50,32 +50,28 @@ SUPPORTS_FULL_OUTER_JOIN = sqlite3.sqlite_version_info >= (3, 39, 0)
 _MEMORY_DB_IDS = itertools.count(1)
 
 
-@dataclass
-class StatementCacheStats:
-    """Hit/miss/eviction counters of the prepared-statement cache.
+#: live cursors one connection keeps prepared
+STATEMENT_CACHE_SIZE = 128
 
-    Totals are split by traffic class: SELECTs (query serving) versus
-    DML (SaveChanges deltas).  A steady-state warm serving workload
-    should show near-100% SELECT hits; DML misses are the one-time
-    preparation of each distinct per-table statement text.
+
+@dataclass(frozen=True)
+class StatementCacheStats(CacheStats):
+    """The prepared-statement cache's counters plus the DML share of its
+    traffic (SaveChanges deltas); the rest are SELECTs (query serving).
+    A steady-state warm serving workload should show near-100% SELECT
+    hits; DML misses are the one-time preparation of each distinct
+    per-table statement text.
     """
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    entries: int = 0
-    select_hits: int = 0
-    select_misses: int = 0
     dml_hits: int = 0
     dml_misses: int = 0
 
-    def __str__(self) -> str:
-        return (
-            f"StatementCacheStats(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, entries={self.entries}, "
-            f"select={self.select_hits}/{self.select_hits + self.select_misses}, "
-            f"dml={self.dml_hits}/{self.dml_hits + self.dml_misses})"
-        )
+
+def _close_cursor(cursor: sqlite3.Cursor) -> None:
+    try:
+        cursor.close()
+    except sqlite3.ProgrammingError:
+        pass  # connection already closed; cursor died with it
 
 
 class StatementCache:
@@ -89,39 +85,20 @@ class StatementCache:
     before reuse), so cursor sharing per text is safe.
     """
 
-    def __init__(self, connection: sqlite3.Connection, capacity: int = 128) -> None:
+    def __init__(self, connection: sqlite3.Connection) -> None:
         self._conn = connection
-        self.capacity = capacity
-        self._cursors: "OrderedDict[str, sqlite3.Cursor]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.select_hits = 0
-        self.select_misses = 0
+        self._cursors = LruCache(STATEMENT_CACHE_SIZE, on_evict=_close_cursor)
         self.dml_hits = 0
         self.dml_misses = 0
 
     def _cursor(self, text: str, kind: str) -> sqlite3.Cursor:
         cursor = self._cursors.get(text)
-        if cursor is not None:
-            self.hits += 1
+        if cursor is None:
+            cursor = self._cursors.put(text, self._conn.cursor())
             if kind == "dml":
-                self.dml_hits += 1
-            else:
-                self.select_hits += 1
-            self._cursors.move_to_end(text)
-            return cursor
-        self.misses += 1
-        if kind == "dml":
-            self.dml_misses += 1
-        else:
-            self.select_misses += 1
-        cursor = self._conn.cursor()
-        self._cursors[text] = cursor
-        while len(self._cursors) > self.capacity:
-            _, evicted = self._cursors.popitem(last=False)
-            evicted.close()
-            self.evictions += 1
+                self.dml_misses += 1
+        elif kind == "dml":
+            self.dml_hits += 1
         return cursor
 
     def execute(
@@ -139,27 +116,11 @@ class StatementCache:
         return cursor
 
     def clear(self) -> None:
-        for cursor in self._cursors.values():
-            try:
-                cursor.close()
-            except sqlite3.ProgrammingError:
-                pass  # connection already closed; cursor died with it
         self._cursors.clear()
 
-    def reset_stats(self) -> None:
-        """Zero all counters (benchmarks isolate steady-state phases)."""
-        self.hits = self.misses = self.evictions = 0
-        self.select_hits = self.select_misses = 0
-        self.dml_hits = self.dml_misses = 0
-
     def stats(self) -> StatementCacheStats:
-        return StatementCacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            entries=len(self._cursors),
-            select_hits=self.select_hits,
-            select_misses=self.select_misses,
+        return self._cursors.stats(
+            StatementCacheStats,
             dml_hits=self.dml_hits,
             dml_misses=self.dml_misses,
         )
@@ -189,7 +150,6 @@ class SqliteBackend(StoreBackend):
         schema: StoreSchema,
         db_path: Optional[str] = None,
         connection: Optional[sqlite3.Connection] = None,
-        statement_cache_size: int = 128,
         pool_size: int = 0,
     ) -> None:
         self._schema = schema
@@ -223,8 +183,7 @@ class SqliteBackend(StoreBackend):
         self._gate = ReadWriteGate()
         self._closed = False
         self._state_cache: Optional[StoreState] = None
-        self._statements = StatementCache(self._conn, statement_cache_size)
-        self._statement_cache_size = statement_cache_size
+        self._statements = StatementCache(self._conn)
         self._pool: Optional[ConnectionPool] = (
             ConnectionPool(
                 self._make_reader, self._close_reader, max_size=pool_size
@@ -256,9 +215,7 @@ class SqliteBackend(StoreBackend):
             conn = sqlite3.connect(self.db_path, check_same_thread=False)
         conn.isolation_level = None
         conn.execute("PRAGMA busy_timeout = 10000")
-        return PooledConnection(
-            conn, StatementCache(conn, self._statement_cache_size)
-        )
+        return PooledConnection(conn, StatementCache(conn))
 
     @staticmethod
     def _close_reader(leased: PooledConnection) -> None:

@@ -326,7 +326,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             for _ in range(max(1, args.repeat)):
                 session.query(query)
         print(session.serving_stats())
-        print(f"validation cache: {session.cache_stats()}")
         return 0
     finally:
         session.backend.close()

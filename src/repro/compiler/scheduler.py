@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.budget import WorkBudget, ensure_budget
+from repro.cache import LruCache
 
 
 @dataclass
@@ -359,48 +360,50 @@ def _cache_spec(cache) -> Optional[Tuple[str, Optional[str]]]:
 # Process-pool worker side
 # ---------------------------------------------------------------------------
 
+def _close_context(context: dict) -> None:
+    cache = context.get("cache")
+    if cache is not None:
+        cache.close()
+
+
 #: per-process context cache: payload digest -> materialized context.
 #: Bounded, LRU — a long-lived pool serving several sessions/models keeps
 #: the few contexts in active rotation and drops the rest.
-_WORKER_CONTEXTS: "OrderedDict[str, dict]" = OrderedDict()
 _WORKER_CONTEXT_BOUND = 4
+_WORKER_CONTEXTS = LruCache(_WORKER_CONTEXT_BOUND, on_evict=_close_context)
+
+
+def _load_context(payload: bytes) -> dict:
+    from repro.containment.cache import ValidationCache
+
+    mapping, views, max_steps, max_seconds, symbolic, cache_spec = (
+        pickle.loads(payload)
+    )
+    cache = None
+    if cache_spec is not None:
+        kind, directory = cache_spec
+        store = None
+        if kind == "disk":
+            from repro.containment.persist import PersistentCacheStore
+
+            store = PersistentCacheStore(directory)
+        cache = ValidationCache(store=store)
+    return {
+        "mapping": mapping,
+        "views": views,
+        "limits": (max_steps, max_seconds),
+        "symbolic": symbolic,
+        "analyses": {},
+        "cache": cache,
+    }
 
 
 def _worker_context(context_key: str, payload: bytes) -> dict:
     """The cached context for *context_key*; *payload* is unpickled only
     when this worker has not seen that digest yet."""
-    context = _WORKER_CONTEXTS.get(context_key)
-    if context is None:
-        from repro.containment.cache import ValidationCache
-
-        mapping, views, max_steps, max_seconds, symbolic, cache_spec = (
-            pickle.loads(payload)
-        )
-        cache = None
-        if cache_spec is not None:
-            kind, directory = cache_spec
-            store = None
-            if kind == "disk":
-                from repro.containment.persist import PersistentCacheStore
-
-                store = PersistentCacheStore(directory)
-            cache = ValidationCache(store=store)
-        context = {
-            "mapping": mapping,
-            "views": views,
-            "limits": (max_steps, max_seconds),
-            "symbolic": symbolic,
-            "analyses": {},
-            "cache": cache,
-        }
-        _WORKER_CONTEXTS[context_key] = context
-        while len(_WORKER_CONTEXTS) > _WORKER_CONTEXT_BOUND:
-            _, evicted = _WORKER_CONTEXTS.popitem(last=False)
-            old_cache = evicted.get("cache")
-            if old_cache is not None:
-                old_cache.close()
-    _WORKER_CONTEXTS.move_to_end(context_key)
-    return context
+    return _WORKER_CONTEXTS.get_or_build(
+        context_key, lambda: _load_context(payload)
+    )
 
 
 def _run_shard(

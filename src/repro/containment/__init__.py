@@ -10,8 +10,8 @@ neighborhoods is a cache hit.
 
 from repro.containment.atoms import FRESH, collect_constants, value_candidates
 from repro.containment.cache import (
-    CacheStats,
     ValidationCache,
+    ValidationCacheStats,
     client_slice_tokens,
     fingerprint,
     store_table_tokens,
@@ -26,13 +26,13 @@ from repro.containment.spaces import (
 
 __all__ = [
     "Assignment",
-    "CacheStats",
     "ClientConditionSpace",
     "ConditionSpace",
     "ContainmentResult",
     "FRESH",
     "StoreConditionSpace",
     "ValidationCache",
+    "ValidationCacheStats",
     "check_containment",
     "client_slice_tokens",
     "collect_constants",

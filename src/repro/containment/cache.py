@@ -36,11 +36,11 @@ disk, exactly as they are evicted from L1 on rollback.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+
+from repro.cache import CacheStats, LruCache
 
 T = TypeVar("T")
 
@@ -151,37 +151,21 @@ def client_slice_tokens(
 # The cache
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters plus current entry count.
+@dataclass(frozen=True)
+class ValidationCacheStats(CacheStats):
+    """The L1's counters plus the optional persistent store's.
 
-    The ``l2_*`` counters cover the optional persistent store: ``l2_hits``
-    are L1 misses answered from disk (also counted in ``hits`` — the
-    caller got a memoised value either way), ``l2_misses`` are computes
-    that really ran, ``l2_writes``/``l2_errors`` mirror the store's own
-    write/failure counters.  All zero when no store is attached.
+    ``l2_hits`` are L1 misses answered from disk (also counted in
+    ``hits`` — the caller got a memoised value either way), ``l2_misses``
+    are computes that really ran, ``l2_writes``/``l2_errors`` mirror the
+    store's own write/failure counters.  All zero when no store is
+    attached.
     """
 
-    hits: int = 0
-    misses: int = 0
-    entries: int = 0
-    evictions: int = 0
     l2_hits: int = 0
     l2_misses: int = 0
     l2_writes: int = 0
     l2_errors: int = 0
-
-    def __str__(self) -> str:
-        text = (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"entries={self.entries}, evictions={self.evictions}"
-        )
-        if self.l2_hits or self.l2_misses or self.l2_writes or self.l2_errors:
-            text += (
-                f", l2={self.l2_hits}h/{self.l2_misses}m"
-                f"/{self.l2_writes}w/{self.l2_errors}e"
-            )
-        return text + ")"
 
 
 class CacheTransaction:
@@ -246,8 +230,10 @@ class ValidationCache:
         self.max_entries = (
             self.DEFAULT_MAX_ENTRIES if max_entries is None else max_entries
         )
-        self._entries: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
-        self._lock = threading.Lock()
+        self._l1 = LruCache(self.max_entries)
+        #: the L1's lock also guards transactions, the counterexample
+        #: pools and the L2 counters; never call the L1 while holding it
+        self._lock = self._l1.lock
         self._transactions: list = []
         # Failing states per check fingerprint + a small global recency
         # pool.  Deliberately *not* transaction-tracked: a counterexample
@@ -262,11 +248,22 @@ class ValidationCache:
         self.store = store
         #: check fingerprints whose persisted counterexamples were loaded
         self._ce_probed: set = set()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self.l2_hits = 0
         self.l2_misses = 0
+
+    # The L1 counts every build as a miss; a build the L2 answered is a
+    # hit to the caller, so it moves from one column to the other.  Each
+    # L2 hit is counted after its L1 miss, so reading it first keeps the
+    # difference non-negative under concurrent builds.
+    @property
+    def hits(self) -> int:
+        l2_hits = self.l2_hits
+        return self._l1.hits + l2_hits
+
+    @property
+    def misses(self) -> int:
+        l2_hits = self.l2_hits
+        return self._l1.misses - l2_hits
 
     def get_or_compute(
         self, namespace: str, key: str, compute: Callable[[], T]
@@ -275,8 +272,8 @@ class ValidationCache:
 
         ``compute`` runs outside the lock so concurrent workers are never
         serialised on each other's computations; on a race both compute
-        and the last write wins (results are deterministic, so the values
-        are equal).
+        and the first value stored wins (results are deterministic, so
+        the values are equal).
 
         With a persistent store attached, an L1 miss probes the L2 before
         computing.  An L2 hit counts as a *hit* (the value was memoised,
@@ -287,38 +284,31 @@ class ValidationCache:
         into the innermost transaction and flushed on commit.
         """
         full_key = (namespace, key)
-        with self._lock:
-            if full_key in self._entries:
-                self.hits += 1
-                self._entries.move_to_end(full_key)
-                return self._entries[full_key]  # type: ignore[return-value]
-        if self.store is not None:
-            found, value = self.store.get(namespace, key)
-            if found:
-                with self._lock:
-                    self.hits += 1
-                    self.l2_hits += 1
-                    self._entries[full_key] = value
-                    self._entries.move_to_end(full_key)
-                    while len(self._entries) > self.max_entries:
-                        self._entries.popitem(last=False)
-                        self.evictions += 1
-                return value  # type: ignore[return-value]
-        value = compute()
+        source = None
+
+        def build():
+            nonlocal source
+            if self.store is not None:
+                found, value = self.store.get(namespace, key)
+                if found:
+                    source = "l2"
+                    return value
+            value = compute()
+            source = "compute"
+            return value
+
+        value = self._l1.get_or_build(full_key, build)
+        if source is None:
+            return value
         flush = False
         with self._lock:
-            self.misses += 1
+            if source == "l2":
+                self.l2_hits += 1
+                return value
+            for transaction in self._transactions:
+                transaction.inserted.add(full_key)
             if self.store is not None:
                 self.l2_misses += 1
-            if full_key not in self._entries:
-                for transaction in self._transactions:
-                    transaction.inserted.add(full_key)
-            self._entries[full_key] = value
-            self._entries.move_to_end(full_key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            if self.store is not None:
                 if self._transactions:
                     self._transactions[-1].pending[full_key] = value
                 else:
@@ -366,9 +356,9 @@ class ValidationCache:
         with self._lock:
             if transaction in self._transactions:
                 self._transactions.remove(transaction)
-            for full_key in transaction.inserted:
-                self._entries.pop(full_key, None)
             transaction.pending = {}
+        for full_key in transaction.inserted:
+            self._l1.discard(full_key)
 
     # -- counterexample persistence ----------------------------------
     def record_counterexample(
@@ -447,19 +437,19 @@ class ValidationCache:
         with self._lock:
             return sum(len(pool) for pool in self._counterexamples.values())
 
-    def stats(self) -> CacheStats:
+    def stats(self) -> ValidationCacheStats:
         store = self.store
-        with self._lock:
-            return CacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                entries=len(self._entries),
-                evictions=self.evictions,
-                l2_hits=self.l2_hits,
-                l2_misses=self.l2_misses,
-                l2_writes=store.writes if store is not None else 0,
-                l2_errors=store.errors if store is not None else 0,
-            )
+        l2_hits = self.l2_hits  # read first, as in ``misses``
+        stats = self._l1.stats(
+            ValidationCacheStats,
+            l2_hits=l2_hits,
+            l2_misses=self.l2_misses,
+            l2_writes=store.writes if store is not None else 0,
+            l2_errors=store.errors if store is not None else 0,
+        )
+        return replace(
+            stats, hits=stats.hits + l2_hits, misses=stats.misses - l2_hits
+        )
 
     def persistent_stats(self):
         """The attached store's :class:`PersistentCacheStats`, or None."""
@@ -467,8 +457,8 @@ class ValidationCache:
 
     def clear(self, persistent: bool = False) -> None:
         """Drop every L1 entry; with *persistent*, wipe the L2 file too."""
+        self._l1.clear()
         with self._lock:
-            self._entries.clear()
             self._ce_probed.clear()
         if persistent and self.store is not None:
             self.store.clear()
@@ -479,8 +469,7 @@ class ValidationCache:
             self.store.close()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._l1)
 
     def __str__(self) -> str:
         return f"ValidationCache({self.stats()})"

@@ -791,7 +791,7 @@ class SessionEngine:
             self._commit(
                 lambda: self.backend.replace_contents(state),
                 epoch.model,
-                PlanCache(epoch.plan_cache.max_plans),
+                epoch.plan_cache.empty_successor(),
                 fingerprint=epoch.fingerprint,
                 make_results=epoch.results.empty_successor,
             )

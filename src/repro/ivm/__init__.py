@@ -17,7 +17,6 @@ from repro.ivm.writeplan import (
     IncrementalWriteState,
     Writeplan,
     WriteplanCache,
-    WriteplanCacheStats,
     push_client_delta,
     seed_counts,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "IncrementalWriteState",
     "Writeplan",
     "WriteplanCache",
-    "WriteplanCacheStats",
     "push_client_delta",
     "seed_counts",
 ]

@@ -27,8 +27,6 @@ whole-state save, which is always correct.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -48,6 +46,7 @@ from repro.algebra.evaluate import (
     evaluate_query_bag,
 )
 from repro.algebra.queries import AssociationScan, Query, SetScan
+from repro.cache import CacheStats, LruCache
 from repro.containment.cache import client_slice_tokens, fingerprint
 from repro.edm.instances import ClientState, Entity
 from repro.errors import IvmError
@@ -244,20 +243,8 @@ def _scanned_sources(view) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     return tuple(sets), tuple(assocs)
 
 
-@dataclass(frozen=True)
-class WriteplanCacheStats:
-    hits: int
-    misses: int
-    compiled: int
-    invalidations: int
-    entries: int
-
-    def __str__(self) -> str:
-        return (
-            f"writeplans: {self.hits} hits / {self.misses} misses, "
-            f"{self.compiled} compiled, {self.invalidations} invalidated, "
-            f"{self.entries} cached"
-        )
+#: lowered writeplans one engine keeps
+WRITEPLAN_CACHE_SIZE = 256
 
 
 class WriteplanCache:
@@ -272,14 +259,8 @@ class WriteplanCache:
     discipline.  Data-only writes never invalidate writeplans.
     """
 
-    def __init__(self, max_plans: int = 256) -> None:
-        self.max_plans = max_plans
-        self._plans: "OrderedDict[tuple, Writeplan]" = OrderedDict()
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.compiled = 0
-        self.invalidations = 0
+    def __init__(self) -> None:
+        self._plans = LruCache(WRITEPLAN_CACHE_SIZE)
 
     def plan_for(self, model, view) -> Writeplan:
         schema = model.client_schema
@@ -287,61 +268,36 @@ class WriteplanCache:
         slice_fp = fingerprint(
             view, client_slice_tokens(schema, sets=sorted(sets), assocs=sorted(assocs))
         )
-        key = (view.table_name, slice_fp)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                self.hits += 1
-                return plan
-        plan = compile_writeplan(view, schema)  # may raise IvmError
-        with self._lock:
-            self.misses += 1
-            self.compiled += 1
-            self._plans[key] = plan
-            while len(self._plans) > self.max_plans:
-                self._plans.popitem(last=False)
-        return plan
+        return self._plans.get_or_build(
+            (view.table_name, slice_fp),
+            lambda: compile_writeplan(view, schema),  # may raise IvmError
+        )
 
     def invalidate(self, delta, mapping) -> int:
         """Evict exactly the writeplans a :class:`MappingDelta` can stale."""
         stale = delta.stale_region(mapping)
         touched_sources = stale.sets | stale.assocs
         schema = mapping.client_schema
-        evicted = 0
-        with self._lock:
-            for key, plan in list(self._plans.items()):
-                sources = plan.root.sources
-                if (
-                    plan.table_name in stale.tables
-                    or not sources.isdisjoint(touched_sources)
-                    # raw names of dropped components no longer resolve
-                    or not all(
-                        schema.has_entity_set(n) or schema.has_association(n)
-                        for n in sources
-                    )
-                ):
-                    del self._plans[key]
-                    evicted += 1
-            self.invalidations += evicted
-        return evicted
+
+        def is_stale(_key, plan: Writeplan) -> bool:
+            sources = plan.root.sources
+            return (
+                plan.table_name in stale.tables
+                or not sources.isdisjoint(touched_sources)
+                # raw names of dropped components no longer resolve
+                or not all(
+                    schema.has_entity_set(n) or schema.has_association(n)
+                    for n in sources
+                )
+            )
+
+        return self._plans.invalidate(is_stale)
 
     def clear(self) -> int:
-        with self._lock:
-            evicted = len(self._plans)
-            self._plans.clear()
-            self.invalidations += evicted
-        return evicted
+        return self._plans.clear()
 
-    def stats(self) -> WriteplanCacheStats:
-        with self._lock:
-            return WriteplanCacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                compiled=self.compiled,
-                invalidations=self.invalidations,
-                entries=len(self._plans),
-            )
+    def stats(self) -> CacheStats:
+        return self._plans.stats()
 
 
 class IncrementalWriteState:

@@ -12,7 +12,6 @@ from repro.query.plancache import (
     CachedPlan,
     Param,
     PlanCache,
-    PlanCacheStats,
     ServingStats,
     parameterize,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "EntityQuery",
     "Param",
     "PlanCache",
-    "PlanCacheStats",
     "ServingStats",
     "parameterize",
     "StoreDelta",

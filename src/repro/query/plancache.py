@@ -33,32 +33,32 @@ reused across every concrete request:
    statement's parameter tuple.
 
 3. The :class:`PlanCache` is an LRU keyed by ``(set name, model-slice
-   fingerprint, shape fingerprint)``.  The model-slice fingerprint covers
-   exactly what unfolding and execution read — the set's query view, the
-   client-schema slice of the set, and the store tables the view scans —
-   so two structurally identical queries share one plan, and a plan can
-   only ever be served against the model state it was built for.
+   fingerprint, shape condition, projection)``.  The model-slice
+   fingerprint covers exactly what unfolding and execution read — the
+   set's query view, the client-schema slice of the set, and the store
+   tables the view scans — so two structurally identical queries share
+   one plan, and a plan can only ever be served against the model state
+   it was built for.
 
-4. **Delta-scoped invalidation** (:meth:`PlanCache.invalidate`): on
+4. **Delta-scoped invalidation** (:meth:`PlanCache.successor`): on
    ``evolve``/``evolve_many``/``undo`` the session hands the composed
    :class:`~repro.incremental.delta.MappingDelta` over; only plans whose
    entity set or scanned tables intersect the delta's touched
-   neighborhood are evicted.  Plans over untouched sets survive schema
-   evolution — the paper's neighborhood principle applied to the serving
-   side.
+   neighborhood are dropped from the next epoch's cache.  Plans over
+   untouched sets survive schema evolution — the paper's neighborhood
+   principle applied to the serving side.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.algebra.conditions import Comparison, Condition
 from repro.algebra.constructors import Constructor
 from repro.algebra.queries import Const, Query, Select, TableScan
 from repro.backend.sqlgen import CompiledSql, SqlCompiler
+from repro.cache import CacheStats, LruCache
 from repro.containment.cache import client_slice_tokens, fingerprint
 from repro.errors import EvaluationError
 from repro.query.language import EntityQuery
@@ -70,6 +70,10 @@ from repro.query.unfold import (
     unfold,
 )
 from repro.relational.schema import StoreSchema
+
+if TYPE_CHECKING:
+    from repro.backend.memory import IndexStats
+    from repro.engine import EngineStats
 
 
 @dataclass(frozen=True)
@@ -267,22 +271,16 @@ class CachedPlan:
 # The cache
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PlanCacheStats:
-    """Counters of the plan cache's life so far."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-    entries: int = 0
-
-    def __str__(self) -> str:
-        return (
-            f"PlanCacheStats(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, invalidations={self.invalidations}, "
-            f"entries={self.entries})"
-        )
+#: ServingStats sections in report order, with their labels
+_SECTIONS = (
+    ("plans", "plan cache"),
+    ("statements", "statement cache"),
+    ("indexes", "physical indexes"),
+    ("epoch", "epoch engine"),
+    ("writeplans", "write plans"),
+    ("validation", "validation cache"),
+    ("results", "result cache"),
+)
 
 
 @dataclass
@@ -290,113 +288,48 @@ class ServingStats:
     """One report over every cache on the serving path."""
 
     backend: str
-    plans: PlanCacheStats
-    statements: Optional[object] = None  # StatementCacheStats on SQLite
-    indexes: Optional[object] = None  # IndexStats on the memory backend
-    epoch: Optional[object] = None  # EngineStats from the epoch engine
-    writeplans: Optional[object] = None  # WriteplanCacheStats (IVM writes)
-    validation: Optional[object] = None  # CacheStats (validation L1 + L2)
-    results: Optional[object] = None  # ResultCacheStats (materialized tier)
+    plans: CacheStats
+    statements: Optional[CacheStats] = None  # SQLite's prepared statements
+    indexes: Optional[IndexStats] = None  # the memory backend's indexes
+    epoch: Optional[EngineStats] = None  # the epoch engine
+    writeplans: Optional[CacheStats] = None  # IVM writes
+    validation: Optional[CacheStats] = None  # validation L1 + L2
+    results: Optional[CacheStats] = None  # the materialized result tier
 
     def __str__(self) -> str:
-        lines = [
-            f"serving on {self.backend}:",
-            f"  plan cache      : hits={self.plans.hits} misses={self.plans.misses}"
-            f" evictions={self.plans.evictions}"
-            f" invalidations={self.plans.invalidations}"
-            f" entries={self.plans.entries}",
-        ]
-        if self.statements is not None:
-            s = self.statements
-            lines.append(
-                f"  statement cache : hits={s.hits} misses={s.misses}"
-                f" evictions={s.evictions} entries={s.entries}"
-            )
-            select_hits = getattr(s, "select_hits", None)
-            if select_hits is not None:
-                lines.append(
-                    f"    select        : hits={s.select_hits}"
-                    f" misses={s.select_misses}"
+        lines = [f"serving on {self.backend}:"]
+        for name, label in _SECTIONS:
+            section = getattr(self, name)
+            if section is not None:
+                counters = " ".join(
+                    f"{f.name}={getattr(section, f.name)}" for f in fields(section)
                 )
-                lines.append(
-                    f"    dml           : hits={s.dml_hits}"
-                    f" misses={s.dml_misses}"
-                )
-        if self.indexes is not None:
-            i = self.indexes
-            lines.append(
-                f"  physical indexes: builds={i.builds} hits={i.hits}"
-                f" invalidations={i.invalidations} entries={i.entries}"
-                f" compiled_runs={i.compiled_runs}"
-            )
-        if self.epoch is not None:
-            e = self.epoch
-            lines.append(
-                f"  epoch engine    : epoch={e.epoch_id}"
-                f" published={e.epochs_published} queries={e.queries}"
-                f" retries={e.read_retries}"
-                f" serialized={e.serialized_reads} torn={e.torn_reads_served}"
-            )
-        if self.writeplans is not None:
-            w = self.writeplans
-            lines.append(
-                f"  write plans     : hits={w.hits} misses={w.misses}"
-                f" compiled={w.compiled}"
-                f" invalidations={w.invalidations} entries={w.entries}"
-            )
-        if self.validation is not None:
-            v = self.validation
-            line = (
-                f"  validation cache: hits={v.hits} misses={v.misses}"
-                f" entries={v.entries}"
-            )
-            if getattr(v, "l2_hits", 0) or getattr(v, "l2_misses", 0):
-                line += f" l2_hits={v.l2_hits} l2_misses={v.l2_misses}"
-            lines.append(line)
-        if self.results is not None:
-            r = self.results
-            lines.append(
-                f"  result cache    : hits={r.hits} misses={r.misses}"
-                f" maintained={r.maintained} invalidated={r.invalidated}"
-                f" fallbacks={r.fallbacks} evictions={r.evictions}"
-                f" stale={r.validation_failures}"
-                f" entries={r.entries} cost={r.cost}/{r.budget}"
-            )
+                lines.append(f"  {label:<16}: {counters}")
         return "\n".join(lines)
 
 
 class PlanCache:
     """LRU-bounded, shape-keyed cache of :class:`CachedPlan` entries.
 
-    Thread-safe; held by one :class:`~repro.session.OrmSession`.  The
-    session routes every model mutation through
-    :meth:`invalidate`, which is what licenses the per-set model-slice
-    fingerprints to be cached between mutations (recomputing them per
-    query would cost more than the unfold they save).
+    Thread-safe; held by one :class:`~repro.session.OrmSession`.  Plans
+    are keyed by ``(set name, model-slice fingerprint, shape condition,
+    projection)``: conditions are hash-consed, so every binding of one
+    shape parameterizes to the *same* condition object and a hit is one
+    dict probe.  The per-set slice fingerprints are memoized in
+    ``_set_meta`` between model changes (recomputing them per query
+    would cost more than the unfold they save); a model change publishes
+    a :meth:`successor`, which drops the memo of every set it reaches.
     """
 
     def __init__(self, max_plans: int = 256) -> None:
         self.max_plans = max_plans
-        self._plans: "OrderedDict[Tuple[str, str, str], CachedPlan]" = OrderedDict()
+        self._plans = LruCache(max_plans)
         #: set name -> (slice fingerprint, inline attrs, scanned tables)
         self._set_meta: Dict[str, Tuple[str, FrozenSet[str], FrozenSet[str]]] = {}
-        #: (set name, shape condition, projection) -> full cache key.
-        #: Hash-consing makes the parameterized shape condition the *same*
-        #: interned object for every binding of one shape, so this lookup
-        #: skips re-fingerprinting the shape on the steady-state hot path.
-        #: Entries are only trusted if their key is still in ``_plans``;
-        #: eviction and invalidation prune them.
-        self._shape_index: Dict[Tuple, Tuple[str, str, str]] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
 
     # -- keying --------------------------------------------------------
     def _meta(self, model, set_name: str):
-        with self._lock:
-            meta = self._set_meta.get(set_name)
+        meta = self._set_meta.get(set_name)
         if meta is not None:
             return meta
         schema = model.client_schema
@@ -413,8 +346,7 @@ class PlanCache:
             tuple(model.store_schema.table(name) for name in sorted(tables)),
         )
         meta = (slice_fp, pinned_attrs(view.constructor), tables)
-        with self._lock:
-            self._set_meta[set_name] = meta
+        self._set_meta[set_name] = meta
         return meta
 
     # -- lookup --------------------------------------------------------
@@ -425,126 +357,71 @@ class PlanCache:
 
     def plan_with_key(
         self, model, query: EntityQuery
-    ) -> Tuple[CachedPlan, Tuple[object, ...], Tuple[str, str, str]]:
+    ) -> Tuple[CachedPlan, Tuple[object, ...], Tuple]:
         """:meth:`plan_for` plus the full cache key — the result tier keys
         its entries with it, so both caches invalidate in lockstep."""
         slice_fp, inline_attrs, tables = self._meta(model, query.set_name)
         shape, values = parameterize(query, inline_attrs)
-        index_key = (query.set_name, shape.condition, shape.projection)
-        with self._lock:
-            key = self._shape_index.get(index_key)
-            if key is not None and key[1] == slice_fp:
-                plan = self._plans.get(key)
-                if plan is not None:
-                    self.hits += 1
-                    self._plans.move_to_end(key)
-                    return plan, values, key
-        key = (query.set_name, slice_fp, fingerprint(shape))
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self.hits += 1
-                self._plans.move_to_end(key)
-                self._shape_index[index_key] = key
-                return plan, values, key
-        unfolded = unfold(shape, model.views, model.client_schema)
-        plan = CachedPlan(shape, unfolded, len(values), tables)
-        with self._lock:
-            self.misses += 1
-            if key not in self._plans:
-                self._plans[key] = plan
-                evicted = False
-                while len(self._plans) > self.max_plans:
-                    self._plans.popitem(last=False)
-                    self.evictions += 1
-                    evicted = True
-                if evicted:
-                    self._prune_index()
-            plan = self._plans[key]
-            self._shape_index[index_key] = key
+        key = (query.set_name, slice_fp, shape.condition, shape.projection)
+        plan = self._plans.get(key)
+        if plan is None:
+            unfolded = unfold(shape, model.views, model.client_schema)
+            plan = self._plans.put(
+                key, CachedPlan(shape, unfolded, len(values), tables)
+            )
         return plan, values, key
 
-    def _prune_index(self) -> None:
-        """Drop shape-index entries whose plan is gone (lock held)."""
-        self._shape_index = {
-            ik: k for ik, k in self._shape_index.items() if k in self._plans
-        }
-
-    # -- invalidation --------------------------------------------------
-    def invalidate(self, delta, mapping) -> int:
-        """Evict exactly the plans a :class:`MappingDelta` can invalidate.
-
-        A plan is stale iff the delta touched its entity set or a store
-        table its branches scan; both the raw touched region and the
-        resolved neighborhood are consulted (raw names cover elements the
-        delta *dropped*, which no longer resolve).  Everything else keeps
-        serving — the neighborhood principle on the serving side.
-        """
-        stale = delta.stale_region(mapping)
-        schema = mapping.client_schema
-        evicted = 0
-        with self._lock:
-            for set_name in list(self._set_meta):
-                if set_name in stale.sets or not schema.has_entity_set(set_name):
-                    del self._set_meta[set_name]
-            for key in list(self._plans):
-                set_name = key[0]
-                plan = self._plans[key]
-                if (
-                    set_name in stale.sets
-                    or not schema.has_entity_set(set_name)
-                    or (plan.tables & stale.tables)
-                ):
-                    del self._plans[key]
-                    evicted += 1
-            if evicted:
-                self._prune_index()
-            self.invalidations += evicted
-        return evicted
-
+    # -- epochs --------------------------------------------------------
     def successor(self, delta=None, mapping=None) -> "PlanCache":
         """The next epoch's cache: surviving plans carried over.
 
-        Copies every entry (plans are shared — :class:`CachedPlan` lazy
-        compilation races are benign because results are deterministic)
-        into a fresh cache, carries the cumulative counters forward so
-        hit rates across epochs stay observable, then applies
-        delta-scoped invalidation for the evolution being published.
-        The *source* cache is left untouched: readers still serving the
-        old epoch keep hitting their own plans.
+        With a :class:`MappingDelta`, exactly the plans it can stale are
+        dropped: those whose entity set or scanned store tables its
+        touched region reaches (raw names cover elements the delta
+        *dropped*, which no longer resolve).  Everything else keeps
+        serving — the neighborhood principle on the serving side.  Plans
+        are shared with the source (lazy compilation races inside a
+        :class:`CachedPlan` are benign: results are deterministic), and
+        the source is left untouched, so readers still serving the old
+        epoch keep hitting their own plans.
         """
+        if delta is None:
+            return self._next(None, dict(self._set_meta))
+        stale = delta.stale_region(mapping)
+        schema = mapping.client_schema
+
+        def gone(set_name: str) -> bool:
+            return set_name in stale.sets or not schema.has_entity_set(set_name)
+
+        def carry(key, plan):
+            return None if gone(key[0]) or plan.tables & stale.tables else plan
+
+        meta = dict(self._set_meta)
+        return self._next(
+            carry, {name: m for name, m in meta.items() if not gone(name)}
+        )
+
+    def empty_successor(self) -> "PlanCache":
+        """A successor holding no plans but carrying the counters: for a
+        wholesale reset, which may swap the store schema under the
+        plans' feet."""
+        return self._next(lambda _key, _plan: None, {})
+
+    def _next(self, carry, set_meta) -> "PlanCache":
         clone = PlanCache(self.max_plans)
-        with self._lock:
-            clone._plans = OrderedDict(self._plans)
-            clone._set_meta = dict(self._set_meta)
-            clone._shape_index = dict(self._shape_index)
-            clone.hits = self.hits
-            clone.misses = self.misses
-            clone.evictions = self.evictions
-            clone.invalidations = self.invalidations
-        if delta is not None:
-            clone.invalidate(delta, mapping)
+        clone._plans = self._plans.successor(carry)
+        clone._set_meta = set_meta
         return clone
 
     def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self._set_meta.clear()
-            self._shape_index.clear()
+        self._plans.clear()
+        self._set_meta.clear()
 
-    def stats(self) -> PlanCacheStats:
-        with self._lock:
-            return PlanCacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                evictions=self.evictions,
-                invalidations=self.invalidations,
-                entries=len(self._plans),
-            )
+    def stats(self) -> CacheStats:
+        return self._plans.stats()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
+        return len(self._plans)
 
     def __str__(self) -> str:
         return f"PlanCache({self.stats()})"

@@ -43,19 +43,18 @@ Lifecycle, mirrored from the epoch engine's write paths:
   byte-identical answers;
 * **invalidate** — whole-state ``save`` drops entries by written tables
   (:meth:`successor_for_tables`), SMOs drop by touched neighborhood
-  exactly as :meth:`PlanCache.invalidate` does (:meth:`successor`), and
+  exactly as :meth:`PlanCache.successor` does (:meth:`successor`), and
   ``undo`` / ``replace_contents`` clear (data is restored wholesale, so
   table-scoped reasoning does not apply).
 
-The cache is bounded by a cost-aware LRU: an entry's cost is its rows ×
-width in cells, not its entry count, so one huge scan cannot silently
-evict a hundred cheap probes while looking like a single entry.
+The cache is bounded by a cost-aware :class:`~repro.cache.LruCache`: an
+entry's cost is its rows × width in cells, not its entry count, so one
+huge scan cannot silently evict a hundred cheap probes while looking
+like a single entry.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -74,6 +73,7 @@ from repro.algebra.evaluate import (
     evaluate_query_bag,
 )
 from repro.algebra.queries import Const, Query, TableScan
+from repro.cache import STALE, CacheStats, LruCache
 from repro.errors import EvaluationError, IvmError
 from repro.query.dml import StoreDelta
 from repro.query.unfold import UnfoldedBranch
@@ -345,32 +345,24 @@ def _maintained_entry(entry: _Entry, rt: DeltaRuntime, fingerprint: str) -> _Ent
 # The cache
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ResultCacheStats:
-    """Counters of the result tier's life so far (cumulative across
+@dataclass(frozen=True)
+class ResultCacheStats(CacheStats):
+    """The shared counters plus the result tier's own (cumulative across
     epochs: successors carry them forward like the plan cache does)."""
 
-    hits: int = 0
-    misses: int = 0
     maintained: int = 0
-    invalidated: int = 0
     fallbacks: int = 0
-    evictions: int = 0
     #: reads that found an entry stamped with a different epoch
     #: fingerprint — must stay 0; the regression gate asserts on it
     validation_failures: int = 0
-    entries: int = 0
-    cost: int = 0
-    budget: int = 0
 
-    def __str__(self) -> str:
-        return (
-            f"ResultCacheStats(hits={self.hits}, misses={self.misses}, "
-            f"maintained={self.maintained}, invalidated={self.invalidated}, "
-            f"fallbacks={self.fallbacks}, evictions={self.evictions}, "
-            f"validation_failures={self.validation_failures}, "
-            f"entries={self.entries}, cost={self.cost}/{self.budget})"
-        )
+
+def _entry_cost(entry: _Entry) -> int:
+    return entry.cost
+
+
+def _entry_stamp(entry: _Entry) -> str:
+    return entry.fingerprint
 
 
 class ResultCache:
@@ -380,29 +372,24 @@ class ResultCache:
     never mutate a published cache — they derive a successor
     (:meth:`successor_for_delta` / :meth:`successor_for_tables` /
     :meth:`successor`) off to the side and publish it with the epoch
-    swap, exactly like the plan cache.
+    swap, exactly like the plan cache.  An entry's cost is its cell
+    count, and it is stamped with the fingerprint of the epoch it was
+    built or maintained for.
     """
 
     def __init__(self, budget: int = DEFAULT_RESULT_BUDGET) -> None:
-        self.budget = budget
-        self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
+        self._entries = LruCache(budget, cost=_entry_cost, stamp=_entry_stamp)
         #: plan keys whose shapes failed to materialize (e.g. a query the
         #: interpreter cannot bag-evaluate); retrying every miss would
         #: pay the failure cost forever
         self._unsupported: set = set()
-        self._cost = 0
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         self.maintained = 0
-        self.invalidated = 0
         self.fallbacks = 0
-        self.evictions = 0
         self.validation_failures = 0
 
     @property
     def enabled(self) -> bool:
-        return self.budget > 0
+        return self._entries.bound > 0
 
     # -- keying --------------------------------------------------------
     @staticmethod
@@ -423,31 +410,21 @@ class ResultCache:
         bug, and it is surfaced as a counter, never as a stale read."""
         if not self.enabled:
             return None
-        full = self._full_key(key, values)
-        if full is None:
+        try:
+            entry = self._entries.get((key, values), fingerprint)
+        except TypeError:
+            return None  # unhashable constants: bypass the tier
+        if entry is None:
             return None
-        with self._lock:
-            entry = self._entries.get(full)
-            if entry is None:
-                self.misses += 1
-                return None
-            if entry.fingerprint != fingerprint:
+        if entry is STALE:
+            with self._entries.lock:
                 self.validation_failures += 1
-                self.invalidated += 1
-                self.misses += 1
-                del self._entries[full]
-                self._cost -= entry.cost
-                return None
-            self.hits += 1
-            self._entries.move_to_end(full)
+            return None
         return list(entry.rows_view())
 
     def has(self, key: Tuple, values: Tuple[object, ...]) -> bool:
         full = self._full_key(key, values)
-        if full is None:
-            return False
-        with self._lock:
-            return full in self._entries
+        return full is not None and full in self._entries
 
     # -- population ----------------------------------------------------
     def populate(
@@ -459,64 +436,43 @@ class ResultCache:
         state: StoreState,
         fingerprint: str,
         executed_rows: Optional[List[object]] = None,
-    ) -> bool:
+    ) -> None:
         """Materialize and insert one entry (no-op when present/disabled)."""
         if not self.enabled:
-            return False
+            return
         full = self._full_key(key, values)
-        if full is None:
-            return False
-        with self._lock:
-            if full in self._entries or key in self._unsupported:
-                return False
+        if full is None or key in self._unsupported or full in self._entries:
+            return
         try:
             entry = build_entry(
                 plan, values, schema, state, fingerprint, executed_rows
             )
         except (IvmError, EvaluationError):
-            with self._lock:
+            with self._entries.lock:
                 self.fallbacks += 1
                 self._unsupported.add(key)
-            return False
-        if entry.cost > self.budget:
-            with self._lock:
-                self.evictions += 1  # too large to ever hold: count and skip
-            return False
-        with self._lock:
-            if full in self._entries:
-                return False
-            self._entries[full] = entry
-            self._cost += entry.cost
-            self._evict_over_budget()
-        return True
-
-    def _evict_over_budget(self) -> None:
-        while self._cost > self.budget and self._entries:
-            _key, entry = self._entries.popitem(last=False)
-            self._cost -= entry.cost
-            self.evictions += 1
+            return
+        self._entries.put(full, entry)
 
     # -- successors (write paths) --------------------------------------
-    def _clone_empty(self) -> "ResultCache":
-        clone = ResultCache(self.budget)
-        clone.hits = self.hits
-        clone.misses = self.misses
-        clone.maintained = self.maintained
-        clone.invalidated = self.invalidated
-        clone.fallbacks = self.fallbacks
-        clone.evictions = self.evictions
-        clone.validation_failures = self.validation_failures
-        clone._unsupported = set(self._unsupported)
+    def _next(self, carry, unsupported: bool = True) -> "ResultCache":
+        """The next epoch's cache: this one's entries through *carry*
+        (see :meth:`LruCache.successor`), every counter carried."""
+        clone = ResultCache(self._entries.bound)
+        with self._entries.lock:
+            clone.maintained = self.maintained
+            clone.fallbacks = self.fallbacks
+            clone.validation_failures = self.validation_failures
+            if unsupported:
+                clone._unsupported = set(self._unsupported)
+        clone._entries = self._entries.successor(carry)
         return clone
 
     def empty_successor(self) -> "ResultCache":
         """A fresh cache carrying the counters: for ``undo`` and
         ``replace_contents``, where the data moves wholesale and no
         table-scoped argument can keep any entry valid."""
-        with self._lock:
-            clone = self._clone_empty()
-            clone.invalidated += len(self._entries)
-        return clone
+        return self._next(lambda _full, _entry: None)
 
     def successor_for_delta(
         self, delta: StoreDelta, state: StoreState, fingerprint: str
@@ -528,29 +484,27 @@ class ResultCache:
         everything else is invalidated.  *state* must be the post-delta
         store state and *fingerprint* the (unchanged) epoch fingerprint.
         """
-        with self._lock:
-            clone = self._clone_empty()
-            items = list(self._entries.items())
         rt = read_runtime(delta, state)
         touched = rt.touched
-        for full, entry in items:
+        maintained = fallbacks = 0
+
+        def carry(_full, entry: _Entry) -> Optional[_Entry]:
+            nonlocal maintained, fallbacks
             if not (entry.tables & touched):
-                clone._entries[full] = entry
-                clone._cost += entry.cost
-                continue
+                return entry
             if not entry.maintainable:
-                clone.invalidated += 1
-                continue
+                return None
             try:
-                maintained = _maintained_entry(entry, rt, fingerprint)
+                fresh = _maintained_entry(entry, rt, fingerprint)
             except (IvmError, EvaluationError):
-                clone.fallbacks += 1
-                clone.invalidated += 1
-                continue
-            clone._entries[full] = maintained
-            clone._cost += maintained.cost
-            clone.maintained += 1
-        clone._evict_over_budget()
+                fallbacks += 1
+                return None
+            maintained += 1
+            return fresh
+
+        clone = self._next(carry)
+        clone.maintained += maintained
+        clone.fallbacks += fallbacks
         return clone
 
     def successor_for_tables(
@@ -559,69 +513,54 @@ class ResultCache:
         """The next epoch's cache after a whole-state save: entries whose
         branches scan a written table are dropped, the rest carry."""
         written = frozenset(tables)
-        with self._lock:
-            clone = self._clone_empty()
-            for full, entry in self._entries.items():
-                if entry.tables & written or entry.fingerprint != fingerprint:
-                    clone.invalidated += 1
-                    continue
-                clone._entries[full] = entry
-                clone._cost += entry.cost
-        return clone
+
+        def carry(_full, entry: _Entry) -> Optional[_Entry]:
+            if entry.tables & written or entry.fingerprint != fingerprint:
+                return None
+            return entry
+
+        return self._next(carry)
 
     def successor(self, delta, mapping, fingerprint: str) -> "ResultCache":
         """The next epoch's cache after an SMO batch: delta-scoped
         invalidation by touched sets and tables, exactly the
-        :meth:`PlanCache.invalidate` discipline.  Survivors are restamped
+        :meth:`PlanCache.successor` discipline.  Survivors are restamped
         with the evolved fingerprint — their sets and tables are provably
         outside the batch's touched neighborhood, so their data and
-        model slice are unchanged."""
+        model slice are unchanged.  Shapes that failed to materialize
+        get another chance: the batch may have made them maintainable."""
         stale = delta.stale_region(mapping)
         schema = mapping.client_schema
-        with self._lock:
-            clone = self._clone_empty()
-            clone._unsupported = set()  # shapes may become maintainable
-            for full, entry in self._entries.items():
-                set_name = full[0][0]
-                if (
-                    set_name in stale.sets
-                    or not schema.has_entity_set(set_name)
-                    or (entry.tables & stale.tables)
-                ):
-                    clone.invalidated += 1
-                    continue
-                if entry.fingerprint != fingerprint:
-                    entry = replace(entry, fingerprint=fingerprint)
-                clone._entries[full] = entry
-                clone._cost += entry.cost
-        return clone
+
+        def carry(full, entry: _Entry) -> Optional[_Entry]:
+            set_name = full[0][0]
+            if (
+                set_name in stale.sets
+                or not schema.has_entity_set(set_name)
+                or (entry.tables & stale.tables)
+            ):
+                return None
+            if entry.fingerprint != fingerprint:
+                entry = replace(entry, fingerprint=fingerprint)
+            return entry
+
+        return self._next(carry, unsupported=False)
 
     # -- bookkeeping ---------------------------------------------------
     def clear(self) -> None:
-        with self._lock:
-            self.invalidated += len(self._entries)
-            self._entries.clear()
-            self._unsupported.clear()
-            self._cost = 0
+        self._entries.clear()
+        self._unsupported.clear()
 
     def stats(self) -> ResultCacheStats:
-        with self._lock:
-            return ResultCacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                maintained=self.maintained,
-                invalidated=self.invalidated,
-                fallbacks=self.fallbacks,
-                evictions=self.evictions,
-                validation_failures=self.validation_failures,
-                entries=len(self._entries),
-                cost=self._cost,
-                budget=self.budget,
-            )
+        return self._entries.stats(
+            ResultCacheStats,
+            maintained=self.maintained,
+            fallbacks=self.fallbacks,
+            validation_failures=self.validation_failures,
+        )
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __str__(self) -> str:
         return f"ResultCache({self.stats()})"

@@ -274,9 +274,6 @@ class SessionService:
         session = self.session(tenant)
         serving = wire.stats_to_json(session.serving_stats())
         serving["journal"] = [str(entry) for entry in session.journal]
-        serving["validation_cache"] = wire.stats_to_json(
-            session.cache_stats()
-        )
         return serving
 
     # ------------------------------------------------------------------

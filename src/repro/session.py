@@ -54,7 +54,7 @@ from repro.backend.base import StoreBackend, create_backend
 from repro.backend.memory import MemoryBackend
 from repro.budget import WorkBudget
 from repro.compiler.validation import ValidationReport
-from repro.containment.cache import CacheStats, ValidationCache
+from repro.containment.cache import ValidationCache, ValidationCacheStats
 from repro.edm.instances import ClientState
 from repro.engine import Epoch, JournalEntry, SessionEngine
 from repro.errors import SmoError
@@ -327,7 +327,7 @@ class OrmSession:
         """
         return self.engine.validate(budget=budget, symbolic=symbolic, scope=scope)
 
-    def cache_stats(self) -> CacheStats:
+    def cache_stats(self) -> ValidationCacheStats:
         return self.engine.validation_cache.stats()
 
     def serving_stats(self) -> ServingStats:

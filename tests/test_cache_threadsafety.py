@@ -1,19 +1,21 @@
-"""Multi-thread stress for the serving caches.
+"""The shared LRU and multi-thread stress for the serving caches.
 
-The epoch engine promises lock-free reads, which means the PlanCache and
-ValidationCache bookkeeping (LRU order, hit/miss/eviction counters,
-shape index) must tolerate many threads planning, hitting and evicting
-at once without corruption — and the ``successor`` snapshot taken by a
+The epoch engine promises lock-free reads, which means the LruCache
+every cache is built on (LRU order, cost bound, hit/miss/eviction
+counters) must tolerate many threads planning, hitting and evicting at
+once without corruption — and the ``successor`` snapshot taken by a
 writer must be consistent while readers keep inserting.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro.algebra.conditions import Comparison
+from repro.cache import STALE, CacheStats, LruCache
 from repro.compiler import compile_mapping
 from repro.containment.cache import ValidationCache
 from repro.incremental import CompiledModel
@@ -49,6 +51,108 @@ def _run_threads(worker) -> list:
     for thread in threads:
         thread.join()
     return errors
+
+
+class TestLruCache:
+    def test_evicts_in_lru_order_under_a_cost_bound(self):
+        cache = LruCache(10, cost=len)
+        cache.put("a", "xxxx")
+        cache.put("b", "xxxx")
+        assert cache.get("a") == "xxxx"  # "a" is now most recently used
+        cache.put("c", "xxxx")  # 12 > 10: the LRU entry "b" goes
+        assert "b" not in cache
+        assert "a" in cache and "c" in cache
+        stats = cache.stats()
+        assert (stats.entries, stats.cost, stats.bound) == (2, 8, 10)
+        assert stats.evictions == 1
+
+    def test_oversized_put_is_skipped_and_counted_as_an_eviction(self):
+        cache = LruCache(3, cost=len)
+        cache.put("small", "xx")
+        assert cache.put("big", "xxxx") == "xxxx"
+        assert "big" not in cache and "small" in cache
+        assert cache.stats().evictions == 1
+        assert cache.stats().cost == 2
+
+    def test_failed_build_counts_no_miss(self):
+        cache = LruCache(4)
+
+        def fail():
+            raise ValueError("no plan")
+
+        with pytest.raises(ValueError):
+            cache.get_or_build("k", fail)
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
+        assert cache.get_or_build("k", lambda: 1) == 1
+        assert cache.get_or_build("k", lambda: 2) == 1
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_racing_builds_all_get_the_first_inserted_object(self):
+        cache = LruCache(4)
+        start = threading.Barrier(THREADS)
+        results: list = []
+
+        def build():
+            return object()
+
+        def worker() -> None:
+            start.wait(timeout=10)
+            results.append(cache.get_or_build("key", build))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == THREADS
+        assert all(value is results[0] for value in results)
+        assert cache.get("key") is results[0]
+        assert cache.hits + cache.misses == THREADS + 1
+
+    def test_successor_carries_counters_and_leaves_its_source(self):
+        cache = LruCache(8)
+        for key in "abc":
+            cache.put(key, key.upper())
+        cache.get("a")
+        cache.get("zz")
+        successor = cache.successor(
+            lambda key, value: None if key == "b" else value + "'"
+        )
+        assert cache.stats() == CacheStats(
+            hits=1, misses=1, entries=3, cost=3, bound=8
+        )
+        assert [cache.get(k) for k in "abc"] == ["A", "B", "C"]
+        stats = successor.stats()
+        assert (stats.hits, stats.misses) == (1, 1)
+        assert stats.invalidated == 1  # "b" was dropped
+        assert stats.entries == 2
+        assert successor.get("a") == "A'" and successor.get("b") is None
+
+    def test_stamped_get_refuses_another_version(self):
+        cache = LruCache(8, stamp=lambda value: value[0])
+        cache.put("k", ("v1", "rows"))
+        assert cache.get("k", "v1") == ("v1", "rows")
+        assert cache.get("k", "v2") is STALE
+        assert "k" not in cache
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.invalidated) == (1, 1, 1)
+
+    def test_on_evict_runs_for_bound_evictions_and_clear(self):
+        released: list = []
+        cache = LruCache(2, on_evict=released.append)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("c", 3)  # bound eviction of "a"
+        assert released == [1]
+        assert cache.clear() == 2
+        assert sorted(released) == [1, 2, 3]
+        assert cache.stats().invalidated == 2
 
 
 class TestPlanCacheThreadSafety:

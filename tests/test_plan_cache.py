@@ -193,7 +193,7 @@ class TestDeltaScopedInvalidation:
             )
         )
         stats = session.plan_cache.stats()
-        assert stats.invalidations == 1
+        assert stats.invalidated == 1
         assert stats.entries == 1
 
         # the untouched set's plan still hits; the touched one rebuilds
@@ -240,6 +240,22 @@ class TestDeltaScopedInvalidation:
         assert len(cache) == 0
         cache.plan_for(model, EntityQuery("Persons", Comparison("Id", ">", 2)))
         assert cache.stats().misses == 2
+
+
+    def test_store_state_assignment_keeps_counters_growing(self):
+        """A wholesale reset drops every plan but carries the counters,
+        so two stats snapshots never diff negative."""
+        session = OrmSession.create(_stage4_model(), backend="memory")
+        query = EntityQuery("Persons", Comparison("Id", ">", 1))
+        for _ in range(3):
+            session.query(query)
+        before = session.plan_cache.stats()
+        assert before.entries == 1
+        session.store_state = session.store_state
+        after = session.plan_cache.stats()
+        assert after.entries == 0
+        assert after.hits >= before.hits and after.misses >= before.misses
+        assert after.invalidated == before.invalidated + 1
 
 
 class TestSessionServing:

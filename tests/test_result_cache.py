@@ -388,8 +388,8 @@ class TestFallbackAndEviction:
         cache = session.engine.epoch.results
         assert len(cache) >= 1
         # force every entry unmaintainable (the FOJ case, white-box)
-        with cache._lock:
-            for entry in cache._entries.values():
+        with cache._entries.lock:
+            for entry in cache._entries._entries.values():
                 entry.roots = None
         before = cache.stats()
         with session.edit_incremental() as state:
@@ -407,6 +407,35 @@ class TestFallbackAndEviction:
         # and the next read re-executes correctly
         reference = OrmSession(model, result_cache_budget=0)
         reference.save(session.load().embed_into(model.client_schema))
+        assert canon(session.query(query)) == canon(reference.query(query))
+
+    def test_entry_stamped_by_another_epoch_is_never_served(self):
+        """A lookup that finds an entry carrying another epoch's
+        fingerprint (only a carry bug can produce one) misses, drops the
+        entry and counts it — it is never a hit and never a stale read."""
+        model = compiled(mapping_stage3())
+        session, reference = cached_and_reference(model, "memory")
+        state = random_client_state(
+            model.client_schema, seed=5, entities_per_set=4
+        )
+        session.save(state)
+        reference.save(state)
+        query = EntityQuery("Persons")
+        session.query(query)
+        epoch = session.engine.epoch
+        cache = epoch.results
+        _, values, key = epoch.plan_cache.plan_with_key(epoch.model, query)
+        with cache._entries.lock:
+            entry = cache._entries._entries[(key, values)]
+            entry.fingerprint = "another epoch"
+        before = cache.stats()
+        assert cache.lookup(key, values, epoch.fingerprint) is None
+        after = cache.stats()
+        assert after.validation_failures == before.validation_failures + 1
+        assert after.invalidated == before.invalidated + 1
+        assert after.misses == before.misses + 1
+        assert after.hits == before.hits
+        assert not cache.has(key, values)
         assert canon(session.query(query)) == canon(reference.query(query))
 
     def test_lru_evicts_by_cost_not_entry_count(self):
@@ -625,7 +654,8 @@ def test_result_cache_successor_race_with_populations():
     assert not errors, errors[0]
     assert len(successors) == 20
     for successor in successors:
-        with successor._lock:
-            assert successor._cost == sum(
-                entry.cost for entry in successor._entries.values()
+        entries = successor._entries
+        with entries.lock:
+            assert entries._cost == sum(
+                entry.cost for entry in entries._entries.values()
             )
