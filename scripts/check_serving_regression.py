@@ -74,7 +74,13 @@ physical-plan layer exists to keep that from coming back.
   by at least RESULT_MIN_SPEEDUP× on at least one backend.  That is the
   tier's whole point: O(1) warm reads that survive writes instead of
   O(|state|) re-execution per read.  RESULT_MIN_SPEEDUP defaults to 3
-  and can be overridden with ``REPRO_RESULT_CACHE_MIN_SPEEDUP``.
+  and can be overridden with ``REPRO_RESULT_CACHE_MIN_SPEEDUP``;
+* one-shot reads (``Id = k`` keys that never repeat) must cost at most
+  ONE_SHOT_MAX_COST_RATIO× (1.5×) their re-execution at the 10^5-row
+  tier on every backend, and no one-shot read may leave an entry behind
+  at any size.  The tier admits an answer on its second miss; a read
+  that is never repeated must not pay for a materialization, nor make
+  later writes maintain one.
 
 Usage::
 
@@ -97,6 +103,7 @@ DEFAULT_MULTICORE_MIN_EFFICIENCY = 0.5
 MULTICORE_GATED_WORKERS = 4
 DEFAULT_RESULT_MIN_SPEEDUP = 3.0
 RESULT_MAX_FALLBACKS = 5
+ONE_SHOT_MAX_COST_RATIO = 1.5
 
 
 def check_query_serving(path: str) -> int:
@@ -396,6 +403,40 @@ def check_result_cache(path: str) -> int:
                     file=sys.stderr,
                 )
                 failures += 1
+            one_shot = point.get("one_shot")
+            if one_shot is None:
+                print(
+                    f"FAIL [{backend} @ {size}]: no one-shot read block",
+                    file=sys.stderr,
+                )
+                failures += 1
+            else:
+                print(
+                    f"{backend} @ {size} rows: one-shot {one_shot['read_ms']}ms "
+                    f"vs reexec {one_shot['reexec_read_ms']}ms per read "
+                    f"(ratio {one_shot['cost_ratio']}x), "
+                    f"entries left={one_shot['entries_left']}"
+                )
+                if one_shot["entries_left"]:
+                    print(
+                        f"FAIL [{backend} @ {size}]: "
+                        f"{one_shot['entries_left']} one-shot read(s) left "
+                        "an entry — answers read once were materialized",
+                        file=sys.stderr,
+                    )
+                    failures += 1
+                if (
+                    size == GATED_SIZE
+                    and one_shot["cost_ratio"] > ONE_SHOT_MAX_COST_RATIO
+                ):
+                    print(
+                        f"FAIL [{backend} @ {size}]: one-shot reads cost "
+                        f"{one_shot['cost_ratio']}x their re-execution, above "
+                        f"the {ONE_SHOT_MAX_COST_RATIO}x ceiling — a miss "
+                        "pays for more than the plan execution",
+                        file=sys.stderr,
+                    )
+                    failures += 1
             if size == GATED_SIZE:
                 gated_seen = True
                 speedup = point["read_speedup"]
@@ -416,7 +457,8 @@ def check_result_cache(path: str) -> int:
     if failures:
         return 1
     print(
-        f"OK: zero stale reads, fallbacks bounded"
+        f"OK: zero stale reads, fallbacks bounded, one-shot reads leave no "
+        f"entry and cost <= {ONE_SHOT_MAX_COST_RATIO}x re-execution"
         + (
             f", maintained reads >= {min_speedup}x at {GATED_SIZE} rows "
             f"(best {best_gated_speedup}x)"

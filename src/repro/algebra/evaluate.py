@@ -21,7 +21,7 @@ Semantics notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.conditions import TupleContext, evaluate_condition
 from repro.algebra.queries import (
@@ -190,6 +190,38 @@ def evaluate_query_bag(query: Query, context: EvaluationContext) -> List[RowDict
     reading the same operator semantics.
     """
     return _evaluate(query, context)
+
+
+#: the dedup identity of one output row: its (column, value) pairs
+#: sorted by column, hidden type tag excluded — what
+#: :func:`evaluate_query` de-duplicates on
+RowKey = Tuple[Tuple[str, object], ...]
+
+#: one query answer with multiplicities: dedup identity -> (the first row
+#: seen under it, how many times the bag holds it).  The keys in
+#: insertion order are exactly :func:`evaluate_query`'s output.
+Bag = Dict[RowKey, Tuple[RowDict, int]]
+
+
+def row_key(row: RowDict) -> RowKey:
+    return tuple(sorted((k, v) for k, v in row.items() if k != TYPE_TAG))
+
+
+def bag_of(rows: Iterable[RowDict]) -> Bag:
+    """Count *rows* into a :data:`Bag` — how the executors de-duplicate,
+    keeping the multiplicities the result tier maintains instead of
+    throwing the duplicates away."""
+    bag: Bag = {}
+    for row in rows:
+        key = row_key(row)
+        slot = bag.get(key)
+        bag[key] = (row, 1) if slot is None else (slot[0], slot[1] + 1)
+    return bag
+
+
+def bag_support(bag: Bag) -> List[RowDict]:
+    """The distinct rows of *bag*, first seen first."""
+    return [row for row, _count in bag.values()]
 
 
 def _evaluate(query: Query, context: EvaluationContext) -> List[RowDict]:

@@ -51,7 +51,8 @@ class StoreBackend:
     name: str = "?"
     #: True for engines that execute compiled parameterized SQL — cached
     #: plans then call ``run_compiled(compiled, params)`` instead of
-    #: handing over algebra trees, reusing prepared statements.
+    #: handing over algebra trees, reusing prepared statements; it
+    #: returns the answer as a :data:`~repro.algebra.evaluate.Bag`.
     prepares_sql: bool = False
     #: True for engines that execute compiled *physical plans*
     #: (:mod:`repro.backend.physical`) — cached plans then call
@@ -84,8 +85,9 @@ class StoreBackend:
 
     def run_compiled_plan(self, plan_set, params: Tuple[object, ...]):
         """Execute a compiled :class:`~repro.backend.physical.PhysicalPlanSet`
-        against bound parameters, returning per-branch row lists.  Only
-        engines advertising ``compiles_plans`` implement this."""
+        against bound parameters, returning one
+        :data:`~repro.algebra.evaluate.Bag` per branch.  Only engines
+        advertising ``compiles_plans`` implement this."""
         raise NotImplementedError
 
     def snapshot(self) -> Dict[str, FrozenSet[Row]]:

@@ -38,9 +38,11 @@ form" applied to the serving path):
 Execution semantics are inherited, not re-implemented: predicates bottom
 out in :func:`~repro.algebra.conditions.compare_values`, joins run
 through the shared :func:`~repro.algebra.evaluate.join_rows` kernel, and
-per-branch de-duplication matches ``evaluate_query`` exactly — the
-differential suite (:mod:`tests.test_compiled_plans`) holds the compiled
-path byte-identical to the interpreter.
+each branch's rows are counted into a bag under ``evaluate_query``'s
+dedup key (:func:`~repro.algebra.evaluate.bag_of`), so a bag's support
+is the interpreter's answer and its counts are the bag evaluation's —
+the differential suite (:mod:`tests.test_compiled_plans`) holds the
+compiled path byte-identical to the interpreter.
 """
 
 from __future__ import annotations
@@ -65,9 +67,11 @@ from repro.algebra.conditions import (
 )
 from repro.algebra.evaluate import (
     TYPE_TAG,
+    Bag,
     EvaluationContext,
     JoinSpec,
     RowDict,
+    bag_of,
     join_rows,
     join_spec,
     output_columns,
@@ -666,23 +670,11 @@ class PhysicalPlanSet:
     def __init__(self, branches: Tuple[PhysicalPlan, ...]) -> None:
         self.branches = branches
 
-    def execute(self, backend, params: Tuple[object, ...]) -> List[List[RowDict]]:
-        """Per-branch result rows, de-duplicated exactly like
-        ``evaluate_query`` (set semantics per branch)."""
+    def execute(self, backend, params: Tuple[object, ...]) -> List[Bag]:
+        """Per-branch result bags under ``evaluate_query``'s dedup key:
+        each bag's support is the branch's set-semantics answer."""
         run = _Run(backend, params)
-        results: List[List[RowDict]] = []
-        for plan in self.branches:
-            seen = set()
-            unique: List[RowDict] = []
-            for row in plan.root.rows(run):
-                key = tuple(
-                    sorted((k, v) for k, v in row.items() if k != TYPE_TAG)
-                )
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(row)
-            results.append(unique)
-        return results
+        return [bag_of(plan.root.rows(run)) for plan in self.branches]
 
 
 def compile_plan(

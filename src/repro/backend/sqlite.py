@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.algebra.evaluate import Bag, bag_of, bag_support
 from repro.algebra.queries import Query
 from repro.backend.base import ReadView, StoreBackend
 from repro.backend.pool import ConnectionPool, PooledConnection, ReadWriteGate
@@ -282,13 +283,14 @@ class SqliteBackend(StoreBackend):
                 "use the memory backend for partitioned views"
             )
         compiled = SqlCompiler(self._schema).compile(query)
-        return self.run_compiled(compiled, compiled.params)
+        return bag_support(self.run_compiled(compiled, compiled.params))
 
     def run_compiled(
         self, compiled: CompiledSql, params: Optional[Tuple[object, ...]] = None
-    ) -> List[Dict[str, object]]:
+    ) -> Bag:
         """Execute an already-compiled SELECT (cached plans re-enter here
-        with fresh parameter bindings) through the statement cache."""
+        with fresh parameter bindings) through the statement cache; the
+        answer comes back as its bag (:func:`execute_compiled`)."""
         with self._conn_lock:
             return execute_compiled(self._statements, compiled, params)
 
@@ -453,27 +455,23 @@ def execute_compiled(
     statements: StatementCache,
     compiled: CompiledSql,
     params: Optional[Tuple[object, ...]] = None,
-) -> List[Dict[str, object]]:
-    """Run one compiled SELECT through a statement cache and decode rows
-    with evaluator semantics (shared by the main connection and every
+) -> Bag:
+    """Run one compiled SELECT through a statement cache, decode rows
+    with evaluator semantics and count them into a bag whose support is
+    ``evaluate_query``'s answer (shared by the main connection and every
     pooled reader, so both decode byte-identically)."""
     cursor = statements.execute(
         compiled.text, compiled.params if params is None else params
     )
     typing = compiled.decoders()
     columns = compiled.columns
-    seen = set()
-    unique: List[Dict[str, object]] = []
-    for values in cursor.fetchall():
-        row = {
+    return bag_of(
+        {
             name: decode_value(value, typing.get(name))
             for name, value in zip(columns, values)
         }
-        key = tuple(sorted(row.items()))
-        if key not in seen:  # set semantics, like evaluate_query
-            seen.add(key)
-            unique.append(row)
-    return unique
+        for values in cursor.fetchall()
+    )
 
 
 class _LeasedReader:
@@ -501,7 +499,7 @@ class _LeasedReader:
 
     def run_compiled(
         self, compiled: CompiledSql, params: Optional[Tuple[object, ...]] = None
-    ) -> List[Dict[str, object]]:
+    ) -> Bag:
         return execute_compiled(self._leased.statements, compiled, params)
 
     def run_query(self, query: Query) -> List[Dict[str, object]]:
@@ -511,7 +509,7 @@ class _LeasedReader:
                 "use the memory backend for partitioned views"
             )
         compiled = SqlCompiler(self.schema).compile(query)
-        return self.run_compiled(compiled, compiled.params)
+        return bag_support(self.run_compiled(compiled, compiled.params))
 
 
 class SqliteReadView(ReadView):

@@ -144,7 +144,7 @@ class Epoch:
     #: memoization of this epoch's answers) but is never *maintained* in
     #: place — write paths derive a successor and publish it with the
     #: next epoch
-    results: Optional[ResultCache] = None
+    results: ResultCache
 
     def __str__(self) -> str:
         return f"Epoch({self.epoch_id}, {self.fingerprint[:12]}…)"
@@ -231,15 +231,13 @@ class SessionEngine:
         #: lazily-materialized client view + view-row counts backing the
         #: incremental write path; None = must reseed from the backend
         self._incremental: Optional[IncrementalWriteState] = None
-        #: rows × width cells the result tier may hold; 0 disables it
-        self._result_budget = (
+        # rows × width cells the result tier may hold; 0 disables it
+        results = ResultCache(
             result_cache_budget
             if result_cache_budget is not None
             else DEFAULT_RESULT_BUDGET
         )
-        self._epoch = self._next_epoch(
-            model, PlanCache(), results=ResultCache(self._result_budget)
-        )
+        self._epoch = self._next_epoch(model, PlanCache(), results)
 
     # ------------------------------------------------------------------
     # Epoch plumbing
@@ -253,8 +251,8 @@ class SessionEngine:
         self,
         model: CompiledModel,
         plan_cache: PlanCache,
+        results: ResultCache,
         fingerprint: Optional[str] = None,
-        results: Optional[ResultCache] = None,
     ) -> Epoch:
         self._epoch_counter += 1
         self._epochs_published += 1
@@ -266,11 +264,7 @@ class SessionEngine:
             ),
             plan_cache=plan_cache,
             view=self.backend.read_view(),
-            results=(
-                results
-                if results is not None
-                else ResultCache(self._result_budget)
-            ),
+            results=results,
         )
 
     def _commit(
@@ -309,7 +303,7 @@ class SessionEngine:
             )
         except Exception:
             results = self._epoch.results.empty_successor()
-        self._epoch = self._next_epoch(model, plan_cache, fingerprint, results)
+        self._epoch = self._next_epoch(model, plan_cache, results, fingerprint)
         self._version += 1  # even: publication complete
         old_view.release()
         return result
@@ -337,16 +331,14 @@ class SessionEngine:
         if epoch.view.snapshot:
             return self.query_on(epoch, query), epoch
 
-        # Live backends: a result-tier hit touches no backend at all, so
-        # it cannot race a migration — serve it before the seqlock loop.
-        results = epoch.results
-        if results is not None and results.enabled:
-            plan, values, key = epoch.plan_cache.plan_with_key(
-                epoch.model, query
-            )
-            cached = results.lookup(key, values, epoch.fingerprint)
-            if cached is not None:
-                return cached, epoch
+        # Live backends: the plan is resolved once per read, and again
+        # only after an epoch swap.  A result-tier hit touches no backend
+        # at all, so it cannot race a migration — serve it before the
+        # seqlock loop.
+        planned = epoch.plan_cache.plan_with_key(epoch.model, query)
+        cached = self._lookup(epoch, planned)
+        if cached is not None:
+            return cached, epoch
 
         for _ in range(self.MAX_READ_RETRIES):
             before = self._version
@@ -354,9 +346,11 @@ class SessionEngine:
                 self._read_retries += 1
                 time.sleep(0.0005)
                 continue
-            epoch = self._epoch
+            if self._epoch is not epoch:
+                epoch = self._epoch
+                planned = epoch.plan_cache.plan_with_key(epoch.model, query)
             try:
-                rows = self.query_on(epoch, query)
+                rows, bags = self._execute(epoch, planned)
             except _RETRYABLE_READ_ERRORS:
                 # a migration rebuilt a table under this read
                 rows = None
@@ -364,15 +358,19 @@ class SessionEngine:
                 # a stale plan bound against a swapped schema slice
                 rows = None
             if rows is not None and self._version == before:
-                self._populate_live(epoch, query, rows, before)
+                # the seqlock validated the rows, and with them the bags
+                # the same execution counted them from
+                self._populate(epoch, planned, rows, bags)
                 return rows, epoch
             self._read_retries += 1
         # Sustained churn: serialize this one read against writers.
         with self._writer_lock:
             self._serialized_reads += 1
-            epoch = self._epoch
-            rows = self.query_on(epoch, query)
-            self._populate_live(epoch, query, rows, self._version)
+            if self._epoch is not epoch:
+                epoch = self._epoch
+                planned = epoch.plan_cache.plan_with_key(epoch.model, query)
+            rows, bags = self._execute(epoch, planned)
+            self._populate(epoch, planned, rows, bags)
             return rows, epoch
 
     def query_on(self, epoch: Epoch, query: EntityQuery) -> List[object]:
@@ -384,74 +382,43 @@ class SessionEngine:
         view may have moved on — use :meth:`query_with_epoch` unless you
         are inside its validation loop.
         """
-        results = epoch.results
-        if (
-            results is not None
-            and results.enabled
-            and epoch.view.snapshot
-        ):
-            # Snapshot backends populate inline: the view pins exactly
-            # the state the rows came from, so the materialized bags are
-            # consistent with this epoch by construction.
-            plan, values, key = epoch.plan_cache.plan_with_key(
-                epoch.model, query
-            )
-            cached = results.lookup(key, values, epoch.fingerprint)
-            if cached is not None:
-                return cached
-            with epoch.view.acquire() as reader:
-                rows = plan.execute(reader, values)
-                state = reader.to_store_state()
-            results.populate(
-                key,
-                values,
-                plan,
-                epoch.model.store_schema,
-                state,
-                epoch.fingerprint,
-                executed_rows=rows,
-            )
-            return rows
-        plan, values = epoch.plan_cache.plan_for(epoch.model, query)
+        planned = epoch.plan_cache.plan_with_key(epoch.model, query)
+        if not epoch.view.snapshot:
+            return self._execute(epoch, planned)[0]
+        # Snapshot backends populate inline: the view pins exactly the
+        # state the rows and bags came from, so the entry is consistent
+        # with this epoch by construction.
+        cached = self._lookup(epoch, planned)
+        if cached is not None:
+            return cached
+        rows, bags = self._execute(epoch, planned)
+        self._populate(epoch, planned, rows, bags)
+        return rows
+
+    @staticmethod
+    def _lookup(epoch: Epoch, planned) -> Optional[List[object]]:
+        _plan, values, key = planned
+        return epoch.results.lookup(key, values, epoch.fingerprint)
+
+    @staticmethod
+    def _execute(epoch: Epoch, planned):
+        plan, values, _key = planned
         with epoch.view.acquire() as reader:
             return plan.execute(reader, values)
 
-    def _populate_live(
-        self, epoch: Epoch, query: EntityQuery, rows: List[object], before: int
-    ) -> None:
-        """Materialize a validated live-backend read into the result tier.
-
-        The seqlock already proved *rows* are consistent with *epoch*;
-        what must still be guarded is the store-state capture the bags
-        are seeded from.  The version counter is monotonic, so observing
-        ``before`` again after :meth:`to_store_state` proves no writer
-        entered its publication window in between — the state is the one
-        the rows were computed on.  Any ambiguity skips the population;
-        the next read simply misses.
-        """
-        results = epoch.results
-        if results is None or not results.enabled:
-            return
-        try:
-            plan, values, key = epoch.plan_cache.plan_with_key(
-                epoch.model, query
-            )
-            if results.has(key, values):
-                return
-            state = self.backend.to_store_state()
-            if self._version != before or self._epoch is not epoch:
-                return
-            results.populate(
-                key,
-                values,
-                plan,
-                epoch.model.store_schema,
-                state,
-                epoch.fingerprint,
-                executed_rows=rows,
-            )
-        except _RETRYABLE_READ_ERRORS:
-            pass  # raced a migration; the entry is simply not cached
+    @staticmethod
+    def _populate(epoch: Epoch, planned, rows: List[object], bags) -> None:
+        """Offer an answer validated against *epoch* to its result tier."""
+        plan, values, key = planned
+        epoch.results.populate(
+            key,
+            values,
+            plan,
+            epoch.model.store_schema,
+            epoch.fingerprint,
+            rows,
+            bags,
+        )
 
     def plan_for(
         self, query: EntityQuery

@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.algebra.conditions import Comparison, Condition
 from repro.algebra.constructors import Constructor
+from repro.algebra.evaluate import Bag, bag_support
 from repro.algebra.queries import Const, Query, Select, TableScan
 from repro.backend.sqlgen import CompiledSql, SqlCompiler
 from repro.cache import CacheStats, LruCache
@@ -228,39 +229,44 @@ class CachedPlan:
             triples.append((branch, compiled, actual))
         return triples
 
-    def execute(self, backend, values: Tuple[object, ...]) -> List[object]:
-        """Run the plan on *backend* with *values* bound.
+    def execute(
+        self, backend, values: Tuple[object, ...]
+    ) -> Tuple[List[object], Optional[List[Bag]]]:
+        """Run the plan on *backend* with *values* bound: the constructed
+        rows, plus the per-branch bags they were counted from.
 
         Backends that prepare SQL (``prepares_sql``) execute the cached
         parameterized statements through their statement cache; backends
         that compile physical plans (``compiles_plans``) run the lowered
-        closure plan; the fallback binds the branch conditions and
-        re-interprets the algebra.
+        closure plan.  Both return each branch's answer as a bag, whose
+        support in first-seen order is what the rows are constructed
+        from, so the result tier seeds an entry from the one execution
+        that answered the read.  The fallback binds the branch conditions
+        and re-interprets the algebra; it reports no multiplicities, so
+        its bags are None.
         """
         self.executions += 1
         if getattr(backend, "prepares_sql", False):
-            return construct_results(
-                self.shape.projection,
-                (
-                    (branch, backend.run_compiled(compiled, params))
-                    for branch, compiled, params in self.bound_sql(
-                        backend.schema, values
-                    )
-                ),
-            )
-        if getattr(backend, "compiles_plans", False):
+            bags = [
+                backend.run_compiled(compiled, params)
+                for _branch, compiled, params in self.bound_sql(
+                    backend.schema, values
+                )
+            ]
+        elif getattr(backend, "compiles_plans", False):
             if len(values) != self.param_count:
                 raise EvaluationError(
                     f"plan expects {self.param_count} parameter(s), "
                     f"got {len(values)}"
                 )
-            plan_set = self.physical(backend.schema)
-            branch_rows = backend.run_compiled_plan(plan_set, values)
-            return construct_results(
-                self.shape.projection,
-                zip(self.unfolded.branches, branch_rows),
-            )
-        return self.bind(values).run_on(backend)
+            bags = backend.run_compiled_plan(self.physical(backend.schema), values)
+        else:
+            return self.bind(values).run_on(backend), None
+        rows = construct_results(
+            self.shape.projection,
+            zip(self.unfolded.branches, map(bag_support, bags)),
+        )
+        return rows, bags
 
     def explain(self, values: Tuple[object, ...]) -> str:
         """The Entity-SQL text of the bound plan (what execute runs)."""

@@ -31,10 +31,16 @@ correct, never stale.
 
 Lifecycle, mirrored from the epoch engine's write paths:
 
-* **populate** — a read miss executes the plan, bag-evaluates the bound
-  branches over the same pinned state, and stores the entry (snapshot
-  backends populate inline; live backends only after the seqlock
-  validated the read);
+* **populate** — a read miss executes the plan once; both executors
+  count each branch's rows into a bag while they de-duplicate them
+  (:meth:`~repro.query.plancache.CachedPlan.execute`).  An answer is
+  admitted on its *second* miss (:class:`_Doorkeeper`): the first only
+  records the key, so one-shot reads build nothing and writes maintain
+  nothing for them.  The entry adopts the executed bags and rows as
+  they are — no interpreter pass, no second construction, no store
+  state.  Snapshot backends populate inline; live backends only after
+  the seqlock validated the read, which validates rows and bags
+  together because one execution produced both;
 * **maintain** — ``save_delta`` / ``apply_script`` derive the next
   epoch's cache with :meth:`ResultCache.successor_for_delta`: untouched
   entries are carried by reference, touched maintainable entries are
@@ -55,6 +61,7 @@ like a single entry.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -67,16 +74,17 @@ from repro.algebra.delta import (
     never_probe,
 )
 from repro.algebra.evaluate import (
+    Bag,
     RowDict,
+    RowKey,
     StoreContext,
-    TYPE_TAG,
-    evaluate_query_bag,
+    row_key,
 )
-from repro.algebra.queries import Const, Query, TableScan
+from repro.algebra.queries import Query, TableScan
 from repro.cache import STALE, CacheStats, LruCache
 from repro.errors import EvaluationError, IvmError
 from repro.query.dml import StoreDelta
-from repro.query.unfold import UnfoldedBranch
+from repro.query.unfold import UnfoldedBranch, construct_row
 from repro.relational.instances import (
     StoreState,
     row_values,
@@ -87,14 +95,8 @@ from repro.relational.schema import StoreSchema
 #: default LRU budget in cells (rows × width summed over all entries)
 DEFAULT_RESULT_BUDGET = 2_000_000
 
-#: the dedup identity of one store-level output row — must match
-#: :func:`~repro.algebra.evaluate.evaluate_query` exactly, because the
-#: bag's support stands in for its deduplicated output
-RowKey = Tuple[Tuple[str, object], ...]
-
-
-def _dedup_key(row: RowDict) -> RowKey:
-    return tuple(sorted((k, v) for k, v in row.items() if k != TYPE_TAG))
+#: distinct keys the doorkeeper remembers before it starts over
+DOORKEEPER_BOUND = 4096
 
 
 def read_runtime(delta: StoreDelta, state: StoreState) -> DeltaRuntime:
@@ -173,26 +175,6 @@ def table_leaf(scan: Query, context: StoreContext) -> Node:
     return _TableNode(scan.table_name, context.scan_columns(scan))
 
 
-def _construct_row(
-    projection: Optional[Tuple[str, ...]], branch: UnfoldedBranch, row: RowDict
-) -> object:
-    """One row of :func:`~repro.query.unfold.construct_results`, kept in
-    lockstep so maintained entries construct byte-identically."""
-    if projection is None:
-        return branch.constructor.construct(row)
-    assigned = dict(branch.constructor.assignments)
-    out: Dict[str, object] = {}
-    for attr in projection:
-        expr = assigned.get(attr)
-        if expr is None:
-            out[attr] = None
-        elif isinstance(expr, Const):
-            out[attr] = expr.value
-        else:
-            out[attr] = row.get(expr.name)
-    return out
-
-
 @dataclass(eq=False, slots=True)
 class _Entry:
     """One materialized answer: per-branch row bags plus the constructed
@@ -203,7 +185,7 @@ class _Entry:
     branches: Tuple[UnfoldedBranch, ...]
     #: None = unmaintainable shape; serves warm reads, dies on writes
     roots: Optional[Tuple[Node, ...]]
-    bags: List[Dict[RowKey, Tuple[RowDict, int]]]
+    bags: List[Bag]
     constructed: Dict[Tuple[int, RowKey], object]
     tables: FrozenSet[str]
     fingerprint: str
@@ -229,63 +211,43 @@ def build_entry(
     plan,
     values: Tuple[object, ...],
     schema: StoreSchema,
-    state: StoreState,
     fingerprint: str,
-    executed_rows: Optional[List[object]],
+    rows: List[object],
+    bags: List[Bag],
 ) -> _Entry:
-    """Materialize one bound plan over *state*.
+    """Materialize one bound plan from the execution that answered it.
 
-    The per-branch bags are seeded by a bag evaluation of the bound
-    branch queries with the reference interpreter — the same operator
-    semantics the delta rules mirror, which is what licenses maintained
-    support to track :func:`evaluate_query`'s dedup exactly.  When the
-    executing backend already produced the constructed rows they are
-    adopted verbatim (*executed_rows*), so a pure-read workload returns
-    lists identical to re-execution.
+    *bags* are the executor's per-branch bags and *rows* the results
+    constructed from their support, in the same order
+    (:meth:`~repro.query.plancache.CachedPlan.execute`), so the entry
+    adopts both as they are: no row is evaluated or constructed twice,
+    and a pure-read workload returns lists identical to re-execution.
+    The executors count exactly what a bag evaluation of the bound
+    branches counts (the executed-bag oracle in the test suite holds
+    both to the interpreter), which is what licenses the delta rules to
+    add and subtract derivations against the counts.
     """
     bound = plan.bind(values)
-    context = StoreContext(state)
     try:
         schema_context = StoreContext(StoreState(schema))
         roots: Optional[Tuple[Node, ...]] = tuple(
             compile_delta(branch.store_query, schema_context, table_leaf)
             for branch in bound.branches
         )
-    except IvmError:
+    except (IvmError, EvaluationError):
         roots = None
-    projection = plan.shape.projection
-    bags: List[Dict[RowKey, Tuple[RowDict, int]]] = []
-    constructed: Dict[Tuple[int, RowKey], object] = {}
-    cost = 0
-    for bi, branch in enumerate(bound.branches):
-        per: Dict[RowKey, Tuple[RowDict, int]] = {}
-        for row in evaluate_query_bag(branch.store_query, context):
-            key = _dedup_key(row)
-            slot = per.get(key)
-            if slot is None:
-                per[key] = (row, 1)
-            else:
-                per[key] = (slot[0], slot[1] + 1)
-        bags.append(per)
-        for key, (row, _count) in per.items():
-            constructed[(bi, key)] = _construct_row(projection, branch, row)
-            cost += len(row)
-    results = (
-        list(executed_rows)
-        if executed_rows is not None
-        else list(constructed.values())
-    )
+    keys = [(bi, key) for bi, bag in enumerate(bags) for key in bag]
     return _Entry(
         values=values,
-        projection=projection,
+        projection=plan.shape.projection,
         branches=bound.branches,
         roots=roots,
         bags=bags,
-        constructed=constructed,
+        constructed=dict(zip(keys, rows)),
         tables=plan.tables,
         fingerprint=fingerprint,
-        cost=cost,
-        results=results,
+        cost=sum(len(row) for bag in bags for row, _count in bag.values()),
+        results=list(rows),
     )
 
 
@@ -296,7 +258,7 @@ def _maintained_entry(entry: _Entry, rt: DeltaRuntime, fingerprint: str) -> _Ent
     if entry.roots is None:
         raise IvmError("entry shape is not maintainable")
     constructed = dict(entry.constructed)
-    bags: List[Dict[RowKey, Tuple[RowDict, int]]] = []
+    bags: List[Bag] = []
     cost = entry.cost
     projection = entry.projection
     for bi, (root, bag, branch) in enumerate(
@@ -311,7 +273,7 @@ def _maintained_entry(entry: _Entry, rt: DeltaRuntime, fingerprint: str) -> _Ent
             continue
         per = dict(bag)
         for sign, row in signed:
-            key = _dedup_key(row)
+            key = row_key(row)
             slot = per.get(key)
             count = (slot[1] if slot is not None else 0) + sign
             if count < 0:
@@ -325,7 +287,7 @@ def _maintained_entry(entry: _Entry, rt: DeltaRuntime, fingerprint: str) -> _Ent
                     cost -= len(slot[0])
             elif slot is None:
                 per[key] = (row, count)
-                constructed[(bi, key)] = _construct_row(projection, branch, row)
+                constructed[(bi, key)] = construct_row(projection, branch, row)
                 cost += len(row)
             else:
                 per[key] = (slot[0], count)
@@ -357,6 +319,46 @@ class ResultCacheStats(CacheStats):
     validation_failures: int = 0
 
 
+class _Doorkeeper:
+    """Admission on the second miss: TinyLFU's doorkeeper (Einziger,
+    Friedman and Manes, ACM ToS 2017).
+
+    It remembers the hashes of the full keys that have missed.  A miss
+    on a remembered hash admits the answer; any other miss is only
+    remembered, so a one-shot read never pays for an entry and no write
+    maintains one for it.  A hash collision can only admit a key early:
+    the entry is still built from that key's own execution, so it never
+    serves a wrong answer.  It records accesses, not data, so every
+    successor of a cache shares it by reference; it is emptied when it
+    reaches :data:`DOORKEEPER_BOUND` hashes.
+    """
+
+    __slots__ = ("_seen", "_lock")
+
+    def __init__(self) -> None:
+        self._seen: set = set()
+        self._lock = threading.Lock()
+
+    def admit(self, full: Tuple) -> bool:
+        """True when *full* missed before; otherwise remember it."""
+        digest = hash(full)
+        with self._lock:
+            if digest in self._seen:
+                return True
+            if len(self._seen) >= DOORKEEPER_BOUND:
+                self._seen.clear()
+            self._seen.add(digest)
+            return False
+
+    def clear(self) -> None:
+        with self._lock:
+            self._seen.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._seen)
+
+
 def _entry_cost(entry: _Entry) -> int:
     return entry.cost
 
@@ -374,15 +376,17 @@ class ResultCache:
     :meth:`successor`) off to the side and publish it with the epoch
     swap, exactly like the plan cache.  An entry's cost is its cell
     count, and it is stamped with the fingerprint of the epoch it was
-    built or maintained for.
+    built or maintained for.  Entries are admitted on their key's second
+    miss; the doorkeeper that counts misses is shared by every successor.
     """
 
-    def __init__(self, budget: int = DEFAULT_RESULT_BUDGET) -> None:
+    def __init__(
+        self,
+        budget: int = DEFAULT_RESULT_BUDGET,
+        doorkeeper: Optional[_Doorkeeper] = None,
+    ) -> None:
         self._entries = LruCache(budget, cost=_entry_cost, stamp=_entry_stamp)
-        #: plan keys whose shapes failed to materialize (e.g. a query the
-        #: interpreter cannot bag-evaluate); retrying every miss would
-        #: pay the failure cost forever
-        self._unsupported: set = set()
+        self._doorkeeper = doorkeeper if doorkeeper is not None else _Doorkeeper()
         self.maintained = 0
         self.fallbacks = 0
         self.validation_failures = 0
@@ -390,16 +394,6 @@ class ResultCache:
     @property
     def enabled(self) -> bool:
         return self._entries.bound > 0
-
-    # -- keying --------------------------------------------------------
-    @staticmethod
-    def _full_key(key: Tuple, values: Tuple[object, ...]) -> Optional[Tuple]:
-        full = (key, values)
-        try:
-            hash(full)
-        except TypeError:
-            return None  # unhashable constants: bypass the tier
-        return full
 
     # -- reading -------------------------------------------------------
     def lookup(
@@ -423,8 +417,10 @@ class ResultCache:
         return list(entry.rows_view())
 
     def has(self, key: Tuple, values: Tuple[object, ...]) -> bool:
-        full = self._full_key(key, values)
-        return full is not None and full in self._entries
+        try:
+            return (key, values) in self._entries
+        except TypeError:
+            return False  # unhashable constants: never cached
 
     # -- population ----------------------------------------------------
     def populate(
@@ -433,38 +429,37 @@ class ResultCache:
         values: Tuple[object, ...],
         plan,
         schema: StoreSchema,
-        state: StoreState,
         fingerprint: str,
-        executed_rows: Optional[List[object]] = None,
+        rows: List[object],
+        bags: Optional[List[Bag]],
     ) -> None:
-        """Materialize and insert one entry (no-op when present/disabled)."""
-        if not self.enabled:
+        """Offer the answer a read just executed after its lookup missed
+        (*rows*, constructed from the per-branch *bags*).  The key's
+        first miss only records it; the second builds the entry.  A
+        no-op when the tier is off or the executor reported no bags.
+        """
+        if not self.enabled or bags is None:
             return
-        full = self._full_key(key, values)
-        if full is None or key in self._unsupported or full in self._entries:
-            return
+        full = (key, values)
         try:
-            entry = build_entry(
-                plan, values, schema, state, fingerprint, executed_rows
-            )
-        except (IvmError, EvaluationError):
-            with self._entries.lock:
-                self.fallbacks += 1
-                self._unsupported.add(key)
-            return
-        self._entries.put(full, entry)
+            if not self._doorkeeper.admit(full):
+                return
+        except TypeError:
+            return  # unhashable constants: bypass the tier
+        self._entries.put(
+            full, build_entry(plan, values, schema, fingerprint, rows, bags)
+        )
 
     # -- successors (write paths) --------------------------------------
-    def _next(self, carry, unsupported: bool = True) -> "ResultCache":
+    def _next(self, carry) -> "ResultCache":
         """The next epoch's cache: this one's entries through *carry*
-        (see :meth:`LruCache.successor`), every counter carried."""
-        clone = ResultCache(self._entries.bound)
+        (see :meth:`LruCache.successor`), every counter carried and the
+        doorkeeper shared."""
+        clone = ResultCache(self._entries.bound, self._doorkeeper)
         with self._entries.lock:
             clone.maintained = self.maintained
             clone.fallbacks = self.fallbacks
             clone.validation_failures = self.validation_failures
-            if unsupported:
-                clone._unsupported = set(self._unsupported)
         clone._entries = self._entries.successor(carry)
         return clone
 
@@ -527,8 +522,7 @@ class ResultCache:
         :meth:`PlanCache.successor` discipline.  Survivors are restamped
         with the evolved fingerprint — their sets and tables are provably
         outside the batch's touched neighborhood, so their data and
-        model slice are unchanged.  Shapes that failed to materialize
-        get another chance: the batch may have made them maintainable."""
+        model slice are unchanged."""
         stale = delta.stale_region(mapping)
         schema = mapping.client_schema
 
@@ -544,12 +538,12 @@ class ResultCache:
                 entry = replace(entry, fingerprint=fingerprint)
             return entry
 
-        return self._next(carry, unsupported=False)
+        return self._next(carry)
 
     # -- bookkeeping ---------------------------------------------------
     def clear(self) -> None:
         self._entries.clear()
-        self._unsupported.clear()
+        self._doorkeeper.clear()
 
     def stats(self) -> ResultCacheStats:
         return self._entries.stats(

@@ -23,6 +23,7 @@ property the tests check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.algebra.conditions import (
@@ -42,7 +43,7 @@ from repro.algebra.conditions import (
 from repro.algebra.constructors import Constructor, EntityCtor, IfCtor
 from repro.algebra.entity_sql import query_to_sql
 from repro.algebra.evaluate import StoreContext, evaluate_query
-from repro.algebra.queries import Col, Const, Query, Select
+from repro.algebra.queries import Col, Const, CtorExpr, Query, Select
 from repro.algebra.simplify import simplify
 from repro.edm.schema import ClientSchema
 from repro.errors import EvaluationError
@@ -59,6 +60,12 @@ class UnfoldedBranch:
     constructor: EntityCtor
     #: the branch's concrete type (what its rows construct)
     concrete_type: str
+
+    @cached_property
+    def assigned(self) -> Dict[str, CtorExpr]:
+        """The constructor's assignments by attribute, built once per
+        branch rather than once per projected row."""
+        return dict(self.constructor.assignments)
 
 
 @dataclass(frozen=True)
@@ -106,27 +113,37 @@ def construct_results(
     """Turn per-branch store rows into entities or projected row dicts.
 
     Shared by :meth:`UnfoldedQuery.run`/:meth:`UnfoldedQuery.run_on` and the
-    plan cache's prepared execution path, so cached plans construct results
+    plan cache's execution paths, and row by row (:func:`construct_row`)
+    by the result tier's maintenance, so every path constructs results
     byte-identically to a fresh unfold.
     """
-    results: List[object] = []
-    for branch, rows in branch_rows:
-        for row in rows:
-            if projection is None:
-                results.append(branch.constructor.construct(row))
-            else:
-                assigned = dict(branch.constructor.assignments)
-                out: Dict[str, object] = {}
-                for attr in projection:
-                    expr = assigned.get(attr)
-                    if expr is None:
-                        out[attr] = None
-                    elif isinstance(expr, Const):
-                        out[attr] = expr.value
-                    else:
-                        out[attr] = row.get(expr.name)
-                results.append(out)
-    return results
+    return [
+        construct_row(projection, branch, row)
+        for branch, rows in branch_rows
+        for row in rows
+    ]
+
+
+def construct_row(
+    projection: Optional[Tuple[str, ...]],
+    branch: UnfoldedBranch,
+    row: Dict[str, object],
+) -> object:
+    """One store row of *branch* as an entity, or as the projected row
+    dict when the query names a *projection*."""
+    if projection is None:
+        return branch.constructor.construct(row)
+    assigned = branch.assigned
+    out: Dict[str, object] = {}
+    for attr in projection:
+        expr = assigned.get(attr)
+        if expr is None:
+            out[attr] = None
+        elif isinstance(expr, Const):
+            out[attr] = expr.value
+        else:
+            out[attr] = row.get(expr.name)
+    return out
 
 
 def _ctor_branches(constructor: Constructor) -> List[Tuple[Condition, EntityCtor]]:

@@ -280,3 +280,18 @@ class TestConcurrentTraffic:
         )
         assert after.misses == misses_before
         engine.close()
+
+    def test_every_read_looks_its_plan_up_once(self, chain_compiled, backend_name):
+        """A read resolves its plan once, whether it misses the result
+        tier (the first miss, the admitting second miss) or hits it."""
+        session = _chain_session(chain_compiled, backend_name)
+        query = EntityQuery(set_name(2), projection=("EntityAtt2",))
+        before = session.plan_cache.stats()
+        reads = 5
+        for _ in range(reads):
+            session.query(query)
+        after = session.plan_cache.stats()
+        assert (after.hits + after.misses) - (before.hits + before.misses) == reads
+        results = session.serving_stats().results
+        assert (results.misses, results.hits) == (2, reads - 2)
+        session.engine.close()

@@ -14,12 +14,19 @@ focused unit coverage for the cases the workloads hit only by luck:
 left-outer-join pad transitions (a join key's right match count crossing
 0 ↔ positive) and the invalidate-on-write path for unmaintainable
 shapes.
+
+Entries are seeded from the bags the executors count while answering
+the read, so both executors' counts are held to the interpreter's bag
+evaluation; and an answer is admitted on its second miss, so every
+warm-up reads its queries twice.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -31,23 +38,35 @@ from tests.test_backend_differential import (
 )
 from tests.test_ivm_differential import clone, random_script
 from repro.algebra.conditions import Comparison
-from repro.algebra.evaluate import StoreContext, evaluate_query_bag
+from repro.algebra.evaluate import StoreContext, evaluate_query_bag, row_key
 from repro.algebra.delta import compile_delta
-from repro.algebra.queries import FullOuterJoin, Join, LeftOuterJoin, TableScan
+from repro.algebra.queries import (
+    Col,
+    FullOuterJoin,
+    Join,
+    LeftOuterJoin,
+    ProjItem,
+    Project,
+    TableScan,
+    UnionAll,
+)
 from repro.backend import MemoryBackend, SqliteBackend, create_backend
+from repro.backend.physical import compile_plan
+from repro.backend.sqlgen import SqlCompiler
 from repro.compiler import compile_mapping
-from repro.edm import INT, STRING, Entity
+from repro.edm import INT, STRING, Attribute, Entity
 from repro.errors import IvmError
-from repro.incremental import CompiledModel
+from repro.incremental import AddProperty, CompiledModel
 from repro.ivm import DeltaScript, EntityOp
 from repro.query.dml import StoreDelta, TableDelta
 from repro.query.language import EntityQuery
-from repro.query.resultcache import read_runtime, table_leaf
+from repro.query import resultcache
+from repro.query.resultcache import _Doorkeeper, read_runtime, table_leaf
 from repro.relational.instances import StoreState, row_from_mapping
 from repro.relational.schema import Column, StoreSchema, Table
 from repro.session import OrmSession
 from repro.stategen import random_client_state
-from repro.workloads.chain import chain_mapping, set_name
+from repro.workloads.chain import chain_mapping, entity_name, set_name
 from repro.workloads.paper_example import mapping_stage3
 
 BACKENDS = ["memory", "sqlite"]
@@ -117,7 +136,8 @@ class TestMaintainedAnswersAreExact:
             cached.save(seeded)
             reference.save(seeded)
             queries = probe_queries(model.client_schema)
-            # two passes: populate, then hit
+            # three passes: first miss, admitting second miss, then hit
+            assert_answers_agree(cached, reference, queries)
             assert_answers_agree(cached, reference, queries)
             assert_answers_agree(cached, reference, queries)
             warm = result_stats(cached)
@@ -156,6 +176,8 @@ class TestMaintainedAnswersAreExact:
             cached.save(seeded)
             reference.save(seeded)
             queries = probe_queries(model.client_schema)
+            # two passes: the second miss admits every answer
+            assert_answers_agree(cached, reference, queries)
             assert_answers_agree(cached, reference, queries)
             rng = random.Random(23)
             next_key = [400000]
@@ -170,6 +192,87 @@ class TestMaintainedAnswersAreExact:
         finally:
             cached.backend.close()
             reference.backend.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "factory", [f for _, f in WORKLOADS], ids=[name for name, _ in WORKLOADS]
+)
+def test_executed_bags_equal_the_interpreters_bag_counts(factory, backend):
+    """Entries are seeded from the bags the executor counted while it
+    answered the read, and maintenance adds and subtracts derivations
+    against those counts — so one execution's bags must equal a bag
+    evaluation with the reference interpreter, branch by branch, and the
+    answer must be their support."""
+    model = compiled(factory())
+    session, _ = cached_and_reference(model, backend)
+    try:
+        session.save(
+            random_client_state(model.client_schema, seed=5, entities_per_set=6)
+        )
+        context = StoreContext(session.store_state)
+        epoch = session.engine.epoch
+        branches = 0
+        for query in probe_queries(model.client_schema):
+            plan, values, _key = epoch.plan_cache.plan_with_key(epoch.model, query)
+            with epoch.view.acquire() as reader:
+                rows, bags = plan.execute(reader, values)
+            bound = plan.bind(values)
+            assert len(bags) == len(bound.branches)
+            for branch, bag in zip(bound.branches, bags):
+                expected = Counter(
+                    row_key(row)
+                    for row in evaluate_query_bag(branch.store_query, context)
+                )
+                counted = {key: count for key, (_row, count) in bag.items()}
+                assert counted == expected, query.set_name
+                branches += 1
+            assert len(rows) == sum(len(bag) for bag in bags)
+        assert branches > 0
+    finally:
+        session.backend.close()
+
+
+def test_executors_count_duplicate_derivations():
+    """The workload probes derive each row once; these queries derive
+    rows several times (a projection dropping the key, a union of
+    overlapping branches, a projected outer join) and hold both
+    executors' counts to the interpreter's."""
+    schema = StoreSchema(
+        [
+            Table("L", (Column("K", INT, False), Column("A", STRING)), ("K",)),
+            Table("R", (Column("K", INT, False), Column("B", STRING)), ("K",)),
+        ]
+    )
+    state = StoreState(schema)
+    for key in range(6):
+        state.add_row("L", row_from_mapping({"K": key, "A": f"a{key % 2}"}))
+    for key in range(0, 6, 2):
+        state.add_row("R", row_from_mapping({"K": key, "B": "b"}))
+    projected = (ProjItem("A", Col("A")), ProjItem("B", Col("B")))
+    queries = [
+        Project(TableScan("L"), projected[:1]),
+        UnionAll((TableScan("L"), TableScan("L"), TableScan("R"))),
+        Project(LeftOuterJoin(TableScan("L"), TableScan("R"), on=("K",)), projected),
+    ]
+    sqlite = SqliteBackend(schema)
+    try:
+        sqlite.replace_contents(state)
+        view = MemoryBackend(state).read_view()
+        for query in queries:
+            expected = Counter(
+                row_key(row)
+                for row in evaluate_query_bag(query, StoreContext(state))
+            )
+            assert max(expected.values()) > 1
+            bags = (
+                compile_plan([query], schema).execute(view, ())[0],
+                sqlite.run_compiled(SqlCompiler(schema).compile(query)),
+            )
+            for bag in bags:
+                assert {key: count for key, (_row, count) in bag.items()} == expected
+    finally:
+        sqlite.close()
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +525,7 @@ class TestFallbackAndEviction:
         reference.save(state)
         query = EntityQuery("Persons")
         session.query(query)
+        session.query(query)  # the second miss admits the entry
         epoch = session.engine.epoch
         cache = epoch.results
         _, values, key = epoch.plan_cache.plan_with_key(epoch.model, query)
@@ -461,11 +565,12 @@ class TestFallbackAndEviction:
                         ),
                     )
         for index in range(1, 5):
-            session.query(EntityQuery(set_name(index)))
-            # key probes are cheap (one row) and must survive pressure
-            session.query(
-                EntityQuery(set_name(index), Comparison("Id", "=", 1))
-            )
+            for _ in range(2):  # the second miss admits each answer
+                session.query(EntityQuery(set_name(index)))
+                # key probes are cheap (one row) and must survive pressure
+                session.query(
+                    EntityQuery(set_name(index), Comparison("Id", "=", 1))
+                )
         stats = result_stats(session)
         assert stats.cost <= 120
         assert stats.evictions > 0
@@ -495,6 +600,142 @@ class TestFallbackAndEviction:
         stats = result_stats(session)
         assert stats.entries == 0  # 10 rows x 7 cols >> 10-cell budget
         assert stats.hits == 0
+
+
+# ---------------------------------------------------------------------------
+# Admission on the second miss
+# ---------------------------------------------------------------------------
+
+def chain_session(rows_per_set: int = 10) -> OrmSession:
+    mapping = chain_mapping(4)
+    model = CompiledModel(mapping, compile_mapping(mapping, validate=False).views)
+    session = OrmSession(model)
+    with session.edit() as state:
+        for index in range(1, 5):
+            for row in range(rows_per_set):
+                state.add_entity(
+                    set_name(index),
+                    Entity.of(
+                        entity_name(index),
+                        Id=row,
+                        EntityAtt2=f"a{row}",
+                        EntityAtt3=f"b{row}",
+                        EntityAtt4=f"c{row % 3}",
+                    ),
+                )
+    return session
+
+
+def widen_entity1(session: OrmSession) -> None:
+    """An SMO whose neighborhood is Entities1 only."""
+    session.evolve(
+        AddProperty(entity_name(1), Attribute("Tmp", STRING, nullable=True), "T1", "Tmp")
+    )
+
+
+class TestSecondMissAdmission:
+    def test_first_miss_counts_one_miss_and_builds_nothing(self):
+        session = chain_session()
+        for key in range(5):  # one-shot reads
+            session.query(EntityQuery(set_name(1), Comparison("Id", "=", key)))
+        stats = result_stats(session)
+        assert (stats.misses, stats.hits, stats.entries, stats.cost) == (5, 0, 0, 0)
+
+    def test_second_miss_admits_and_third_read_hits(self):
+        session = chain_session()
+        query = EntityQuery(set_name(2), Comparison("EntityAtt4", "=", "c1"))
+        first = session.query(query)
+        assert result_stats(session).entries == 0
+        second = session.query(query)
+        stats = result_stats(session)
+        assert (stats.misses, stats.hits, stats.entries) == (2, 0, 1)
+        third = session.query(query)
+        stats = result_stats(session)
+        assert (stats.misses, stats.hits) == (2, 1)
+        assert canon(first) == canon(second) == canon(third)
+        assert len(third) == 3
+
+    @pytest.mark.parametrize("write", ["save_delta", "save", "evolve", "undo"])
+    def test_doorkeeper_survives_successors(self, write):
+        """Misses recorded before a write still count after it: every
+        successor shares the doorkeeper, so the read after the write is
+        the second miss and admits."""
+        session = chain_session()
+        if write == "undo":
+            widen_entity1(session)
+        query = EntityQuery(set_name(4), Comparison("Id", "=", 3))
+        session.query(query)
+        doorkeeper = session.engine.epoch.results._doorkeeper
+        assert len(doorkeeper) == 1
+        if write == "save_delta":
+            entity = Entity.of(
+                entity_name(1), Id=1, EntityAtt2="w", EntityAtt3="b1", EntityAtt4="c1"
+            )
+            session.save_delta(
+                DeltaScript((EntityOp("update", set_name(1), entity=entity),))
+            )
+        elif write == "save":
+            state = session.load()
+            state.remove_entity(set_name(1), (0,))
+            session.save(state)
+        elif write == "evolve":
+            widen_entity1(session)
+        else:
+            session.undo()
+        results = session.engine.epoch.results
+        assert results._doorkeeper is doorkeeper
+        assert len(results) == 0
+        session.query(query)
+        assert len(results) == 1
+        assert result_stats(session).misses == 2
+
+    def test_doorkeeper_keeps_every_record_under_thread_races(self, monkeypatch):
+        """Readers of every epoch share one doorkeeper.  Concurrent first
+        misses must all be recorded, and no race may push it past its
+        bound."""
+        keys_per_thread = 300
+        keeper = _Doorkeeper()
+
+        def race(tag: str) -> list:
+            start = threading.Barrier(THREADS)
+            admitted: list = []
+
+            def worker(index: int) -> None:
+                start.wait(timeout=10)
+                keys = [(tag, index, n) for n in range(keys_per_thread)]
+                first = [keeper.admit(key) for key in keys]
+                admitted.append(not any(first) and all(map(keeper.admit, keys)))
+
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            return admitted
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert race("below the bound") == [True] * THREADS
+            assert len(keeper) == THREADS * keys_per_thread
+            monkeypatch.setattr(resultcache, "DOORKEEPER_BOUND", 50)
+            race("resetting")
+            assert 0 < len(keeper) <= 50
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_doorkeeper_resets_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(resultcache, "DOORKEEPER_BOUND", 3)
+        keeper = _Doorkeeper()
+        assert not any(keeper.admit(("key", index)) for index in range(3))
+        assert keeper.admit(("key", 0))  # remembered: admitted
+        assert len(keeper) == 3
+        assert not keeper.admit(("key", 3))  # full: starts over
+        assert len(keeper) == 1
+        assert not keeper.admit(("key", 0))  # forgotten by the reset
 
 
 # ---------------------------------------------------------------------------
