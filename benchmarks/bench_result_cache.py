@@ -14,13 +14,18 @@ row-for-row, so a stale read is a hard failure, not a footnote.
 Interleaved with the hot reads, every round also issues one-shot reads:
 ``Id = k`` lookups whose keys never repeat.  The tier admits an answer
 only on its second miss, so these must cost what re-execution costs and
-leave no entry behind for later writes to maintain.
+leave no entry behind for later writes to maintain.  The first one-shot
+read of each table after a write is also reported on its own
+(``first_read_ms``): it is the read that would pay for any index the
+write left behind, and the median over all one-shot reads hides it.
 
 ``python benchmarks/bench_result_cache.py`` writes
 ``BENCH_result_cache.json`` for both backends;
 ``scripts/check_serving_regression.py`` gates on a >= 3x maintained-read
 speedup at the 10^5-row tier, on one-shot reads costing at most 1.5x
-their re-execution and leaving no entry, and on zero stale reads in CI.
+their re-execution and leaving no entry, on the memory backend's first
+read after a write growing at most 2x from 10^4 to 10^5 rows, and on
+zero stale reads in CI.
 The pytest entries run a 10^4-row smoke version (equivalence
 assertions, no timing asserts).
 """
@@ -102,7 +107,8 @@ def _hot_queries():
 
 
 def _one_shot_queries(per_set: int, round_no: int, count: int):
-    """*count* ``Id = k`` reads whose keys no other round repeats."""
+    """*count* ``Id = k`` reads whose keys no other round repeats; the
+    first :data:`CHAIN_TYPES` read one table each."""
     return [
         EntityQuery(
             set_name(read % CHAIN_TYPES + 1),
@@ -155,6 +161,7 @@ def _measure(
 
         maintain_ms, baseline_save_ms = [], []
         one_shot_s, one_shot_baseline_s = [], []
+        first_read_s, first_read_baseline_s = [], []
         one_shot = []
         cached_read_s = baseline_read_s = 0.0
         reads = 0
@@ -192,11 +199,18 @@ def _measure(
             # twins read each key back to back, so drift hits both alike
             lookups = _one_shot_queries(per_set, round_no, one_shot_per_round)
             one_shot.extend(lookups)
-            for query in lookups:
+            for read, query in enumerate(lookups):
+                # the hot reads above probe no Id index, so the first
+                # CHAIN_TYPES lookups are each table's first since the write
+                first = read < CHAIN_TYPES
                 seconds, got = _timed_read(cached, query)
                 one_shot_s.append(seconds)
+                if first:
+                    first_read_s.append(seconds)
                 seconds, expected = _timed_read(baseline, query)
                 one_shot_baseline_s.append(seconds)
+                if first:
+                    first_read_baseline_s.append(seconds)
                 stale_reads += _canon(got) != _canon(expected)
 
             # verify as we measure: every hot answer must match the
@@ -241,6 +255,10 @@ def _measure(
                 "read_ms": round(one_shot_ms, 4),
                 "reexec_read_ms": round(one_shot_baseline_ms, 4),
                 "cost_ratio": round(one_shot_ms / one_shot_baseline_ms, 3),
+                "first_read_ms": round(statistics.median(first_read_s) * 1000.0, 4),
+                "reexec_first_read_ms": round(
+                    statistics.median(first_read_baseline_s) * 1000.0, 4
+                ),
                 "entries_left": one_shot_entries,
             },
             "stale_reads": stale_reads,
@@ -304,7 +322,9 @@ def main() -> None:
         "from maintained entries at >= 3x the re-execution read rate at "
         "the 10^5-row tier while save_delta rounds mutate the store, "
         "with zero stale reads and O(|delta|) maintenance per write; "
-        "one-shot reads cost at most 1.5x re-execution and leave no entry",
+        "one-shot reads cost at most 1.5x re-execution and leave no entry; "
+        "on memory the first read of a table after a write costs at most "
+        "2x more at 10^5 rows than at 10^4",
         "config": {
             "chain_types": CHAIN_TYPES,
             "ops_per_save": OPS_PER_SAVE,

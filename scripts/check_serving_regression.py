@@ -80,7 +80,15 @@ physical-plan layer exists to keep that from coming back.
   tier on every backend, and no one-shot read may leave an entry behind
   at any size.  The tier admits an answer on its second miss; a read
   that is never repeated must not pay for a materialization, nor make
-  later writes maintain one.
+  later writes maintain one;
+* the first-read slope gate: on the memory backend, the first one-shot
+  read of a table after a write (``first_read_ms``) may cost at most
+  MAX_SLOPE× (2×) more at 10^5 rows than at 10^4.  Compiled plans probe
+  the store's key indexes, which every write carries in O(|delta|), so
+  a write must not leave the next read an O(rows) index build.  SQLite
+  records the number without a gate: its generated SQL wraps every
+  predicate in ``ifnull``, so a point read scans the table (ROADMAP
+  item 6) and grows with it.
 
 Usage::
 
@@ -366,6 +374,7 @@ def check_result_cache(path: str) -> int:
     best_gated_speedup = None
     gated_seen = False
     for backend, result in data["backends"].items():
+        failures += _check_first_read_slope(backend, result["sizes"])
         for size, point in result["sizes"].items():
             stats = point["result_cache"]
             print(
@@ -458,7 +467,8 @@ def check_result_cache(path: str) -> int:
         return 1
     print(
         f"OK: zero stale reads, fallbacks bounded, one-shot reads leave no "
-        f"entry and cost <= {ONE_SHOT_MAX_COST_RATIO}x re-execution"
+        f"entry and cost <= {ONE_SHOT_MAX_COST_RATIO}x re-execution, "
+        f"memory first reads after a write grow <= {MAX_SLOPE}x"
         + (
             f", maintained reads >= {min_speedup}x at {GATED_SIZE} rows "
             f"(best {best_gated_speedup}x)"
@@ -466,6 +476,46 @@ def check_result_cache(path: str) -> int:
             else ""
         )
     )
+    return 0
+
+
+def _check_first_read_slope(backend: str, sizes: dict) -> int:
+    """The memory backend's first read after a write: at most MAX_SLOPE×
+    from SLOPE_BASE_SIZE to GATED_SIZE rows.  Other backends only print
+    it."""
+    points = [sizes.get(SLOPE_BASE_SIZE), sizes.get(GATED_SIZE)]
+    if None in points:
+        print(f"({backend}: no {SLOPE_BASE_SIZE}/{GATED_SIZE}-row pair; "
+              "first-read gate skipped)")
+        return 0
+    gated_here = backend == "memory"
+    try:
+        base, gated = (point["one_shot"]["first_read_ms"] for point in points)
+    except KeyError:
+        if not gated_here:
+            print(f"({backend}: no first_read_ms recorded)")
+            return 0
+        print(
+            f"FAIL [{backend}]: no one_shot.first_read_ms — regenerate the "
+            "report with benchmarks/bench_result_cache.py",
+            file=sys.stderr,
+        )
+        return 1
+    slope = gated / base
+    print(
+        f"{backend}: first read after a write {base}ms at {SLOPE_BASE_SIZE} "
+        f"rows -> {gated}ms at {GATED_SIZE} rows (slope {slope:.2f}x"
+        + (f", ceiling {MAX_SLOPE}x)" if gated_here else ", not gated)")
+    )
+    if gated_here and slope > MAX_SLOPE:
+        print(
+            f"FAIL [{backend}]: the first read after a write grows "
+            f"{slope:.2f}x from {SLOPE_BASE_SIZE} to {GATED_SIZE} rows, above "
+            f"the {MAX_SLOPE}x ceiling — a write left the read an index "
+            "build that scales with the table",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

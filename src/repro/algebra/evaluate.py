@@ -367,9 +367,9 @@ def join_rows(
     ``left_pad`` emits unmatched left rows with NULL right-only columns
     (left outer); ``right_pad`` emits unmatched right rows with NULL
     left-only columns (the full-outer tail).  A prebuilt *index* of the
-    right rows by join key may be supplied (compiled plans reuse backend
-    indexes); it must have been built by :func:`build_join_index` over
-    exactly ``right_rows``.
+    right rows by join key may be supplied (compiled plans read the
+    store's key index); its ``get(key, default)`` must return what
+    :func:`build_join_index` over exactly ``right_rows`` would hold.
     """
     join_columns = spec.join_columns
     if index is None:

@@ -49,22 +49,6 @@ class StoreBackend:
 
     #: short engine name ("memory" / "sqlite")
     name: str = "?"
-    #: True for engines that execute compiled parameterized SQL — cached
-    #: plans then call ``run_compiled(compiled, params)`` instead of
-    #: handing over algebra trees, reusing prepared statements; it
-    #: returns the answer as a :data:`~repro.algebra.evaluate.Bag`.
-    prepares_sql: bool = False
-    #: True for engines that execute compiled *physical plans*
-    #: (:mod:`repro.backend.physical`) — cached plans then call
-    #: ``run_compiled_plan(plan_set, params)`` instead of re-interpreting
-    #: the algebra per request, symmetric with ``prepares_sql``.
-    compiles_plans: bool = False
-    #: True for engines whose :meth:`read_view` pins an immutable data
-    #: snapshot: a reader holding such a view observes one consistent
-    #: store state forever, regardless of concurrent writes.  Engines
-    #: without snapshot reads serve live data, and the epoch engine
-    #: detects write/read overlap with its seqlock and retries.
-    snapshot_reads: bool = False
 
     @property
     def schema(self) -> StoreSchema:
@@ -81,13 +65,6 @@ class StoreBackend:
 
     def to_store_state(self) -> StoreState:
         """Materialize (and possibly cache) the contents as a StoreState."""
-        raise NotImplementedError
-
-    def run_compiled_plan(self, plan_set, params: Tuple[object, ...]):
-        """Execute a compiled :class:`~repro.backend.physical.PhysicalPlanSet`
-        against bound parameters, returning one
-        :data:`~repro.algebra.evaluate.Bag` per branch.  Only engines
-        advertising ``compiles_plans`` implement this."""
         raise NotImplementedError
 
     def snapshot(self) -> Dict[str, FrozenSet[Row]]:
@@ -121,16 +98,12 @@ class StoreBackend:
     def read_view(self) -> "ReadView":
         """A handle the epoch engine publishes for concurrent readers.
 
-        The returned view quacks like enough of a backend for the
-        query-serving path (``schema``, capability flags, ``run_query``
-        and the compiled-execution entry points).  Engines with
-        ``snapshot_reads`` return a view pinned to the data as of this
-        call; others return a live view whose :meth:`ReadView.acquire`
+        A snapshot engine returns a view pinned to the data as of this
+        call; a live engine returns a view whose :meth:`ReadView.acquire`
         leases whatever per-reader resources (a pooled connection) one
-        request needs.  The default serializes readers on the backend
-        itself — correct, but concurrency-free.
+        request needs.
         """
-        return DirectReadView(self)
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release engine resources (no-op by default)."""
@@ -139,35 +112,28 @@ class StoreBackend:
 class ReadView:
     """Protocol of what :meth:`StoreBackend.read_view` returns.
 
-    ``snapshot`` mirrors the backend's ``snapshot_reads``: when True the
-    view is immutable and a reader needs no further coordination; when
-    False the engine brackets each read with its seqlock.
+    When ``snapshot`` is True the view pins immutable data and a reader
+    needs no further coordination; when False the data is live and the
+    engine brackets each read with its seqlock.
     """
 
     snapshot: bool = False
 
     @contextmanager
-    def acquire(self) -> Iterator[StoreBackend]:
-        """Lease a backend-shaped reader for one request."""
+    def acquire(self) -> Iterator[object]:
+        """Lease a reader for one request.
+
+        The reader's ``run_plan(plan, values)`` is the one way a
+        :class:`~repro.query.plancache.CachedPlan` executes: it returns
+        one :data:`~repro.algebra.evaluate.Bag` per branch.  A snapshot
+        reader also has ``to_store_state()``, the state it pins.
+        """
         raise NotImplementedError
         yield  # pragma: no cover
 
     def release(self) -> None:
         """Drop per-view resources when the owning epoch is replaced
         (no-op by default; views over pooled engines hold nothing)."""
-
-
-class DirectReadView(ReadView):
-    """Fallback view: every reader runs on the backend itself."""
-
-    snapshot = False
-
-    def __init__(self, backend: StoreBackend) -> None:
-        self._backend = backend
-
-    @contextmanager
-    def acquire(self) -> Iterator[StoreBackend]:
-        yield self._backend
 
 
 def default_backend_name() -> str:

@@ -2,24 +2,21 @@
 :class:`~repro.backend.base.StoreBackend` protocol.
 
 Ad-hoc queries evaluate with :mod:`repro.algebra.evaluate` (the reference
-semantics every other backend must match); *cached* plans run through the
-compiled physical-plan path (``compiles_plans``,
-:mod:`repro.backend.physical`), which feeds on two serving caches:
+semantics every other backend must match); *cached* plans run through
+compiled physical plans (:mod:`repro.backend.physical`) on the store
+state itself: scans iterate its tables, and probes and joins over a
+bare table read its key indexes
+(:meth:`~repro.relational.instances.StoreState.key_index`).  The
+indexes on declared keys travel with the state through every write in
+O(|delta|); an index on any other column lives as long as the table
+object it was built on.  The backend keeps no serving cache of its own.
 
-* per-table **row views** — the shared memoized dict form of each row,
-  built once per state instead of per scan;
-* per-``(table, columns)`` **hash indexes** — join-key and probe-key maps
-  (:func:`~repro.algebra.evaluate.build_join_index`), so compiled scans
-  and joins are O(matches) rather than O(rows).
-
-Both caches live on a :class:`MemoryReadView` pinned to one immutable
-store state.  The backend always holds the view over its *current* state
-and replaces it wholesale on every write (``apply_delta`` / ``migrate``
-/ ``replace_contents``): state swaps are whole-object replacements,
-never in-place mutation, so the epoch engine can publish a view as a
-snapshot and readers on an old epoch keep byte-identical answers forever
-while writers move the backend on — a stale cache is impossible by
-construction.  Constraint checking on SaveChanges is *delta-scoped*
+A :class:`MemoryReadView` pins one immutable store state.  State swaps
+on every write (``apply_delta`` / ``migrate`` / ``replace_contents``)
+are whole-object replacements, never in-place mutation, so the epoch
+engine can publish a view as a snapshot and readers on an old epoch
+keep byte-identical answers forever while writers move the backend on.
+Constraint checking on SaveChanges is *delta-scoped*
 (:func:`~repro.relational.constraints.check_delta`): only tables and
 rows the delta touches are re-verified, exact because the pre-state is
 always consistent.
@@ -27,17 +24,11 @@ always consistent.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from repro.algebra.evaluate import (
-    RowDict,
-    StoreContext,
-    build_join_index,
-    evaluate_query,
-)
+from repro.algebra.evaluate import Bag, StoreContext, evaluate_query
 from repro.algebra.queries import Query
 from repro.backend.base import ReadView, StoreBackend
 from repro.errors import ValidationError
@@ -47,51 +38,30 @@ from repro.relational.constraints import (
     check_all,
     check_delta,
 )
-from repro.relational.instances import Row, StoreState, row_view
+from repro.relational.instances import Row, StoreState, key_index_builds
 from repro.relational.schema import StoreSchema
 
 
 @dataclass(frozen=True)
-class IndexStats:
-    """Serving-cache counters of one :class:`MemoryBackend`."""
+class KeyIndexStats:
+    """Key indexes built in this process (one O(rows) scan each)."""
 
     builds: int
-    hits: int
-    invalidations: int
-    entries: int
-    compiled_runs: int
 
 
 class MemoryReadView(ReadView):
-    """An immutable snapshot of one store state plus its serving caches.
+    """An immutable snapshot of one store state.
 
     State objects are never mutated in place, so a view holding the
     state reference is a true snapshot: readers on an old epoch keep
-    their world while writers publish new views.  The view quacks like a
-    backend for the serving path (``schema``, ``compiles_plans``,
-    ``run_query``, ``physical_rows`` / ``index_for`` for compiled plans);
-    caches build lazily under a lock so concurrent readers share one
-    build.  Counters are reported through the owning backend (when any)
-    so serving stats stay continuous across epochs.
+    their world while writers publish new views.  The view is its own
+    reader.
     """
 
-    name = "memory"
-    compiles_plans = True
-    prepares_sql = False
     snapshot = True
 
-    def __init__(
-        self, state: StoreState, backend: Optional["MemoryBackend"] = None
-    ) -> None:
+    def __init__(self, state: StoreState) -> None:
         self._state = state
-        self._backend = backend
-        self._row_views: Dict[str, List[RowDict]] = {}
-        self._indexes: Dict[Tuple[str, Tuple[str, ...]], Dict] = {}
-        self._lock = threading.Lock()
-
-    @property
-    def schema(self) -> StoreSchema:
-        return self._state.schema
 
     @contextmanager
     def acquire(self) -> Iterator["MemoryReadView"]:
@@ -100,73 +70,21 @@ class MemoryReadView(ReadView):
     def to_store_state(self) -> StoreState:
         return self._state
 
-    def rows(self, table_name: str) -> Tuple[Row, ...]:
-        return self._state.rows(table_name)
-
-    def run_query(self, query: Query) -> List[Dict[str, object]]:
-        return evaluate_query(query, StoreContext(self._state))
-
-    def physical_rows(self, table_name: str) -> List[RowDict]:
-        """Shared dict views of one table's rows, cached per state.
-
-        Consumers (compiled plans) must treat rows as immutable."""
-        with self._lock:
-            views = self._row_views.get(table_name)
-            if views is None:
-                views = [row_view(r) for r in self._state.rows(table_name)]
-                self._row_views[table_name] = views
-            return views
-
-    def index_for(
-        self, table_name: str, columns: Tuple[str, ...]
-    ) -> Dict[Tuple[object, ...], List[RowDict]]:
-        """The hash index of *table_name* keyed by *columns*, built on
-        first use and reused for the lifetime of this snapshot."""
-        key = (table_name, columns)
-        with self._lock:
-            index = self._indexes.get(key)
-        backend = self._backend
-        if index is not None:
-            if backend is not None:
-                backend._index_hits += 1
-            return index
-        rows = self.physical_rows(table_name)
-        built = build_join_index(rows, columns)
-        with self._lock:
-            # last write wins on a build race; builds are deterministic
-            # over the pinned state, so the values agree
-            self._indexes[key] = built
-            index = self._indexes[key]
-        if backend is not None:
-            backend._index_builds += 1
-        return index
-
-    def run_compiled_plan(self, plan_set, params: Tuple[object, ...]):
-        if self._backend is not None:
-            self._backend._compiled_runs += 1
-        return plan_set.execute(self, params)
-
-    def cache_entries(self) -> int:
-        with self._lock:
-            return len(self._indexes)
+    def run_plan(self, plan, values: Tuple[object, ...]) -> List[Bag]:
+        """Run a cached plan's compiled physical form on the pinned
+        state: one bag per branch."""
+        return plan.physical(self._state.schema).execute(self._state, values)
 
 
 class MemoryBackend(StoreBackend):
     """Rows live in a :class:`StoreState`; queries run in the interpreter,
-    cached plans through compiled physical plans on the current
-    :class:`MemoryReadView`."""
+    cached plans as compiled physical plans on a :class:`MemoryReadView`
+    of the current state."""
 
     name = "memory"
-    compiles_plans = True
-    snapshot_reads = True
 
     def __init__(self, store_state: StoreState) -> None:
-        self._index_builds = 0
-        self._index_hits = 0
-        self._index_invalidations = 0
-        self._compiled_runs = 0
         self._state = store_state
-        self._view = MemoryReadView(store_state, self)
 
     @property
     def schema(self) -> StoreSchema:
@@ -185,40 +103,13 @@ class MemoryBackend(StoreBackend):
     def row_count(self) -> int:
         return self._state.row_count()
 
-    # -- compiled serving path -----------------------------------------
-    def physical_rows(self, table_name: str) -> List[RowDict]:
-        return self._view.physical_rows(table_name)
-
-    def index_for(
-        self, table_name: str, columns: Tuple[str, ...]
-    ) -> Dict[Tuple[object, ...], List[RowDict]]:
-        return self._view.index_for(table_name, columns)
-
-    def run_compiled_plan(self, plan_set, params: Tuple[object, ...]):
-        return self._view.run_compiled_plan(plan_set, params)
-
     def read_view(self) -> MemoryReadView:
-        """The view over the *current* state — published as an epoch
-        snapshot by the engine; write paths replace it wholesale, so a
-        published view is immutable from that moment on."""
-        return self._view
+        """A snapshot of the *current* state, published as an epoch's
+        view by the engine; writes swap the state, never mutate it."""
+        return MemoryReadView(self._state)
 
-    def clear_caches(self) -> None:
-        """Swap in a fresh view over the current state (every write path
-        calls this); old views — and the epochs holding them — are
-        untouched."""
-        if self._view._row_views or self._view._indexes:
-            self._index_invalidations += 1
-        self._view = MemoryReadView(self._state, self)
-
-    def index_stats(self) -> IndexStats:
-        return IndexStats(
-            builds=self._index_builds,
-            hits=self._index_hits,
-            invalidations=self._index_invalidations,
-            entries=self._view.cache_entries(),
-            compiled_runs=self._compiled_runs,
-        )
+    def index_stats(self) -> KeyIndexStats:
+        return KeyIndexStats(builds=key_index_builds())
 
     # -- writing -------------------------------------------------------
     def apply_delta(self, delta: StoreDelta) -> None:
@@ -231,7 +122,6 @@ class MemoryBackend(StoreBackend):
                 check="save-changes",
             )
         self._state = candidate
-        self.clear_caches()
 
     def migrate(self, script, new_schema: StoreSchema, target: StoreState) -> None:
         # The interpreter needs no DDL: the migrated state was computed
@@ -239,11 +129,9 @@ class MemoryBackend(StoreBackend):
         # (the differential suite holds SQLite's execution of the same
         # script to this answer).
         self._state = target
-        self.clear_caches()
 
     def replace_contents(self, state: StoreState) -> None:
         self._state = state
-        self.clear_caches()
 
     # -- integrity -----------------------------------------------------
     def check_constraints(self) -> List[ConstraintViolation]:

@@ -23,10 +23,12 @@ form" applied to the serving path):
   lowering — this is what turns a key probe over the Figure 1
   full-outer-join view into point lookups.
 * **index probes** — ``σ (equality conjuncts) (TableScan)`` lowers to a
-  probe of a backend-maintained hash index
-  (:meth:`MemoryBackend.index_for`), and a join whose right input is a
-  bare table scan reuses the backend's shared join-key index instead of
-  rebuilding one per execution.
+  probe of the store's key index on those columns
+  (:meth:`~repro.relational.instances.StoreState.key_index`), and a join
+  whose right input is a bare table scan probes the right table's key
+  index on the join columns instead of building one per execution.
+  Indexes on declared keys travel with the store through every write;
+  any other index lives as long as the table object it was built on.
 * **fusion and sharing** — projections compile their item list to a
   single row-rebuild pass, unions pad in one pass (and skip padding when
   a branch already has the union's columns), and lowered nodes are
@@ -35,6 +37,10 @@ form" applied to the serving path):
   whose pushed conjuncts agree evaluate the shared subtree once per
   execution (a per-run memo keyed by node identity).
 
+Plans execute on one immutable
+:class:`~repro.relational.instances.StoreState`: scans iterate its
+tables and probes read its key indexes, converting each matched row to
+its shared dict view (:func:`~repro.relational.instances.row_view`).
 Execution semantics are inherited, not re-implemented: predicates bottom
 out in :func:`~repro.algebra.conditions.compare_values`, joins run
 through the shared :func:`~repro.algebra.evaluate.join_rows` kernel, and
@@ -48,7 +54,7 @@ compiled path byte-identical to the interpreter.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.algebra.conditions import (
     And,
@@ -78,7 +84,6 @@ from repro.algebra.evaluate import (
 )
 from repro.algebra.queries import (
     Col,
-    Const,
     FullOuterJoin,
     Join,
     LeftOuterJoin,
@@ -89,6 +94,7 @@ from repro.algebra.queries import (
     UnionAll,
 )
 from repro.errors import EvaluationError
+from repro.relational.instances import PartitionedMap, StoreState, row_view
 from repro.relational.schema import StoreSchema
 
 #: a compiled predicate: (row, bound parameter vector) -> bool
@@ -229,15 +235,29 @@ def _pushable(condition: Condition) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Run:
-    """One execution: backend + bound parameters + the per-run memo that
-    lets plan branches share lowered subtree results."""
+    """One execution: store state + bound parameters + the per-run memo
+    that lets plan branches share lowered subtree results."""
 
-    __slots__ = ("backend", "params", "memo")
+    __slots__ = ("state", "params", "memo")
 
-    def __init__(self, backend, params: Tuple[object, ...]) -> None:
-        self.backend = backend
+    def __init__(self, state: StoreState, params: Tuple[object, ...]) -> None:
+        self.state = state
         self.params = params
         self.memo: Dict[int, List[RowDict]] = {}
+
+
+class _RowViews:
+    """A store key index read the way :func:`join_rows` reads an index:
+    each bucket as a list of row views."""
+
+    __slots__ = ("_index",)
+
+    def __init__(self, index: PartitionedMap) -> None:
+        self._index = index
+
+    def get(self, key, default=()):
+        bucket = self._index.get(key)
+        return default if bucket is None else [row_view(r) for r in bucket]
 
 
 class PhysNode:
@@ -279,11 +299,11 @@ class _Scan(PhysNode):
         self.table_name = table_name
 
     def _rows(self, run: _Run) -> List[RowDict]:
-        return run.backend.physical_rows(self.table_name)
+        return [row_view(r) for r in run.state.rows(self.table_name)]
 
 
 class _Probe(PhysNode):
-    """Equality-key lookup against a backend hash index: O(matches)."""
+    """Equality-key lookup in the store's key index: O(matches)."""
 
     __slots__ = ("table_name", "key_columns", "key_values")
 
@@ -303,8 +323,8 @@ class _Probe(PhysNode):
         key = tuple(fetch(run.params) for fetch in self.key_values)
         if any(v is None for v in key):
             return []  # = NULL matches nothing; the index skips NULLs too
-        index = run.backend.index_for(self.table_name, self.key_columns)
-        return index.get(key, [])
+        index = run.state.key_index(self.table_name, self.key_columns)
+        return [row_view(r) for r in index.get(key, ())]
 
 
 class _Filter(PhysNode):
@@ -381,7 +401,7 @@ class _JoinNode(PhysNode):
         self.left_pad = left_pad
         self.right_pad = right_pad
         #: (table, join columns) when the right input is a bare scan —
-        #: the backend's shared index then replaces a per-run build
+        #: the store's key index then replaces a per-run build
         self.index_key = (
             (right.table_name, spec.join_columns)
             if isinstance(right, _Scan) and spec.join_columns
@@ -391,7 +411,7 @@ class _JoinNode(PhysNode):
     def _rows(self, run: _Run) -> List[RowDict]:
         left_rows = self.left.rows(run)
         if self.index_key is not None:
-            index = run.backend.index_for(*self.index_key)
+            index = _RowViews(run.state.key_index(*self.index_key))
             # the right row list is only needed to emit the full-outer
             # tail; a plain or left-outer probe never materializes it
             right_rows = self.right.rows(run) if self.right_pad else ()
@@ -670,10 +690,11 @@ class PhysicalPlanSet:
     def __init__(self, branches: Tuple[PhysicalPlan, ...]) -> None:
         self.branches = branches
 
-    def execute(self, backend, params: Tuple[object, ...]) -> List[Bag]:
-        """Per-branch result bags under ``evaluate_query``'s dedup key:
-        each bag's support is the branch's set-semantics answer."""
-        run = _Run(backend, params)
+    def execute(self, state: StoreState, params: Tuple[object, ...]) -> List[Bag]:
+        """Per-branch result bags over *state* under ``evaluate_query``'s
+        dedup key: each bag's support is the branch's set-semantics
+        answer."""
+        run = _Run(state, params)
         return [bag_of(plan.root.rows(run)) for plan in self.branches]
 
 

@@ -144,7 +144,6 @@ class SqliteBackend(StoreBackend):
     """
 
     name = "sqlite"
-    prepares_sql = True
 
     def __init__(
         self,
@@ -293,6 +292,12 @@ class SqliteBackend(StoreBackend):
         answer comes back as its bag (:func:`execute_compiled`)."""
         with self._conn_lock:
             return execute_compiled(self._statements, compiled, params)
+
+    def run_plan(self, plan, values: Tuple[object, ...]) -> List[Bag]:
+        """Run a cached plan's parameterized statements on the main
+        connection: one bag per branch."""
+        with self._conn_lock:
+            return _run_statements(self._statements, plan, self._schema, values)
 
     def statement_cache_stats(self) -> StatementCacheStats:
         return self._statements.stats()
@@ -474,42 +479,38 @@ def execute_compiled(
     )
 
 
+def _run_statements(
+    statements: StatementCache,
+    plan,
+    schema: StoreSchema,
+    values: Tuple[object, ...],
+) -> List[Bag]:
+    """Execute each branch's cached parameterized statement of *plan*
+    with *values* bound: one bag per branch."""
+    return [
+        execute_compiled(statements, compiled, params)
+        for _branch, compiled, params in plan.bound_sql(schema, values)
+    ]
+
+
 class _LeasedReader:
-    """A backend-shaped reader over one leased pooled connection.
+    """A reader over one leased pooled connection.
 
-    Lives exactly as long as one request; ``prepares_sql`` routes cached
-    plans through :meth:`run_compiled` on the private connection, and the
-    ad-hoc :meth:`run_query` fallback compiles on the fly.  The schema is
-    read from the owning backend *live* — if a migration swaps it while
-    this reader is in flight, the epoch engine's seqlock detects the
-    overlap and retries the request.
+    Lives exactly as long as one request; cached plans run through
+    :meth:`run_plan` on the private connection.  The schema is read from
+    the owning backend *live* — if a migration swaps it while this
+    reader is in flight, the epoch engine's seqlock detects the overlap
+    and retries the request.
     """
-
-    name = "sqlite"
-    prepares_sql = True
-    compiles_plans = False
 
     def __init__(self, backend: SqliteBackend, leased: PooledConnection) -> None:
         self._backend = backend
         self._leased = leased
 
-    @property
-    def schema(self) -> StoreSchema:
-        return self._backend.schema
-
-    def run_compiled(
-        self, compiled: CompiledSql, params: Optional[Tuple[object, ...]] = None
-    ) -> Bag:
-        return execute_compiled(self._leased.statements, compiled, params)
-
-    def run_query(self, query: Query) -> List[Dict[str, object]]:
-        if not SUPPORTS_FULL_OUTER_JOIN and _has_full_outer(query):
-            raise SchemaError(
-                "this SQLite lacks FULL OUTER JOIN (needs >= 3.39); "
-                "use the memory backend for partitioned views"
-            )
-        compiled = SqlCompiler(self.schema).compile(query)
-        return bag_support(self.run_compiled(compiled, compiled.params))
+    def run_plan(self, plan, values: Tuple[object, ...]) -> List[Bag]:
+        return _run_statements(
+            self._leased.statements, plan, self._backend.schema, values
+        )
 
 
 class SqliteReadView(ReadView):

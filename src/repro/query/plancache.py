@@ -73,7 +73,7 @@ from repro.query.unfold import (
 from repro.relational.schema import StoreSchema
 
 if TYPE_CHECKING:
-    from repro.backend.memory import IndexStats
+    from repro.backend.memory import KeyIndexStats
     from repro.engine import EngineStats
 
 
@@ -157,12 +157,15 @@ class CachedPlan:
     _sql: Optional[Tuple[CompiledSql, ...]] = field(default=None, repr=False)
     _physical: Optional[object] = field(default=None, repr=False)
 
-    def bind(self, values: Tuple[object, ...]) -> UnfoldedQuery:
-        """The concrete :class:`UnfoldedQuery` for one parameter vector."""
+    def _check_arity(self, values: Tuple[object, ...]) -> None:
         if len(values) != self.param_count:
             raise EvaluationError(
                 f"plan expects {self.param_count} parameter(s), got {len(values)}"
             )
+
+    def bind(self, values: Tuple[object, ...]) -> UnfoldedQuery:
+        """The concrete :class:`UnfoldedQuery` for one parameter vector."""
+        self._check_arity(values)
         if not self.param_count:
             return self.unfolded
         branches = []
@@ -198,10 +201,10 @@ class CachedPlan:
         return self._sql
 
     def physical(self, schema: StoreSchema):
-        """The compiled physical-plan set for interpreter-style backends
-        (``compiles_plans``), lowered once per plan and reused across
-        bindings — :class:`Param` placeholders compile into the predicate
-        closures, so binding is just passing the vector along.
+        """The compiled physical-plan set the memory backend runs,
+        lowered once per plan and reused across bindings —
+        :class:`Param` placeholders compile into the predicate closures,
+        so binding is just passing the vector along.
         """
         if self._physical is None:
             from repro.backend.physical import compile_plan
@@ -216,10 +219,7 @@ class CachedPlan:
         self, schema: StoreSchema, values: Tuple[object, ...]
     ) -> List[Tuple[UnfoldedBranch, CompiledSql, Tuple[object, ...]]]:
         """(branch, compiled statement, concrete parameters) triples."""
-        if len(values) != self.param_count:
-            raise EvaluationError(
-                f"plan expects {self.param_count} parameter(s), got {len(values)}"
-            )
+        self._check_arity(values)
         triples = []
         for branch, compiled in zip(self.unfolded.branches, self.sql(schema)):
             actual = tuple(
@@ -230,38 +230,24 @@ class CachedPlan:
         return triples
 
     def execute(
-        self, backend, values: Tuple[object, ...]
-    ) -> Tuple[List[object], Optional[List[Bag]]]:
-        """Run the plan on *backend* with *values* bound: the constructed
-        rows, plus the per-branch bags they were counted from.
+        self, reader, values: Tuple[object, ...]
+    ) -> Tuple[List[object], List[Bag]]:
+        """Run the plan on a leased *reader* (see
+        :meth:`~repro.backend.base.ReadView.acquire`) with *values*
+        bound: the constructed rows, plus the per-branch bags they were
+        counted from.
 
-        Backends that prepare SQL (``prepares_sql``) execute the cached
-        parameterized statements through their statement cache; backends
-        that compile physical plans (``compiles_plans``) run the lowered
-        closure plan.  Both return each branch's answer as a bag, whose
-        support in first-seen order is what the rows are constructed
-        from, so the result tier seeds an entry from the one execution
-        that answered the read.  The fallback binds the branch conditions
-        and re-interprets the algebra; it reports no multiplicities, so
-        its bags are None.
+        ``reader.run_plan`` is the one execution entry point: the memory
+        backend runs the lowered physical plan on its state, SQLite the
+        cached parameterized statements through its statement cache.
+        Each branch's answer comes back as a bag, whose support in
+        first-seen order is what the rows are constructed from, so the
+        result tier seeds an entry from the one execution that answered
+        the read.
         """
+        self._check_arity(values)
         self.executions += 1
-        if getattr(backend, "prepares_sql", False):
-            bags = [
-                backend.run_compiled(compiled, params)
-                for _branch, compiled, params in self.bound_sql(
-                    backend.schema, values
-                )
-            ]
-        elif getattr(backend, "compiles_plans", False):
-            if len(values) != self.param_count:
-                raise EvaluationError(
-                    f"plan expects {self.param_count} parameter(s), "
-                    f"got {len(values)}"
-                )
-            bags = backend.run_compiled_plan(self.physical(backend.schema), values)
-        else:
-            return self.bind(values).run_on(backend), None
+        bags = reader.run_plan(self, values)
         rows = construct_results(
             self.shape.projection,
             zip(self.unfolded.branches, map(bag_support, bags)),
@@ -281,7 +267,7 @@ class CachedPlan:
 _SECTIONS = (
     ("plans", "plan cache"),
     ("statements", "statement cache"),
-    ("indexes", "physical indexes"),
+    ("indexes", "key indexes"),
     ("epoch", "epoch engine"),
     ("writeplans", "write plans"),
     ("validation", "validation cache"),
@@ -296,7 +282,7 @@ class ServingStats:
     backend: str
     plans: CacheStats
     statements: Optional[CacheStats] = None  # SQLite's prepared statements
-    indexes: Optional[IndexStats] = None  # the memory backend's indexes
+    indexes: Optional[KeyIndexStats] = None  # memory: key-index builds
     epoch: Optional[EngineStats] = None  # the epoch engine
     writeplans: Optional[CacheStats] = None  # IVM writes
     validation: Optional[CacheStats] = None  # validation L1 + L2

@@ -42,9 +42,10 @@ Lifecycle, mirrored from the epoch engine's write paths:
   the seqlock validated the read, which validates rows and bags
   together because one execution produced both;
 * **maintain** — ``save_delta`` / ``apply_script`` derive the next
-  epoch's cache with :meth:`ResultCache.successor_for_delta`: untouched
-  entries are carried by reference, touched maintainable entries are
-  rebuilt copy-on-write in O(|Δ|), everything else is invalidated.  The
+  epoch's cache with :meth:`ResultCache.successor_for_delta`: entries
+  whose answer the delta leaves unchanged are carried by reference,
+  maintainable entries it changes are rebuilt copy-on-write in O(|Δ|),
+  everything else is invalidated.  The
   source cache is never mutated, so readers pinned to an old epoch keep
   byte-identical answers;
 * **invalidate** — whole-state ``save`` drops entries by written tables
@@ -191,7 +192,6 @@ class _Entry:
     fingerprint: str
     cost: int
     results: Optional[List[object]]
-    maintains: int = 0
 
     @property
     def maintainable(self) -> bool:
@@ -252,24 +252,27 @@ def build_entry(
 
 
 def _maintained_entry(entry: _Entry, rt: DeltaRuntime, fingerprint: str) -> _Entry:
-    """A copy of *entry* with the delta applied — O(|Δ|) plus the
+    """*entry* with the delta applied: the entry itself when the delta
+    reaches none of its branches, else a copy — O(|Δ|) plus the
     copy-on-write of the touched dicts.  Raises :class:`IvmError` when a
     multiplicity invariant breaks (the caller invalidates instead)."""
     if entry.roots is None:
         raise IvmError("entry shape is not maintainable")
+    changes = [
+        () if root.sources.isdisjoint(rt.touched) else root.delta(rt)
+        for root in entry.roots
+    ]
+    if not any(changes):
+        return entry  # the answer is unchanged: carry it by reference
     constructed = dict(entry.constructed)
     bags: List[Bag] = []
     cost = entry.cost
     projection = entry.projection
-    for bi, (root, bag, branch) in enumerate(
-        zip(entry.roots, entry.bags, entry.branches)
+    for bi, (signed, bag, branch) in enumerate(
+        zip(changes, entry.bags, entry.branches)
     ):
-        if root.sources.isdisjoint(rt.touched):
-            bags.append(bag)  # untouched branch: share the bag
-            continue
-        signed = root.delta(rt)
         if not signed:
-            bags.append(bag)
+            bags.append(bag)  # unchanged branch: share the bag
             continue
         per = dict(bag)
         for sign, row in signed:
@@ -299,7 +302,6 @@ def _maintained_entry(entry: _Entry, rt: DeltaRuntime, fingerprint: str) -> _Ent
         fingerprint=fingerprint,
         cost=cost,
         results=None,  # rebuilt lazily from the constructed dict
-        maintains=entry.maintains + 1,
     )
 
 
@@ -312,6 +314,7 @@ class ResultCacheStats(CacheStats):
     """The shared counters plus the result tier's own (cumulative across
     epochs: successors carry them forward like the plan cache does)."""
 
+    #: entries whose answer a write changed and maintenance rebuilt
     maintained: int = 0
     fallbacks: int = 0
     #: reads that found an entry stamped with a different epoch
@@ -431,14 +434,14 @@ class ResultCache:
         schema: StoreSchema,
         fingerprint: str,
         rows: List[object],
-        bags: Optional[List[Bag]],
+        bags: List[Bag],
     ) -> None:
         """Offer the answer a read just executed after its lookup missed
         (*rows*, constructed from the per-branch *bags*).  The key's
         first miss only records it; the second builds the entry.  A
-        no-op when the tier is off or the executor reported no bags.
+        no-op when the tier is off.
         """
-        if not self.enabled or bags is None:
+        if not self.enabled:
             return
         full = (key, values)
         try:
@@ -474,10 +477,13 @@ class ResultCache:
     ) -> "ResultCache":
         """The next epoch's cache after a data-only incremental write.
 
-        Untouched entries are carried by reference; touched maintainable
-        entries are rebuilt copy-on-write through the delta rules;
-        everything else is invalidated.  *state* must be the post-delta
-        store state and *fingerprint* the (unchanged) epoch fingerprint.
+        Entries whose answer the delta leaves unchanged are carried by
+        reference; maintainable entries it changes are rebuilt
+        copy-on-write through the delta rules and counted in
+        ``maintained``; unmaintainable entries over a touched table are
+        invalidated.  Every entry is still visited.  *state* must be the
+        post-delta store state and *fingerprint* the (unchanged) epoch
+        fingerprint.
         """
         rt = read_runtime(delta, state)
         touched = rt.touched
@@ -494,7 +500,8 @@ class ResultCache:
             except (IvmError, EvaluationError):
                 fallbacks += 1
                 return None
-            maintained += 1
+            if fresh is not entry:
+                maintained += 1
             return fresh
 
         clone = self._next(carry)

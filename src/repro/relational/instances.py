@@ -12,16 +12,23 @@ insertion order, plus a :class:`PartitionedMap` from each row to its
 chunk — and each key index is a :class:`PartitionedMap` as well.  A
 successor copies the spines (one pointer per chunk or partition) and
 only the chunks, partitions and buckets its delta touches.
+
+A successor carries only the indexes on its table's declared keys (the
+primary key and each foreign key's columns), which the constraint
+checks probe on every write.  An index on any other column, built for
+a read, lives as long as the table object that built it, so no write
+pays upkeep for it.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from itertools import chain
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Tuple
+from typing import Collection, Dict, FrozenSet, Iterator, List, Mapping, Tuple
 
 from repro.errors import EvaluationError, SchemaError
-from repro.relational.schema import StoreSchema
+from repro.relational.schema import StoreSchema, Table
 
 Row = Tuple[Tuple[str, object], ...]
 
@@ -88,6 +95,16 @@ PARTITION_ENTRIES = 32
 #: partitions are chosen by hash bits from here up, clear of the low
 #: bits each partition dict picks its own slots by
 _PARTITION_SHIFT = 20
+
+#: key indexes built in this process, one O(rows) scan each; readers
+#: build concurrently, so the count moves under a lock
+_index_builds = 0
+_index_builds_lock = threading.Lock()
+
+
+def key_index_builds() -> int:
+    """How many key indexes this process has built so far."""
+    return _index_builds
 
 
 class PartitionedMap:
@@ -206,12 +223,16 @@ class ChunkedRows:
     ``indexes`` holds the key indexes: column values → the tuple of rows
     holding them, in iteration order.  A key with a NULL component has
     no entry: NULL never joins or matches a foreign key, and every
-    caller skips NULL probes.
+    caller skips NULL probes.  Readers build indexes on published
+    tables while a writer derives successors from them, so a build
+    publishes a new ``indexes`` dict and never writes into the one a
+    successor may be iterating.
 
-    :meth:`successor` shares every chunk, partition and bucket; each
-    side copies what it writes.  A table held by two states at once
-    (:meth:`StoreState.adopt_table`) is ``shared`` and never written:
-    a state that writes to it takes a successor first.
+    :meth:`successor` shares every chunk, partition and bucket of the
+    indexes it carries; each side copies what it writes.  A table held
+    by two states at once (:meth:`StoreState.adopt_table`) is
+    ``shared`` and never written: a state that writes to it takes a
+    successor first.
     """
 
     __slots__ = ("_chunks", "_owned", "_where", "indexes", "shared")
@@ -224,17 +245,21 @@ class ChunkedRows:
         self.indexes: Dict[Tuple[str, ...], PartitionedMap] = {}
         self.shared = False
 
-    def successor(self) -> "ChunkedRows":
+    def successor(self, keys: Collection[Tuple[str, ...]]) -> "ChunkedRows":
         """An equal table sharing every chunk, partition and bucket with
         this one: O(chunks + partitions) pointer copies, no row copies
-        (bar the one-time split of a row map no successor shared yet)."""
+        (bar the one-time split of a row map no successor shared yet).
+        It carries the indexes on the column tuples in *keys* and
+        drops the others."""
         other = ChunkedRows.__new__(ChunkedRows)
         other._chunks = list(self._chunks)
         other._owned = set()
         self._owned = set()
         other._where = self._where.successor()
         other.indexes = {
-            columns: index.successor() for columns, index in self.indexes.items()
+            columns: index.successor()
+            for columns, index in self.indexes.items()
+            if columns in keys
         }
         other.shared = False
         return other
@@ -301,7 +326,12 @@ class ChunkedRows:
         )
 
     def index(self, columns: Tuple[str, ...]) -> PartitionedMap:
-        """The key index on *columns*, built on first use (one scan)."""
+        """The key index on *columns*, built on first use (one scan).
+
+        Two readers racing on one build both scan; the dict published
+        last wins, and an index it lost is built again on its next use.
+        """
+        global _index_builds
         index = self.indexes.get(columns)
         if index is None:
             groups: Dict[Tuple, List[Row]] = {}
@@ -309,10 +339,21 @@ class ChunkedRows:
                 values = row_values(row, columns)
                 if None not in values:
                     groups.setdefault(values, []).append(row)
-            index = self.indexes[columns] = PartitionedMap(
+            index = PartitionedMap(
                 {values: tuple(rows) for values, rows in groups.items()}
             )
+            self.indexes = {**self.indexes, columns: index}
+            with _index_builds_lock:
+                _index_builds += 1
         return index
+
+
+def declared_keys(table: Table) -> FrozenSet[Tuple[str, ...]]:
+    """The column tuples a successor of *table*'s rows keeps indexed:
+    its primary key and each foreign key's columns."""
+    return frozenset(
+        (table.primary_key, *(fk.columns for fk in table.foreign_keys))
+    )
 
 
 class StoreState:
@@ -339,9 +380,9 @@ class StoreState:
             if not self.schema.has_table(table_name):
                 raise SchemaError(f"unknown table {table_name!r}")
             rows = self._rows[table_name] = ChunkedRows()
-        elif rows.shared:
-            rows = self._rows[table_name] = rows.successor()
         table = self.schema.table(table_name)
+        if rows.shared:
+            rows = self._rows[table_name] = rows.successor(declared_keys(table))
         canonical = row_from_mapping(row) if isinstance(row, Mapping) else row
         provided = {name for name, _ in canonical}
         expected = set(table.column_names)
@@ -383,9 +424,9 @@ class StoreState:
         """Take *other*'s rows for one table, minus the rows in *dead*.
 
         The result is a successor of *other*'s table: it shares every
-        chunk, map partition and index bucket except those holding a
-        dead row, so this costs O(|dead|) plus one pointer per chunk
-        and partition, not O(table) — except that the first successor
+        chunk, map partition and declared-key index bucket except those
+        holding a dead row, so this costs O(|dead|) plus one pointer per
+        chunk and partition, not O(table) — except that the first successor
         of a table no successor shared yet (a bulk load) splits its
         row map into partitions, once.  The carried rows were validated
         when *other* first added them, so they skip :meth:`add_row`'s
@@ -395,7 +436,11 @@ class StoreState:
         if not self.schema.has_table(table_name):
             raise SchemaError(f"unknown table {table_name!r}")
         rows = other._rows.get(table_name)
-        rows = rows.successor() if rows is not None else ChunkedRows()
+        rows = (
+            rows.successor(declared_keys(self.schema.table(table_name)))
+            if rows is not None
+            else ChunkedRows()
+        )
         for row in dead:
             rows.discard(row)
         self._rows[table_name] = rows
@@ -405,13 +450,16 @@ class StoreState:
         from values to the tuple of rows holding them, in scan order.
 
         Keys with a NULL component have no entry (NULL never joins or
-        matches a foreign key).  Built lazily with one O(rows) pass, then
-        maintained with the table: :meth:`add_row`, :meth:`carry_rows` and
-        :meth:`adopt_table` carry the index to successor states in
-        O(|delta|).  Delta-scoped constraint checking
-        (:func:`repro.relational.constraints.check_delta`) and the result
-        tier probe these instead of re-scanning tables.  Callers must not
-        write to the returned map.
+        matches a foreign key).  Built lazily with one O(rows) pass.  An
+        index on a declared key is then maintained with the table:
+        :meth:`add_row`, :meth:`carry_rows` and :meth:`adopt_table` carry
+        it to successor states in O(|delta|).  Any other index lives as
+        long as this table object: :meth:`adopt_table` shares it, a
+        written successor drops it.  Delta-scoped constraint checking
+        (:func:`repro.relational.constraints.check_delta`), compiled
+        memory plans and the result tier probe these instead of
+        re-scanning tables.  Safe to call on a published state from any
+        thread.  Callers must not write to the returned map.
         """
         rows = self._rows.get(table_name)
         if rows is None:

@@ -4,7 +4,9 @@ The epoch engine promises lock-free reads, which means the LruCache
 every cache is built on (LRU order, cost bound, hit/miss/eviction
 counters) must tolerate many threads planning, hitting and evicting at
 once without corruption — and the ``successor`` snapshot taken by a
-writer must be consistent while readers keep inserting.
+writer must be consistent while readers keep inserting.  The same holds
+for the store's key indexes: readers build them on published states
+while the writer derives successor states from those states.
 """
 
 from __future__ import annotations
@@ -15,13 +17,20 @@ import threading
 import pytest
 
 from repro.algebra.conditions import Comparison
+from repro.backend import MemoryBackend
 from repro.cache import STALE, CacheStats, LruCache
 from repro.compiler import compile_mapping
 from repro.containment.cache import ValidationCache
+from repro.edm import Entity
 from repro.incremental import CompiledModel
+from repro.ivm import DeltaScript, EntityOp
 from repro.query import EntityQuery
 from repro.query.plancache import PlanCache
-from repro.workloads.chain import chain_mapping, set_name
+from repro.query.unfold import unfold
+from repro.relational import StoreState
+from repro.relational.instances import make_row
+from repro.session import OrmSession
+from repro.workloads.chain import chain_mapping, entity_name, set_name
 
 THREADS = 8
 ROUNDS = 50
@@ -288,3 +297,136 @@ class TestValidationCacheThreadSafety:
         assert not errors, errors[0]
         # rolled-back insertions are gone, committed ones are present
         assert 0 < len(cache) <= THREADS * ROUNDS
+
+
+def _chain_entity(index: int, row: int, tag: str) -> Entity:
+    return Entity.of(
+        entity_name(index),
+        Id=row,
+        EntityAtt2=f"a{tag}",
+        EntityAtt3=f"b{row}",
+        EntityAtt4=f"c{(row + len(tag)) % 5}",
+    )
+
+
+class TestKeyIndexThreadSafety:
+    ROWS_PER_SET = 60
+    READERS = 4
+    WRITES = 30
+
+    def test_index_build_publishes_a_new_dict(self, chain_model):
+        """A build replaces ``ChunkedRows.indexes``: a successor iterating
+        the old dict never sees it change under it."""
+        state = StoreState(chain_model.store_schema)
+        for row in range(10):
+            state.add_row(
+                "T1",
+                make_row(
+                    Id=row, EntityAtt2="a", EntityAtt3="b",
+                    EntityAtt4=f"c{row % 3}", NextA=None, NextB=None,
+                ),
+            )
+        table = state._rows["T1"]
+        table.index(("Id",))
+        published = table.indexes
+        seen = []
+        for columns, _index in published.items():
+            # a reader's build in the middle of a successor's iteration
+            table.index(("EntityAtt4",))
+            seen.append(columns)
+        assert seen == [("Id",)]
+        assert list(published) == [("Id",)]
+        assert table.indexes is not published
+        assert set(table.indexes) == {("Id",), ("EntityAtt4",)}
+
+    def test_readers_race_a_writer_on_a_fresh_load(self, chain_model):
+        """Readers build key indexes on freshly loaded and freshly
+        published states while the writer commits ``save_delta`` from
+        the same states: no call raises, and every answer equals the
+        interpreter's over the state of the epoch it was served from."""
+        sets = range(1, CHAIN_TYPES + 1)
+        state = StoreState(chain_model.store_schema)
+        loader = OrmSession(chain_model, backend=MemoryBackend(state))
+        with loader.edit() as client:
+            for index in sets:
+                for row in range(self.ROWS_PER_SET):
+                    client.add_entity(
+                        set_name(index), _chain_entity(index, row, "0")
+                    )
+        # a fresh session over the loaded state: no read index built yet;
+        # the tier is off, so every read executes its compiled plan
+        session = OrmSession(
+            chain_model,
+            backend=MemoryBackend(loader.store_state),
+            result_cache_budget=0,
+        )
+        stop = threading.Event()
+        served: list = []
+        errors: list = []
+
+        def reader(number: int) -> None:
+            try:
+                turn = 0
+                while not stop.is_set() or turn < 12:
+                    index = 1 + (number + turn) % CHAIN_TYPES
+                    condition = (
+                        Comparison("Id", "=", (number * 7 + turn) % self.ROWS_PER_SET)
+                        if turn % 2
+                        else Comparison("EntityAtt4", "=", f"c{turn % 5}")
+                    )
+                    query = EntityQuery(set_name(index), condition)
+                    rows, epoch = session.engine.query_with_epoch(query)
+                    served.append((query, rows, epoch))
+                    turn += 1
+            except Exception as exc:  # noqa: BLE001 — collected for assertion
+                errors.append(exc)
+
+        def writer() -> None:
+            try:
+                for write in range(self.WRITES):
+                    session.save_delta(
+                        DeltaScript(
+                            tuple(
+                                EntityOp(
+                                    "update",
+                                    set_name(index),
+                                    entity=_chain_entity(
+                                        index,
+                                        (write * 11 + index) % self.ROWS_PER_SET,
+                                        f"w{write}",
+                                    ),
+                                )
+                                for index in sets
+                            )
+                        )
+                    )
+            except Exception as exc:  # noqa: BLE001 — collected for assertion
+                errors.append(exc)
+            finally:
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(n,))
+                for n in range(self.READERS)
+            ]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        epochs = {id(epoch) for _query, _rows, epoch in served}
+        assert len(epochs) > 1, "every read landed on one epoch"
+        for query, rows, epoch in served:
+            reference = unfold(
+                query, epoch.model.views, epoch.model.client_schema
+            ).run(epoch.view.to_store_state())
+            assert sorted(map(repr, rows)) == sorted(map(repr, reference)), (
+                f"{query} diverged from the interpreter on its epoch"
+            )

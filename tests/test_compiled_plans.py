@@ -2,7 +2,8 @@
 
 The memory backend serves cached plans through
 :mod:`repro.backend.physical` — conditions compiled to predicate
-closures, pushdown into index probes, prebuilt join indexes.  Every
+closures, pushdown into probes of the store's key indexes, joins over
+those indexes.  Every
 answer must be byte-identical to the interpreter's
 (:mod:`repro.algebra.evaluate`), which these tests enforce three ways:
 
@@ -14,6 +15,10 @@ answer must be byte-identical to the interpreter's
 * a differential check that delta-scoped constraint checking
   (:func:`~repro.relational.constraints.check_delta`) reports exactly
   the violations of a full :func:`check_all`.
+
+It also pins the key indexes' lifetimes: a written table's successor
+carries exactly the indexes on its declared keys, and an index built
+for a read lives as long as the table object it was built on.
 """
 
 import random
@@ -34,14 +39,17 @@ from repro.algebra import (
 )
 from repro.algebra.conditions import TRUE
 from repro.backend.memory import MemoryBackend
-from repro.edm import INT, STRING
+from repro.edm import INT, STRING, Entity
+from repro.ivm import DeltaScript, EntityOp
 from repro.query import EntityQuery
 from repro.query.dml import apply_delta, diff_store_states
 from repro.query.unfold import unfold
 from repro.relational import Column, ForeignKey, StoreSchema, StoreState, Table
 from repro.relational.constraints import check_all, check_delta
+from repro.relational.instances import declared_keys
 from repro.session import OrmSession
 from repro.stategen import random_client_state
+from repro.workloads.chain import chain_mapping, entity_name, set_name
 from repro.workloads.paper_example import mapping_stage4
 
 
@@ -58,7 +66,7 @@ def interpreter_answer(session, query):
 
 
 def assert_compiled_matches_interpreter(session, queries):
-    assert session.backend.compiles_plans
+    assert isinstance(session.backend, MemoryBackend)
     for query in queries:
         reference = interpreter_answer(session, query)
         assert canon(session.query(query)) == reference  # cold plan
@@ -79,11 +87,13 @@ def test_compiled_answers_match_interpreter(factory):
     session = memory_session(model)
     state = random_client_state(model.client_schema, seed=31, entities_per_set=6)
     session.save(state)
-    assert_compiled_matches_interpreter(
-        session, _probe_queries(model.client_schema)
-    )
-    stats = session.backend.index_stats()
-    assert stats.compiled_runs > 0, "compiled path was not exercised"
+    queries = _probe_queries(model.client_schema)
+    assert_compiled_matches_interpreter(session, queries)
+    # every cached-plan execution on the memory backend runs the plan's
+    # compiled physical form
+    for query in queries:
+        plan, _values = session.plan_cache.plan_for(session.model, query)
+        assert plan.executions > 0, "compiled path was not exercised"
 
 
 @pytest.mark.parametrize(
@@ -176,24 +186,137 @@ class TestRandomConditionDifferential:
 
     def test_one_plan_serves_many_bindings(self, figure1_session):
         """Key probes of different constants share one compiled plan; each
-        binding's answer matches the interpreter and the probes hit the
-        backend's hash index."""
+        binding's answer matches the interpreter, and the probes read the
+        primary-key indexes the save's constraint check already built."""
         session = figure1_session
         hits_before = session.plan_cache.stats().hits
+        builds_before = session.serving_stats().indexes.builds
         for value in range(6):
             query = EntityQuery("Persons", Comparison("Id", "=", value))
             assert canon(session.query(query)) == interpreter_answer(
                 session, query
             )
         assert session.plan_cache.stats().hits >= hits_before + 5
-        stats = session.backend.index_stats()
-        assert stats.builds > 0, "no index was built for the key probes"
-        assert stats.hits > 0, "warm probes did not reuse the index"
+        assert session.serving_stats().indexes.builds == builds_before, (
+            "a key probe built an index instead of reading the store's"
+        )
 
     def test_serving_stats_report_physical_indexes(self, figure1_session):
+        """The memory backend's section reports key-index builds."""
         report = str(figure1_session.serving_stats())
         assert "plan cache" in report
-        assert "physical indexes" in report
+        assert "key indexes     : builds=" in report
+
+
+# ---------------------------------------------------------------------------
+# Key-index lifetimes
+# ---------------------------------------------------------------------------
+
+CHAIN_SETS = (1, 2, 3)
+CHAIN_ROWS = 30
+
+
+def _chain_entity(index: int, row: int, tag: str = "") -> Entity:
+    return Entity.of(
+        entity_name(index),
+        Id=row,
+        EntityAtt2=f"a{tag}",
+        EntityAtt3=f"b{row}",
+        EntityAtt4=f"c{row % 4}",
+    )
+
+
+def _update(index: int, row: int, tag: str) -> DeltaScript:
+    return DeltaScript(
+        (
+            EntityOp(
+                "update", set_name(index), entity=_chain_entity(index, row, tag)
+            ),
+        )
+    )
+
+
+@pytest.fixture
+def chain_session():
+    """A loaded chain session with the result tier off, so every read
+    executes its compiled plan."""
+    model = compiled(chain_mapping(len(CHAIN_SETS)))
+    session = OrmSession(
+        model,
+        backend=MemoryBackend(StoreState(model.store_schema)),
+        result_cache_budget=0,
+    )
+    with session.edit() as state:
+        for index in CHAIN_SETS:
+            for row in range(CHAIN_ROWS):
+                state.add_entity(set_name(index), _chain_entity(index, row))
+    return session
+
+
+def _builds(session) -> int:
+    return session.serving_stats().indexes.builds
+
+
+class TestKeyIndexLifetimes:
+    def test_a_written_table_carries_exactly_its_declared_key_indexes(
+        self, chain_session
+    ):
+        session = chain_session
+        state = session.store_state
+        for columns in (
+            ("Id",), ("NextA",), ("NextB",), ("EntityAtt4",),
+            ("EntityAtt2", "EntityAtt3"),
+        ):
+            state.key_index("T1", columns)
+        state.key_index("T2", ("EntityAtt4",))
+        session.save_delta(_update(1, 3, "w"))
+        successor = session.store_state
+        assert successor is not state
+        # the written table: exactly the primary key and each foreign key
+        written = successor._rows["T1"]
+        assert set(written.indexes) == {("Id",), ("NextA",), ("NextB",)}
+        assert set(written.indexes) == declared_keys(
+            session.model.store_schema.table("T1")
+        )
+        # the untouched table is shared as it is, read index included
+        assert successor._rows["T2"] is state._rows["T2"]
+        assert ("EntityAtt4",) in successor._rows["T2"].indexes
+
+    def test_a_write_and_the_id_read_after_it_build_no_index(
+        self, chain_session
+    ):
+        session = chain_session
+        # a first write per table lets the constraint check build any
+        # declared-key index the load left unbuilt
+        for index in CHAIN_SETS:
+            session.save_delta(_update(index, index, "w"))
+        before = _builds(session)
+        for index in CHAIN_SETS:
+            session.save_delta(_update(index, index + 10, "v"))
+            query = EntityQuery(set_name(index), Comparison("Id", "=", 7))
+            assert canon(session.query(query)) == interpreter_answer(
+                session, query
+            )
+        assert _builds(session) == before
+
+    def test_a_read_index_lives_as_long_as_its_table(self, chain_session):
+        session = chain_session
+        query = EntityQuery(set_name(2), Comparison("EntityAtt4", "=", "c1"))
+        expected = interpreter_answer(session, query)
+        before = _builds(session)
+        assert canon(session.query(query)) == expected
+        assert _builds(session) == before + 1  # built on first use
+        assert canon(session.query(query)) == expected
+        assert _builds(session) == before + 1  # reused
+        # a write elsewhere adopts T2 unchanged: the index survives
+        session.save_delta(_update(1, 2, "w"))
+        assert canon(session.query(query)) == expected
+        assert _builds(session) == before + 1
+        # a write to T2 drops it from the successor: the next read
+        # builds it again, over the new rows
+        session.save_delta(_update(2, 1, "w"))
+        assert canon(session.query(query)) == interpreter_answer(session, query)
+        assert _builds(session) == before + 2
 
 
 # ---------------------------------------------------------------------------

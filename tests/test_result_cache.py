@@ -258,7 +258,6 @@ def test_executors_count_duplicate_derivations():
     sqlite = SqliteBackend(schema)
     try:
         sqlite.replace_contents(state)
-        view = MemoryBackend(state).read_view()
         for query in queries:
             expected = Counter(
                 row_key(row)
@@ -266,7 +265,7 @@ def test_executors_count_duplicate_derivations():
             )
             assert max(expected.values()) > 1
             bags = (
-                compile_plan([query], schema).execute(view, ())[0],
+                compile_plan([query], schema).execute(state, ())[0],
                 sqlite.run_compiled(SqlCompiler(schema).compile(query)),
             )
             for bag in bags:
@@ -736,6 +735,47 @@ class TestSecondMissAdmission:
         assert not keeper.admit(("key", 3))  # full: starts over
         assert len(keeper) == 1
         assert not keeper.admit(("key", 0))  # forgotten by the reset
+
+
+# ---------------------------------------------------------------------------
+# Maintenance carries entries whose answer a write leaves unchanged
+# ---------------------------------------------------------------------------
+
+def test_a_write_that_misses_an_answer_carries_the_entry_itself():
+    """A save_delta to a table both entries read: the whole-set scan's
+    answer changes and is rebuilt (counted in ``maintained``); the
+    ``Id = 3`` entry's answer does not, so the next epoch holds the very
+    same entry, answer list included, and ``maintained`` skips it."""
+    session = chain_session()
+    point = EntityQuery(set_name(1), Comparison("Id", "=", 3))
+    scan = EntityQuery(set_name(1))
+    for _ in range(2):  # admitted on the second miss
+        session.query(point)
+        session.query(scan)
+
+    def entries():
+        epoch = session.engine.epoch
+        stored = epoch.results._entries._entries
+        found = []
+        for query in (point, scan):
+            _plan, values, key = epoch.plan_cache.plan_with_key(epoch.model, query)
+            found.append(stored[(key, values)])
+        return found
+
+    point_entry, scan_entry = entries()
+    answer = point_entry.rows_view()
+    before = result_stats(session).maintained
+    entity = Entity.of(
+        entity_name(1), Id=5, EntityAtt2="w", EntityAtt3="b5", EntityAtt4="c2"
+    )
+    session.save_delta(DeltaScript((EntityOp("update", set_name(1), entity=entity),)))
+    carried, rebuilt = entries()
+    assert carried is point_entry
+    assert carried.results is answer
+    assert rebuilt is not scan_entry
+    assert result_stats(session).maintained == before + 1
+    assert canon(session.query(point)) == canon(answer)
+    assert entity in session.query(scan)
 
 
 # ---------------------------------------------------------------------------
