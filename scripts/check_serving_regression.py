@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Regression gates over the serving benchmarks.
 
-Five JSON reports, five gates:
+Six JSON reports, six gates:
 
 **BENCH_query_serving.json** — fails (exit 1) if the serving fast path
 regressed below the uncached pipeline where the cache is the whole
@@ -90,10 +90,18 @@ physical-plan layer exists to keep that from coming back.
   predicate in ``ifnull``, so a point read scans the table (ROADMAP
   item 6) and grows with it.
 
+**BENCH_smo_batch.json** — the fingerprint gate: the model fingerprint
+after one SMO and after its undo may each cost at most
+FINGERPRINT_MAX_COST_RATIO× (0.1×) the cold fingerprint of a freshly
+built model.  The model's leaves carry cached digests, so a fingerprint
+after an SMO walks only the leaves the SMO rebuilt; a fingerprint that
+re-walks the whole model again costs about as much as the cold one.
+
 Usage::
 
     python scripts/check_serving_regression.py [query.json] [concurrent.json] \
-        [incremental.json] [validation.json] [result_cache.json]
+        [incremental.json] [validation.json] [result_cache.json] \
+        [smo_batch.json]
 """
 
 import json
@@ -112,6 +120,7 @@ MULTICORE_GATED_WORKERS = 4
 DEFAULT_RESULT_MIN_SPEEDUP = 3.0
 RESULT_MAX_FALLBACKS = 5
 ONE_SHOT_MAX_COST_RATIO = 1.5
+FINGERPRINT_MAX_COST_RATIO = 0.1
 
 
 def check_query_serving(path: str) -> int:
@@ -519,6 +528,46 @@ def _check_first_read_slope(backend: str, sizes: dict) -> int:
     return 0
 
 
+def check_fingerprint(path: str) -> int:
+    with open(path) as handle:
+        data = json.load(handle)
+    block = data.get("fingerprint")
+    if block is None:
+        print(
+            "FAIL: no fingerprint block — regenerate the report with "
+            "benchmarks/bench_smo_batch.py",
+            file=sys.stderr,
+        )
+        return 1
+    cold = block["cold_ms"]
+    budget = FINGERPRINT_MAX_COST_RATIO * cold
+    print(
+        f"fingerprint ({block['model']} scale {block['scale']}, "
+        f"{block['leaves']} leaves, {block['smo']}): cold {cold}ms, "
+        f"after the SMO {block['after_smo_ms']}ms, after its undo "
+        f"{block['after_undo_ms']}ms (ceiling {round(budget, 3)}ms = "
+        f"{FINGERPRINT_MAX_COST_RATIO}x cold)"
+    )
+    failures = 0
+    for phase in ("after_smo", "after_undo"):
+        cost = block[f"{phase}_ms"]
+        if cost > budget:
+            print(
+                f"FAIL: the fingerprint {phase.replace('_', ' ')} costs "
+                f"{cost}ms, above {FINGERPRINT_MAX_COST_RATIO}x the cold "
+                f"{cold}ms — it re-walks leaves the SMO did not rebuild",
+                file=sys.stderr,
+            )
+            failures += 1
+    if failures:
+        return 1
+    print(
+        f"OK: fingerprints after an SMO and its undo cost <= "
+        f"{FINGERPRINT_MAX_COST_RATIO}x a cold one"
+    )
+    return 0
+
+
 def main() -> int:
     query_path = (
         sys.argv[1] if len(sys.argv) > 1 else "BENCH_query_serving.json"
@@ -539,6 +588,9 @@ def main() -> int:
     result_cache_path = (
         sys.argv[5] if len(sys.argv) > 5 else "BENCH_result_cache.json"
     )
+    smo_batch_path = (
+        sys.argv[6] if len(sys.argv) > 6 else "BENCH_smo_batch.json"
+    )
     status = check_query_serving(query_path)
     if os.path.exists(concurrent_path):
         status = check_concurrent(concurrent_path) or status
@@ -558,6 +610,10 @@ def main() -> int:
         print(
             f"({result_cache_path} not present; result-cache gates skipped)"
         )
+    if os.path.exists(smo_batch_path):
+        status = check_fingerprint(smo_batch_path) or status
+    else:
+        print(f"({smo_batch_path} not present; fingerprint gate skipped)")
     return status
 
 

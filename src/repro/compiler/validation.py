@@ -42,7 +42,6 @@ from repro.compiler.viewgen import _produced_columns
 from repro.containment.cache import (
     ValidationCache,
     client_slice_tokens,
-    fingerprint,
     store_table_tokens,
 )
 from repro.containment.checker import (
@@ -52,6 +51,7 @@ from repro.containment.checker import (
 )
 from repro.containment.spaces import StoreConditionSpace
 from repro.errors import ValidationError
+from repro.fingerprint import fingerprint
 from repro.mapping.fragments import Mapping, MappingFragment
 from repro.mapping.roundtrip import check_roundtrip
 from repro.mapping.views import CompiledViews

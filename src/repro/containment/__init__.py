@@ -13,7 +13,6 @@ from repro.containment.cache import (
     ValidationCache,
     ValidationCacheStats,
     client_slice_tokens,
-    fingerprint,
     store_table_tokens,
 )
 from repro.containment.checker import ContainmentResult, check_containment
@@ -23,6 +22,7 @@ from repro.containment.spaces import (
     ConditionSpace,
     StoreConditionSpace,
 )
+from repro.fingerprint import fingerprint
 
 __all__ = [
     "Assignment",

@@ -1,15 +1,16 @@
-"""Structural fingerprints and a fingerprint-keyed validation cache.
+"""Fingerprint inputs and a fingerprint-keyed validation cache.
 
 The incremental compiler's whole premise (Section 1.2) is that most of a
 mapping survives each SMO unchanged, so most validation work is
 re-derivable from earlier compilations.  This module supplies the
-machinery for *memoised* validation: a stable structural **fingerprint**
-for the inputs of a check (algebra ASTs, conditions, mapping fragments and
-the schema neighborhood they read) and a thread-safe cache keyed by those
-fingerprints.  A check whose complete input fingerprint is unchanged since
-a previous run is a cache hit; any mutation of a fragment, condition,
-view or referenced schema element changes the fingerprint and forces a
-recomputation — stale results can never be served across a mutation.
+machinery for *memoised* validation: the inputs of a check (algebra
+ASTs, conditions, mapping fragments and the schema neighborhood they
+read), hashed by :func:`repro.fingerprint.fingerprint`, and a
+thread-safe cache keyed by those fingerprints.  A check whose complete
+input fingerprint is unchanged since a previous run is a cache hit; any
+mutation of a fragment, condition, view or referenced schema element
+changes the fingerprint and forces a recomputation — stale results can
+never be served across a mutation.
 
 The cache is deliberately *value-based*: keys are content hashes, not
 object identities, so a structurally identical subproblem posed through
@@ -35,9 +36,7 @@ disk, exactly as they are evicted from L1 on rollback.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, fields, is_dataclass, replace
-from enum import Enum
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.cache import CacheStats, LruCache
@@ -46,54 +45,8 @@ T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
-# Structural fingerprints
+# Fingerprint inputs
 # ---------------------------------------------------------------------------
-
-def _token(obj: object) -> bytes:
-    """A canonical byte string for *obj*: equal structures → equal tokens.
-
-    Handles the value types that appear in validation inputs: primitives,
-    enums, (frozen) dataclasses — conditions, query nodes, fragments,
-    schema elements, views — plus tuples/lists, sets and dicts.  Unknown
-    types raise instead of falling back to an unstable ``repr``.
-    """
-    if obj is None:
-        return b"null"
-    if isinstance(obj, bool):  # before int: bool is an int subclass
-        return b"b1" if obj else b"b0"
-    if isinstance(obj, int):
-        return b"i" + repr(obj).encode("ascii")
-    if isinstance(obj, float):
-        return b"f" + repr(obj).encode("ascii")
-    if isinstance(obj, str):
-        encoded = obj.encode("utf-8")
-        return b"s%d:" % len(encoded) + encoded
-    if isinstance(obj, bytes):
-        return b"y%d:" % len(obj) + obj
-    if isinstance(obj, Enum):
-        return b"e" + type(obj).__name__.encode("utf-8") + b":" + _token(obj.value)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        parts = [b"d" + type(obj).__qualname__.encode("utf-8")]
-        parts.extend(_token(getattr(obj, f.name)) for f in fields(obj))
-        return b"(" + b";".join(parts) + b")"
-    if isinstance(obj, (tuple, list)):
-        return b"(t" + b";".join(_token(item) for item in obj) + b")"
-    if isinstance(obj, (set, frozenset)):
-        return b"(S" + b";".join(sorted(_token(item) for item in obj)) + b")"
-    if isinstance(obj, dict):
-        items = sorted((_token(k), _token(v)) for k, v in obj.items())
-        return b"(m" + b";".join(k + b"=" + v for k, v in items) + b")"
-    raise TypeError(f"cannot fingerprint {type(obj).__name__!r} value {obj!r}")
-
-
-def fingerprint(*objects: object) -> str:
-    """A stable hex digest over the canonical structure of *objects*."""
-    digest = hashlib.sha256()
-    for obj in objects:
-        digest.update(_token(obj))
-        digest.update(b"|")
-    return digest.hexdigest()
-
 
 def store_table_tokens(store_schema, table_name: str) -> Tuple[object, ...]:
     """Everything a per-table check reads from the store schema."""
@@ -110,9 +63,12 @@ def client_slice_tokens(
 
     Covers the named entity sets (with their concrete types), the named
     associations, every association constraining a named set (canonical
-    state legality depends on their multiplicity lower bounds), and the
-    full attribute chains of every type reached — so any schema mutation
-    visible to the check changes the fingerprint.
+    state legality depends on their multiplicity lower bounds), and every
+    type reached with its whole ancestor chain — the chain's entity types
+    hold the inherited attributes, the root's key and each link's
+    abstractness — so any schema mutation visible to the check changes
+    the fingerprint.  The sets, associations and types are model leaves,
+    so the fingerprint reuses their cached digests.
     """
     set_names = sorted(set(sets))
     type_names = set(types)
@@ -134,16 +90,8 @@ def client_slice_tokens(
     for name in sorted(assoc_names):
         tokens.append(("assoc", schema.association(name)))
     for type_name in sorted(type_names):
-        tokens.append(
-            (
-                "type",
-                type_name,
-                schema.ancestors_or_self(type_name),
-                schema.attributes_of(type_name),
-                schema.key_of(type_name),
-                schema.entity_type(type_name).abstract,
-            )
-        )
+        chain = schema.ancestors_or_self(type_name)
+        tokens.append(("type", tuple(schema.entity_type(t) for t in chain)))
     return tuple(tokens)
 
 

@@ -66,15 +66,12 @@ from repro.algebra.queries import (
 from repro.algebra.simplify import simplify
 from repro.budget import WorkBudget, ensure_budget
 from repro.containment.atoms import collect_constants, default_value, value_candidates
-from repro.containment.cache import (
-    ValidationCache,
-    client_slice_tokens,
-    fingerprint,
-)
+from repro.containment.cache import ValidationCache, client_slice_tokens
 from repro.containment.spaces import ClientConditionSpace
 from repro.edm.instances import ClientState, Entity
 from repro.edm.schema import ClientSchema
 from repro.errors import EvaluationError, SchemaError
+from repro.fingerprint import fingerprint
 
 
 @dataclass

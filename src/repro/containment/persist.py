@@ -47,8 +47,9 @@ from typing import Iterable, List, Optional, Tuple
 
 import repro
 
-#: bump when the table layout or the pickling discipline changes
-CACHE_SCHEMA_TAG = "repro-validation-cache-v1"
+#: bump when the table layout, the pickling discipline or the
+#: fingerprint format of the keys changes (v2: cached leaf digests)
+CACHE_SCHEMA_TAG = "repro-validation-cache-v2"
 
 DEFAULT_FILENAME = "validation_cache.sqlite"
 

@@ -33,13 +33,10 @@ from repro.algebra.conditions import (
 )
 from repro.budget import WorkBudget, ensure_budget
 from repro.containment.atoms import collect_constants, default_value, value_candidates
-from repro.containment.cache import (
-    ValidationCache,
-    client_slice_tokens,
-    fingerprint,
-)
+from repro.containment.cache import ValidationCache, client_slice_tokens
 from repro.edm.schema import ClientSchema
 from repro.errors import SchemaError
+from repro.fingerprint import fingerprint
 from repro.relational.schema import StoreSchema
 
 

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from repro.errors import SchemaError
+from repro.fingerprint import digest_leaf
 
 
 class Multiplicity(Enum):
@@ -55,6 +56,7 @@ class AssociationEnd:
         return f"{self.role_name}:{self.entity_type}[{self.multiplicity}]"
 
 
+@digest_leaf
 @dataclass(frozen=True)
 class AssociationSet:
     """A named set of associations between entities of two entity sets.

@@ -15,8 +15,10 @@ from typing import Optional, Tuple
 
 from repro.edm.types import Attribute
 from repro.errors import SchemaError
+from repro.fingerprint import digest_leaf
 
 
+@digest_leaf
 @dataclass(frozen=True)
 class EntityType:
     """An entity type: name, optional parent, own attributes, optional key.
@@ -76,6 +78,7 @@ class EntityType:
         return f"{self.name}{parent}[{attrs}]"
 
 
+@digest_leaf
 @dataclass(frozen=True)
 class EntitySet:
     """A persistent collection of entities of a root type or its subtypes."""

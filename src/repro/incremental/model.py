@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.edm.schema import ClientSchema
+from repro.fingerprint import fingerprint as _fingerprint
 from repro.mapping.fragments import Mapping
 from repro.mapping.views import CompiledViews
 from repro.relational.schema import StoreSchema
@@ -57,8 +58,6 @@ class CompiledModel:
         Used by the session journal and ``plan()`` to prove non-mutation,
         and by tests to assert inverse-delta roundtrips.
         """
-        from repro.containment.cache import fingerprint as _fingerprint
-
         schema = self.client_schema
         store = self.store_schema
         return _fingerprint(

@@ -47,9 +47,10 @@ from repro.algebra.evaluate import (
 )
 from repro.algebra.queries import AssociationScan, Query, SetScan
 from repro.cache import CacheStats, LruCache
-from repro.containment.cache import client_slice_tokens, fingerprint
+from repro.containment.cache import client_slice_tokens
 from repro.edm.instances import ClientState, Entity
 from repro.errors import IvmError
+from repro.fingerprint import fingerprint
 from repro.ivm.clientdelta import ClientDelta
 from repro.query.dml import StoreDelta, classify_rows
 from repro.relational.instances import Row, row_from_mapping

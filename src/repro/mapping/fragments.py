@@ -27,9 +27,11 @@ from repro.algebra.queries import (
 )
 from repro.edm.schema import ClientSchema
 from repro.errors import MappingError
+from repro.fingerprint import digest_leaf
 from repro.relational.schema import StoreSchema
 
 
+@digest_leaf
 @dataclass(frozen=True)
 class MappingFragment:
     """One fragment ``π_α(σ_ψ(source)) = π_{f(α)}(σ_χ(table))``.

@@ -25,8 +25,10 @@ from repro.algebra.constructors import (
 from repro.algebra.entity_sql import view_to_sql
 from repro.algebra.queries import Query
 from repro.errors import MappingError
+from repro.fingerprint import digest_leaf
 
 
+@digest_leaf
 @dataclass(frozen=True)
 class QueryView:
     """``(Q_E | τ_E)`` for an entity type."""
@@ -39,6 +41,7 @@ class QueryView:
         return view_to_sql(f"QueryView[{self.entity_type}]", self.query, self.constructor)
 
 
+@digest_leaf
 @dataclass(frozen=True)
 class AssociationView:
     """``(Q_A | τ_A)`` for an association set."""
@@ -51,6 +54,7 @@ class AssociationView:
         return view_to_sql(f"QueryView[{self.assoc_name}]", self.query, self.constructor)
 
 
+@digest_leaf
 @dataclass(frozen=True)
 class UpdateView:
     """``(Q_T | τ_T)`` for a store table."""

@@ -60,8 +60,9 @@ from repro.algebra.evaluate import Bag, bag_support
 from repro.algebra.queries import Const, Query, Select, TableScan
 from repro.backend.sqlgen import CompiledSql, SqlCompiler
 from repro.cache import CacheStats, LruCache
-from repro.containment.cache import client_slice_tokens, fingerprint
+from repro.containment.cache import client_slice_tokens
 from repro.errors import EvaluationError
+from repro.fingerprint import DigestStats, fingerprint
 from repro.query.language import EntityQuery
 from repro.query.unfold import (
     UnfoldedBranch,
@@ -272,6 +273,7 @@ _SECTIONS = (
     ("writeplans", "write plans"),
     ("validation", "validation cache"),
     ("results", "result cache"),
+    ("digests", "leaf digests"),
 )
 
 
@@ -287,6 +289,7 @@ class ServingStats:
     writeplans: Optional[CacheStats] = None  # IVM writes
     validation: Optional[CacheStats] = None  # validation L1 + L2
     results: Optional[CacheStats] = None  # the materialized result tier
+    digests: Optional[DigestStats] = None  # model-leaf digests (process-wide)
 
     def __str__(self) -> str:
         lines = [f"serving on {self.backend}:"]

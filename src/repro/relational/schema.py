@@ -14,6 +14,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.edm.types import Domain, STRING
 from repro.errors import SchemaError
+from repro.fingerprint import digest_leaf
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,7 @@ class ForeignKey:
         return f"FK({', '.join(self.columns)}) -> {self.ref_table}({', '.join(self.ref_columns)})"
 
 
+@digest_leaf
 @dataclass(frozen=True)
 class Table:
     """A store table with a primary key and optional foreign keys."""

@@ -58,6 +58,7 @@ from repro.containment.cache import ValidationCache, ValidationCacheStats
 from repro.edm.instances import ClientState
 from repro.engine import Epoch, JournalEntry, SessionEngine
 from repro.errors import SmoError
+from repro.fingerprint import digest_stats
 from repro.incremental.model import CompiledModel
 from repro.incremental.smo import EvolutionPlan, Smo
 from repro.ivm import DeltaScript
@@ -344,6 +345,7 @@ class OrmSession:
             writeplans=self.engine.writeplans.stats(),
             validation=self.cache_stats(),
             results=self.engine.epoch.results.stats(),
+            digests=digest_stats(),
         )
 
     # ------------------------------------------------------------------

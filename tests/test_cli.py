@@ -368,6 +368,7 @@ def test_stats_verb_prints_cache_counters(compiled_model_path, tmp_path, capsys)
     assert "plan cache" in printed
     assert "statement cache" in printed
     assert "validation cache" in printed
+    assert "leaf digests" in printed
 
 
 def test_stats_verb_on_memory_backend(compiled_model_path, capsys):

@@ -20,6 +20,7 @@ from repro.compiler import compile_mapping, validate_mapping
 from repro.containment.cache import ValidationCache
 from repro.containment.persist import (
     CACHE_DIR_ENV,
+    CACHE_SCHEMA_TAG,
     PersistentCacheStore,
     cache_dir_from_env,
 )
@@ -192,6 +193,24 @@ class TestCorruptionAndSkew:
         found, _ = reopened.get("ns", "k")
         assert not found  # stale format never read
         assert reopened.stats().entries == 0
+        reopened.close()
+
+    def test_v1_file_is_wiped_on_open(self, tmp_path):
+        # v1 keys hashed every leaf in full; v2 keys use cached leaf
+        # digests, so no v1 key can ever match and the file must go
+        store = PersistentCacheStore(str(tmp_path))
+        store.put("ns", "k", "v1-keyed")
+        v1_tag = store.tag.replace(CACHE_SCHEMA_TAG, "repro-validation-cache-v1")
+        assert CACHE_SCHEMA_TAG.endswith("-v2") and v1_tag != store.tag
+        store._conn.execute("UPDATE meta SET value = ? WHERE key = 'tag'", (v1_tag,))
+        store._conn.commit()
+        store.close()
+
+        reopened = PersistentCacheStore(str(tmp_path))
+        found, _ = reopened.get("ns", "k")
+        assert not found
+        assert reopened.stats().entries == 0
+        assert reopened._tag_matches()
         reopened.close()
 
     def test_unwritable_directory_disables_not_crashes(self, tmp_path):
