@@ -6,9 +6,15 @@ replaces re-lowers the *entire* client state through the update views
 and diffs the full store — O(|state|) per save, no matter how small the
 edit.  This benchmark measures both paths on the same session at
 10^4–10^6 store rows (the top size behind ``REPRO_FULL``), with the
-same small update batch per save, and *verifies as it measures*: after
+same small mixed batch per save, and *verifies as it measures*: after
 the timed incremental rounds, the store is checked byte-for-byte
 against a whole-state lowering of the mirrored client state.
+
+Each batch has the end-to-end benchmark's mix of 16 ops: 10 updates,
+2 inserts and 2 deletes of unreferenced entities in sets other tables
+reference, and one ``A{i}a`` association insert and one delete.  Each
+delete of a referenced table's row makes SQLite check the referrers'
+foreign keys, so the 10^4 to 10^5 slope also times those probes.
 
 ``python benchmarks/bench_incremental_writes.py`` writes
 ``BENCH_incremental_writes.json`` for both backends;
@@ -30,10 +36,10 @@ from repro.backend import create_backend
 from repro.compiler import compile_mapping
 from repro.edm import Entity
 from repro.incremental import CompiledModel
-from repro.ivm import DeltaScript, EntityOp
+from repro.ivm import AssociationOp, DeltaScript, EntityOp
 from repro.mapping.roundtrip import apply_update_views
 from repro.session import OrmSession
-from repro.workloads.chain import chain_mapping, entity_name, set_name
+from repro.workloads.chain import chain_mapping, entity_name, first_assoc, set_name
 
 BACKENDS = ("memory", "sqlite")
 CHAIN_TYPES = 4
@@ -44,7 +50,13 @@ if os.environ.get("REPRO_FULL"):
 
 ROUNDS_WHOLE = 3
 ROUNDS_INCREMENTAL = 7
-OPS_PER_SAVE = 16
+#: the incremental rounds are numbered from here, after the whole ones
+INCREMENTAL_FIRST_ROUND = 100
+UPDATES_PER_SAVE = 10
+OPS_PER_SAVE = UPDATES_PER_SAVE + 6
+#: ``A{i}a`` links seeded per association: round r deletes link (r, r)
+#: and inserts (LINK_SLOTS + r, LINK_SLOTS + r), so no round reuses one
+LINK_SLOTS = 128
 SMOKE = {"sizes": (10_000,), "rounds_whole": 2, "rounds_incremental": 3}
 
 
@@ -71,19 +83,45 @@ def _populated_session(model: CompiledModel, backend_name: str, rows: int) -> Or
         for index in range(1, CHAIN_TYPES + 1):
             for row in range(per_set):
                 state.add_entity(set_name(index), _entity(index, row, str(row % 5)))
+        for index in range(1, CHAIN_TYPES):
+            for slot in range(LINK_SLOTS):
+                state.add_association(first_assoc(index), (slot,), (slot,))
     return session
 
 
-def _update_batch(per_set: int, round_no: int, ops: int):
-    """A deterministic batch of *ops* entity rewrites, spread over all
-    sets; the same batch drives both the whole-state and incremental
-    measurements so the per-save work is identical."""
-    batch = []
-    for op in range(ops):
+def _batch(per_set: int, round_no: int) -> DeltaScript:
+    """Round *round_no*'s deterministic batch of OPS_PER_SAVE ops; the
+    same batch drives both the whole-state and incremental measurements
+    so the per-save work is identical.
+
+    Deletes take keys from the top 2 * LINK_SLOTS of a set, which no
+    update and no link touches, and the inserts that replace them take
+    fresh keys above ``per_set``, so set sizes stay fixed.
+    """
+    assert round_no < LINK_SLOTS
+    ops = []
+    for op in range(UPDATES_PER_SAVE):
         index = (op % CHAIN_TYPES) + 1
-        row = (round_no * 7919 + op * 104729) % per_set
-        batch.append((index, row, _entity(index, row, f"r{round_no}.{op}")))
-    return batch
+        row = (round_no * 7919 + op * 104729) % (per_set - 2 * LINK_SLOTS)
+        entity = _entity(index, row, f"r{round_no}.{op}")
+        ops.append(EntityOp("update", set_name(index), entity=entity))
+    for k in range(2):
+        # sets 2..CHAIN_TYPES are the ones whose rows others reference
+        index = (2 * round_no + k) % (CHAIN_TYPES - 1) + 2
+        fresh = per_set + 2 * round_no + k
+        ops.append(
+            EntityOp("insert", set_name(index), entity=_entity(index, fresh, "n"))
+        )
+        gone = per_set - 1 - (2 * round_no + k)
+        ops.append(EntityOp("delete", set_name(index), key=(gone,)))
+    linked = LINK_SLOTS + round_no
+    index = round_no % (CHAIN_TYPES - 1) + 1
+    ops.append(AssociationOp("insert", first_assoc(index), (linked,), (linked,)))
+    index = (round_no + 1) % (CHAIN_TYPES - 1) + 1
+    ops.append(
+        AssociationOp("delete", first_assoc(index), (round_no,), (round_no,))
+    )
+    return DeltaScript(tuple(ops))
 
 
 def _measure(
@@ -100,8 +138,7 @@ def _measure(
         scratch = session.load().embed_into(model.client_schema)
         whole_latencies = []
         for round_no in range(rounds_whole):
-            for index, _row, entity in _update_batch(per_set, round_no, OPS_PER_SAVE):
-                scratch.update_entity(set_name(index), entity)
+            _batch(per_set, round_no).apply_to(scratch)
             started = time.perf_counter()
             session.save(scratch)
             whole_latencies.append(time.perf_counter() - started)
@@ -109,12 +146,10 @@ def _measure(
         # -- incremental path: the same batch shape through save_delta
         mirror = session.load().embed_into(model.client_schema)
         incremental_latencies = []
-        for round_no in range(100, 100 + rounds_incremental):
-            ops = []
-            for index, _row, entity in _update_batch(per_set, round_no, OPS_PER_SAVE):
-                mirror.update_entity(set_name(index), entity)
-                ops.append(EntityOp("update", set_name(index), entity=entity))
-            script = DeltaScript(tuple(ops))
+        first = INCREMENTAL_FIRST_ROUND
+        for round_no in range(first, first + rounds_incremental):
+            script = _batch(per_set, round_no)
+            script.apply_to(mirror)
             started = time.perf_counter()
             session.save_delta(script)
             incremental_latencies.append(time.perf_counter() - started)
@@ -187,12 +222,15 @@ def test_incremental_matches_whole_state(backend_name):
 def main() -> None:
     result = {
         "claim": "incremental SaveChanges through compiled update views "
-        "costs O(|delta|): a small update batch saved via save_delta "
+        "costs O(|delta|): a small mixed batch (updates, inserts, deletes "
+        "of referenced rows, association edits) saved via save_delta "
         "must beat the whole-state save (re-lower + full diff) by >= 5x "
         "at the 10^5-row tier, while producing a byte-identical store",
         "config": {
             "chain_types": CHAIN_TYPES,
             "ops_per_save": OPS_PER_SAVE,
+            "batch": "10 updates, 2 inserts + 2 deletes of unreferenced "
+            "entities in referenced sets, 1 A{i}a insert + 1 delete",
             "rounds_whole": ROUNDS_WHOLE,
             "rounds_incremental": ROUNDS_INCREMENTAL,
             "sizes": list(SIZES),

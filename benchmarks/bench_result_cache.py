@@ -23,9 +23,9 @@ write left behind, and the median over all one-shot reads hides it.
 ``BENCH_result_cache.json`` for both backends;
 ``scripts/check_serving_regression.py`` gates on a >= 3x maintained-read
 speedup at the 10^5-row tier, on one-shot reads costing at most 1.5x
-their re-execution and leaving no entry, on the memory backend's first
-read after a write growing at most 2x from 10^4 to 10^5 rows, and on
-zero stale reads in CI.
+their re-execution and leaving no entry, on the first read after a
+write growing at most 2x from 10^4 to 10^5 rows on every backend, and
+on zero stale reads in CI.
 The pytest entries run a 10^4-row smoke version (equivalence
 assertions, no timing asserts).
 """
@@ -323,8 +323,8 @@ def main() -> None:
         "the 10^5-row tier while save_delta rounds mutate the store, "
         "with zero stale reads and O(|delta|) maintenance per write; "
         "one-shot reads cost at most 1.5x re-execution and leave no entry; "
-        "on memory the first read of a table after a write costs at most "
-        "2x more at 10^5 rows than at 10^4",
+        "on every backend the first read of a table after a write costs "
+        "at most 2x more at 10^5 rows than at 10^4",
         "config": {
             "chain_types": CHAIN_TYPES,
             "ops_per_save": OPS_PER_SAVE,

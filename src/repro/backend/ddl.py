@@ -5,14 +5,22 @@ markers, ``CHECK`` constraints for finite domains (the gender-style
 restricted domains of Section 3.3) and ``FOREIGN KEY`` clauses, ordered
 so that referenced tables are created before their referrers.  The same
 ordering logic, reversed, sequences ``DROP TABLE`` statements.
+
+Every table is indexed on its declared keys — the primary key and each
+foreign key's columns (:func:`~repro.relational.instances.declared_keys`),
+the same columns the memory backend keeps indexed.  The primary key
+brings its own index; :func:`key_index_sql` emits a ``CREATE INDEX`` for
+each foreign key the primary key does not already lead with, so a
+parent row's delete probes its referrers instead of scanning them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.backend.sqlgen import quote, _inline_literal
 from repro.edm.types import Domain
+from repro.relational.instances import declared_keys
 from repro.relational.schema import Column, StoreSchema, Table
 
 #: domain base -> SQLite column type
@@ -63,6 +71,32 @@ def drop_table_sql(name: str) -> str:
     return f"DROP TABLE {quote(name)}"
 
 
+def secondary_keys(table: Table) -> List[Tuple[str, ...]]:
+    """The declared keys of *table* that need an index of their own:
+    every one but those the primary key leads with, whose index serves
+    an equality probe on them already."""
+    key = table.primary_key
+    return sorted(
+        columns
+        for columns in declared_keys(table)
+        if set(columns) != set(key[: len(columns)])
+    )
+
+
+def index_name(table_name: str, columns: Sequence[str]) -> str:
+    return f"{table_name}({', '.join(columns)})"
+
+
+def key_index_sql(table: Table, if_not_exists: bool = False) -> List[str]:
+    """``CREATE INDEX`` for each of *table*'s :func:`secondary_keys`."""
+    guard = "IF NOT EXISTS " if if_not_exists else ""
+    return [
+        f"CREATE INDEX {guard}{quote(index_name(table.name, columns))} "
+        f"ON {quote(table.name)} ({', '.join(quote(c) for c in columns)})"
+        for columns in secondary_keys(table)
+    ]
+
+
 def creation_order(tables: Iterable[Table]) -> List[Table]:
     """Topologically sort so referenced tables come before referrers.
 
@@ -102,8 +136,12 @@ def drop_order(tables: Iterable[Table]) -> List[Table]:
 
 
 def schema_ddl(schema: StoreSchema) -> List[str]:
-    """All ``CREATE TABLE`` statements for *schema*, dependency-ordered."""
-    return [create_table_sql(t) for t in creation_order(schema.tables)]
+    """All ``CREATE TABLE`` statements for *schema*, dependency-ordered,
+    then every table's key indexes."""
+    ordered = creation_order(schema.tables)
+    return [create_table_sql(t) for t in ordered] + [
+        statement for t in ordered for statement in key_index_sql(t)
+    ]
 
 
 def schema_ddl_text(schema: StoreSchema) -> str:

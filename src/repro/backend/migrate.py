@@ -11,9 +11,10 @@ database executes inside a single transaction:
    style: create a twin under a scratch name, move the surviving columns
    across with ``INSERT ... SELECT`` (added columns arrive as NULL — the
    degenerate old-query-view∘new-update-view composition for data the
-   soundness restriction proves unchanged), drop the old table, rename;
+   soundness restriction proves unchanged), drop the old table (and
+   with it its indexes), rename, then index the new table's keys;
 2. **drops** — referrers before referees;
-3. **creates** — referees before referrers;
+3. **creates** — referees before referrers, each with its key indexes;
 4. **residual DML** — whatever row-level difference remains between the
    state the DDL steps produce and the true migrated state (computed
    through the views) becomes parameterized DELETE/UPDATE/INSERT steps.
@@ -32,6 +33,7 @@ from repro.backend.ddl import (
     creation_order,
     drop_order,
     drop_table_sql,
+    key_index_sql,
 )
 from repro.backend.sqlgen import (
     CompiledSql,
@@ -53,7 +55,7 @@ REBUILD_PREFIX = "__migrate__"
 class MigrationStep:
     """One ordered statement of a migration script."""
 
-    kind: str  # "create" | "drop" | "copy" | "rename" | "delete" | "update" | "insert"
+    kind: str  # "create" | "drop" | "copy" | "rename" | "index" | "delete" | "update" | "insert"
     statement: CompiledSql
     note: str = ""
 
@@ -73,7 +75,11 @@ class MigrationScript:
         return not self.steps
 
     def ddl_steps(self) -> List[MigrationStep]:
-        return [s for s in self.steps if s.kind in ("create", "drop", "copy", "rename")]
+        return [
+            s
+            for s in self.steps
+            if s.kind in ("create", "drop", "copy", "rename", "index")
+        ]
 
     def dml_steps(self) -> List[MigrationStep]:
         return [s for s in self.steps if s.kind in ("delete", "update", "insert")]
@@ -166,6 +172,7 @@ def plan_migration(
                 ),
             )
         )
+        script.steps.extend(_index_steps(new_table))
 
     # 2. drops, referrers first
     for table in drop_order(dropped):
@@ -178,6 +185,7 @@ def plan_migration(
         script.steps.append(
             MigrationStep("create", CompiledSql(create_table_sql(table), ()))
         )
+        script.steps.extend(_index_steps(table))
 
     # 4. residual DML against the state the DDL steps leave behind
     predicted = _predict_after_ddl(old_store, new_schema, dict(rebuilt_names(rebuilt)))
@@ -199,6 +207,13 @@ def plan_migration(
                 MigrationStep("insert", insert_statement(table_name, row))
             )
     return script
+
+
+def _index_steps(table: Table) -> List[MigrationStep]:
+    return [
+        MigrationStep("index", CompiledSql(statement, ()))
+        for statement in key_index_sql(table)
+    ]
 
 
 def rebuilt_names(

@@ -8,9 +8,13 @@ semantics (an atom over a NULL or missing column is plainly false).  This
 module compiles the same algebra to SQL that a real engine executes with
 identical results:
 
-* every condition atom is wrapped so it can never yield SQL's UNKNOWN —
-  ``ifnull(x > ?, 0)`` — which makes ``NOT``/``AND``/``OR`` behave exactly
-  like the Python evaluator's booleans;
+* a condition atom under an odd number of ``NOT``s is wrapped so it
+  can never yield SQL's UNKNOWN — ``ifnull(x > ?, 0)`` — where the
+  evaluator's false turns true; every other atom renders plainly
+  (``x > ?``), so an index can serve it.  A ``WHERE`` clause keeps a row
+  only when its condition is TRUE, ``AND``/``OR`` are monotone and Kleene
+  logic is regular, so an UNKNOWN atom of positive polarity rejects the
+  row exactly when the evaluator's two-valued false does;
 * atoms over columns the subquery does not produce fold to ``0`` at
   compile time (the evaluator's ``KeyError -> False`` rule);
 * joins are emitted with explicit ``ON`` equalities and COALESCE
@@ -275,8 +279,19 @@ class SqlCompiler:
         return "?"
 
     # -- conditions ----------------------------------------------------
-    def _condition(self, condition: Condition, available: set, alias: str) -> str:
-        """Render *condition* as a never-UNKNOWN SQL boolean expression."""
+    def _condition(
+        self,
+        condition: Condition,
+        available: set,
+        alias: str,
+        negated: bool = False,
+    ) -> str:
+        """Render *condition* as an SQL boolean expression that a ``WHERE``
+        clause keeps exactly when the two-valued evaluator holds.
+
+        *negated* is the atom polarity: true under an odd number of
+        ``NOT``s, where an UNKNOWN atom must read as false (``ifnull``).
+        """
         if isinstance(condition, TrueCond):
             return "1"
         if isinstance(condition, FalseCond):
@@ -294,22 +309,24 @@ class SqlCompiler:
                 return "0"
             return f"{alias}.{quote(condition.attr)} IS NOT NULL"
         if isinstance(condition, Comparison):
-            return self._comparison(condition, available, alias)
-        if isinstance(condition, And):
+            return self._comparison(condition, available, alias, negated)
+        if isinstance(condition, (And, Or)):
+            joiner = " AND " if isinstance(condition, And) else " OR "
             rendered = [
-                self._condition(op, available, alias) for op in condition.operands
+                self._condition(op, available, alias, negated)
+                for op in condition.operands
             ]
-            return "(" + " AND ".join(rendered) + ")"
-        if isinstance(condition, Or):
-            rendered = [
-                self._condition(op, available, alias) for op in condition.operands
-            ]
-            return "(" + " OR ".join(rendered) + ")"
+            return "(" + joiner.join(rendered) + ")"
         if isinstance(condition, Not):
-            return f"NOT ({self._condition(condition.operand, available, alias)})"
+            operand = self._condition(
+                condition.operand, available, alias, not negated
+            )
+            return f"NOT ({operand})"
         raise EvaluationError(f"unknown condition node {condition!r}")
 
-    def _comparison(self, condition: Comparison, available: set, alias: str) -> str:
+    def _comparison(
+        self, condition: Comparison, available: set, alias: str, negated: bool
+    ) -> str:
         if condition.attr not in available:
             return "0"
         column = f"{alias}.{quote(condition.attr)}"
@@ -323,8 +340,11 @@ class SqlCompiler:
                 f"cannot order-compare against NULL: {condition}"
             )
         self._params.append(condition.const)
-        # ifnull(..., 0): a NULL column makes the atom false, never UNKNOWN
-        return f"ifnull({column} {condition.op} ?, 0)"
+        if negated:
+            # ifnull(..., 0): a NULL column makes the atom false, so the
+            # enclosing NOT turns it true, as the evaluator does
+            return f"ifnull({column} {condition.op} ?, 0)"
+        return f"{column} {condition.op} ?"
 
 
 def compile_query(query: Query, schema: StoreSchema) -> CompiledSql:

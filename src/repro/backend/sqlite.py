@@ -27,7 +27,9 @@ from repro.backend.ddl import (
     create_table_sql,
     creation_order,
     drop_order,
-    schema_ddl,
+    index_name,
+    key_index_sql,
+    secondary_keys,
 )
 from repro.backend.sqlgen import (
     CompiledSql,
@@ -225,26 +227,39 @@ class SqliteBackend(StoreBackend):
     def read_view(self) -> "SqliteReadView":
         return SqliteReadView(self)
 
-    def _existing_tables(self) -> set:
+    def _existing(self, kind: str = "table") -> set:
         cursor = self._conn.execute(
-            "SELECT name FROM sqlite_master WHERE type = 'table'"
+            "SELECT name FROM sqlite_master WHERE type = ?", (kind,)
         )
         return {row[0] for row in cursor.fetchall()}
 
     def _ensure_tables(self) -> None:
-        """Create any schema table the database file does not yet hold.
+        """Create any schema table or key index the database file does not
+        yet hold.
 
         Attaching to a pre-existing database keeps its data; tables are
         matched by name (the DDL generator is deterministic, so a file
-        produced by this backend always matches).
+        produced by this backend always matches).  A file written before
+        the backend indexed foreign keys gains those indexes here.
         """
-        existing = self._existing_tables()
-        missing = [t for t in self._schema.tables if t.name not in existing]
-        if not missing:
+        tables, indexes = self._existing(), self._existing("index")
+        missing = [t for t in self._schema.tables if t.name not in tables]
+        unindexed = [
+            t
+            for t in self._schema.tables
+            if any(
+                index_name(t.name, key) not in indexes
+                for key in secondary_keys(t)
+            )
+        ]
+        if not missing and not unindexed:
             return
         with self._transaction("initialize schema"):
             for table in creation_order(missing):
                 self._conn.execute(create_table_sql(table))
+            for table in unindexed:
+                for statement in key_index_sql(table, if_not_exists=True):
+                    self._conn.execute(statement)
 
     # -- transactions --------------------------------------------------
     def _transaction(self, label: str) -> "_Transaction":
@@ -392,16 +407,17 @@ class SqliteBackend(StoreBackend):
         # FK enforcement cannot be toggled mid-transaction; drops are
         # ordered instead so enforcement can stay on throughout.
         with self._transaction("reset"):
-            existing = self._existing_tables()
+            existing = self._existing()
             known = [t for t in self._schema.tables if t.name in existing]
             for table in drop_order(known):
                 self._conn.execute(f"DROP TABLE {quote(table.name)}")
                 existing.discard(table.name)
             for name in sorted(existing):  # tables of an older schema
                 self._conn.execute(f"DROP TABLE {quote(name)}")
-            for statement in schema_ddl(state.schema):
-                self._conn.execute(statement)
-            for table in creation_order(state.schema.tables):
+            ordered = creation_order(state.schema.tables)
+            for table in ordered:
+                self._conn.execute(create_table_sql(table))
+            for table in ordered:
                 rows = state.rows(table.name)
                 if not rows:
                     continue
@@ -413,6 +429,11 @@ class SqliteBackend(StoreBackend):
                     f"VALUES ({marks})",
                     [tuple(value for _, value in row) for row in rows],
                 )
+            # key indexes after the bulk insert: one sorted build each
+            # instead of per-row upkeep
+            for table in ordered:
+                for statement in key_index_sql(table):
+                    self._conn.execute(statement)
         self._schema = state.schema
         self._statements.clear()
         self._invalidate()

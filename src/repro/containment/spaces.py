@@ -21,7 +21,7 @@ enumeration loops tick a :class:`~repro.budget.WorkBudget`.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.algebra.conditions import (
     And,
@@ -41,17 +41,22 @@ from repro.relational.schema import StoreSchema
 
 
 class _AssignmentContext(TupleContext):
-    """Evaluates conditions over one symbolic assignment."""
+    """Evaluates conditions over one symbolic assignment.
+
+    A client-side point holds its concrete type's ancestors (itself
+    included), not the :class:`ClientSchema`: cached points then keep no
+    schema alive once the model that built them is gone.
+    """
 
     def __init__(
         self,
         values: Dict[str, object],
         concrete_type: Optional[str],
-        schema: Optional[ClientSchema],
+        lineage: Optional[FrozenSet[str]],
     ) -> None:
         self._values = values
         self._type = concrete_type
-        self._schema = schema
+        self._lineage = lineage
 
     def attr_value(self, name: str) -> object:
         if name not in self._values:
@@ -59,13 +64,11 @@ class _AssignmentContext(TupleContext):
         return self._values[name]
 
     def is_of(self, type_name: str, only: bool) -> bool:
-        if self._type is None or self._schema is None:
+        if self._type is None or self._lineage is None:
             raise SchemaError("type atoms are not allowed on store-side conditions")
         if only:
             return self._type == type_name
-        if not self._schema.has_entity_type(type_name):
-            return False
-        return type_name in self._schema.ancestors_or_self(self._type)
+        return type_name in self._lineage
 
 
 class Assignment:
@@ -77,11 +80,11 @@ class Assignment:
         self,
         concrete_type: Optional[str],
         values: Dict[str, object],
-        schema: Optional[ClientSchema],
+        lineage: Optional[FrozenSet[str]],
     ) -> None:
         self.concrete_type = concrete_type
         self.values = values
-        self._context = _AssignmentContext(values, concrete_type, schema)
+        self._context = _AssignmentContext(values, concrete_type, lineage)
 
     def satisfies(self, condition: Condition) -> bool:
         return evaluate_condition(condition, self._context)
@@ -306,6 +309,7 @@ class ClientConditionSpace(ConditionSpace):
     ) -> None:
         super().__init__()
         self._type_masks: Dict[str, int] = {}
+        self._lineages: Dict[str, FrozenSet[str]] = {}
         self.schema = client_schema
         self.set_name = set_name
         self.conditions = tuple(conditions)
@@ -335,15 +339,19 @@ class ClientConditionSpace(ConditionSpace):
                 )
         return mentioned, pools, defaults
 
+    def _lineage(self, type_name: str) -> FrozenSet[str]:
+        """*type_name* and its ancestors, computed once per type."""
+        lineage = self._lineages.get(type_name)
+        if lineage is None:
+            lineage = self._lineages[type_name] = frozenset(
+                self.schema.ancestors_or_self(type_name)
+            )
+        return lineage
+
     def assignments(self, budget: Optional[WorkBudget] = None) -> Iterator[Assignment]:
         budget = ensure_budget(budget)
         for type_name in self.types:
-            mentioned, pools, defaults = self._per_type_pools(type_name)
-            for combo in itertools.product(*pools):
-                budget.tick()
-                values = dict(defaults)
-                values.update(zip(mentioned, combo))
-                yield Assignment(type_name, values, self.schema)
+            yield from self.assignments_for_type(type_name, budget)
 
     def _cache_token(
         self, conditions: Tuple[Condition, ...]
@@ -362,11 +370,12 @@ class ClientConditionSpace(ConditionSpace):
     ) -> Iterator[Assignment]:
         budget = ensure_budget(budget)
         mentioned, pools, defaults = self._per_type_pools(type_name)
+        lineage = self._lineage(type_name)
         for combo in itertools.product(*pools):
             budget.tick()
             values = dict(defaults)
             values.update(zip(mentioned, combo))
-            yield Assignment(type_name, values, self.schema)
+            yield Assignment(type_name, values, lineage)
 
     def tautology_for_type(
         self,

@@ -99,7 +99,11 @@ class JournalEntry:
     ``inverse()`` replays the model back), a snapshot of the store state
     from before the migration, and the neighborhood checks the batch
     scheduled (used by the benchmarks to compare sequential vs batched
-    validation work).
+    validation work).  It also keeps what the session awaited validation
+    for before the step — the pending delta, the model fingerprint and
+    how many times ``validate`` had reset the pending delta — so an undo
+    that lands back on that model can restore the pending delta instead
+    of growing it.
     """
 
     label: str
@@ -108,6 +112,9 @@ class JournalEntry:
     store_delta: "StoreDelta"
     store_before: StoreState
     check_names: Tuple[str, ...]
+    pending_before: MappingDelta
+    fingerprint_before: str
+    validations_before: int
 
     @property
     def scheduled_checks(self) -> int:
@@ -213,6 +220,8 @@ class SessionEngine:
         #: validate() — its touched neighborhood is the minimal re-check
         #: scope after an arbitrarily long SMO history
         self._unvalidated_delta = MappingDelta()
+        #: how many times validate() has reset ``_unvalidated_delta``
+        self._validations = 0
         #: committed evolutions, oldest first; ``undo`` pops from the end
         self.journal: List[JournalEntry] = []
         self._writer_lock = threading.RLock()
@@ -669,6 +678,9 @@ class SessionEngine:
                 store_delta=delta,
                 store_before=store_before,
                 check_names=batch.check_names,
+                pending_before=self._unvalidated_delta,
+                fingerprint_before=epoch.fingerprint,
+                validations_before=self._validations,
             )
             # Delta-scoped carry-over: the successor cache keeps every
             # plan the batch cannot affect, so untouched sets stay hot
@@ -719,6 +731,12 @@ class SessionEngine:
         recorded ops), and the store state from the entry's pre-migration
         snapshot.  Readers pinned on the undone epoch finish there;
         everyone else lands on the rolled-back epoch after one swap.
+
+        The delta awaiting validation goes back to what it was before the
+        evolve when the restored model's fingerprint equals the one
+        recorded then and no ``validate`` has reset it since; otherwise
+        the inverse composes onto it, so a delta-scoped validate re-checks
+        the round-tripped region.
         """
         with self._writer_lock:
             if not self.journal:
@@ -729,6 +747,7 @@ class SessionEngine:
             entry = self.journal[-1]
             inverse = entry.delta.inverse()
             restored = epoch.model.apply(inverse)
+            restored_fp = restored.fingerprint()
             next_plans = epoch.plan_cache.successor(
                 inverse, restored.mapping
             )
@@ -736,6 +755,7 @@ class SessionEngine:
                 lambda: self.backend.replace_contents(entry.store_before),
                 restored,
                 next_plans,
+                fingerprint=restored_fp,
                 # undo restores a *pre-migration data snapshot*: it also
                 # reverts every save committed since, including ones in
                 # tables the SMO batch never touched — no table-scoped
@@ -745,7 +765,15 @@ class SessionEngine:
             self.writeplans.invalidate(inverse, restored.mapping)
             self._incremental = None
             self.journal.pop()
-            self._unvalidated_delta = self._unvalidated_delta.compose(inverse)
+            if (
+                restored_fp == entry.fingerprint_before
+                and self._validations == entry.validations_before
+            ):
+                self._unvalidated_delta = entry.pending_before
+            else:
+                self._unvalidated_delta = self._unvalidated_delta.compose(
+                    inverse
+                )
             return entry
 
     def replace_contents(self, state: StoreState) -> None:
@@ -838,6 +866,7 @@ class SessionEngine:
         # so only reset when our snapshot is still the live composition.)
         if self._unvalidated_delta is pending:
             self._unvalidated_delta = MappingDelta()
+            self._validations += 1
         return report
 
     @property

@@ -5,12 +5,18 @@ The in-memory evaluator is the reference semantics; every compiled query
 here is executed by a real SQLite engine and must return exactly the
 evaluator's rows — including the places where SQL would naturally
 diverge (three-valued logic under NOT, bools stored as 0/1, missing
-columns, NULL join keys).
+columns, NULL join keys).  The generated SQL must also let SQLite use
+its indexes: ``EXPLAIN QUERY PLAN`` shows point reads searching the
+primary key and parent deletes probing their referrers' key indexes.
 """
 
+import sqlite3
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algebra import (
+    And,
     Col,
     Comparison,
     Const,
@@ -41,18 +47,26 @@ from repro.backend import (
     plan_migration,
     schema_ddl_text,
 )
-from repro.backend.ddl import creation_order, drop_order
+from repro.backend.ddl import creation_order, drop_order, key_index_sql
 from repro.backend.sqlgen import (
     SqlCompiler,
     decode_value,
+    delete_statement,
     delta_statements,
     quote,
     script_text,
 )
+from repro.compiler import compile_mapping
+from repro.edm import Attribute, Entity
 from repro.edm.types import BOOL, Domain, INT, STRING
 from repro.errors import EvaluationError
+from repro.incremental import CompiledModel
+from repro.incremental.add_property import AddProperty
 from repro.query.dml import diff_store_states
+from repro.query.language import EntityQuery
 from repro.relational import Column, ForeignKey, StoreSchema, StoreState, Table
+from repro.session import OrmSession
+from repro.workloads.chain import chain_mapping, entity_name, set_name, table_name
 
 
 @pytest.fixture
@@ -256,6 +270,271 @@ class TestQueryCompilation:
         assert decode_value(None, "bool") is None
 
 
+def _where(condition, schema):
+    """The WHERE clause the compiler renders for *condition* on People."""
+    text = compile_query(Select(TableScan("People"), condition), schema).text
+    return text.split(" WHERE ", 1)[1]
+
+
+class TestConditionPolarity:
+    """An atom keeps ``ifnull`` only under an odd number of NOTs."""
+
+    def test_positive_atom_is_plain(self, schema):
+        assert _where(Comparison("Score", ">", 5), schema) == 'q1."Score" > ?'
+
+    def test_atom_under_one_not_keeps_ifnull(self, schema):
+        where = _where(Not(Comparison("Score", ">", 5)), schema)
+        assert where == 'NOT (ifnull(q1."Score" > ?, 0))'
+
+    def test_atom_under_two_nots_is_plain(self, schema):
+        where = _where(Not(Not(Comparison("Score", ">", 5))), schema)
+        assert where == 'NOT (NOT (q1."Score" > ?))'
+
+    def test_mixed_tree_tracks_each_atom(self, schema):
+        # NOT (a AND NOT b): a sits under one NOT, b under two
+        condition = Not(
+            And((Comparison("Score", ">", 5), Not(Comparison("Name", "=", "ann"))))
+        )
+        where = _where(condition, schema)
+        assert where == (
+            'NOT ((ifnull(q1."Score" > ?, 0) AND NOT (q1."Name" = ?)))'
+        )
+
+    def test_or_under_not_wraps_every_operand(self, schema):
+        condition = Not(Or((Comparison("Score", "<", 1), Comparison("Name", "!=", "b"))))
+        where = _where(condition, schema)
+        assert where.count("ifnull(") == 2
+
+
+#: People columns the property test compares, with type-matched constants;
+#: "Missing" is a column no table has (the evaluator reads it as false)
+_CONSTANTS = {
+    "Name": ("a", "b", "c"),
+    "Score": (0, 1, 2),
+    "Active": (False, True),
+    "Missing": (0, 1),
+}
+_OPS = ("=", "!=", "<", "<=", ">", ">=")
+
+
+def _atoms():
+    comparisons = st.sampled_from(sorted(_CONSTANTS)).flatmap(
+        lambda attr: st.builds(
+            Comparison,
+            st.just(attr),
+            st.sampled_from(_OPS),
+            st.sampled_from(_CONSTANTS[attr]),
+        )
+    )
+    # NULL constants: the evaluator compares against None with =/!= only
+    null_comparisons = st.builds(
+        Comparison,
+        st.sampled_from(sorted(_CONSTANTS)),
+        st.sampled_from(("=", "!=")),
+        st.none(),
+    )
+    null_tests = st.builds(
+        lambda kind, attr: kind(attr),
+        st.sampled_from((IsNull, IsNotNull)),
+        st.sampled_from(sorted(_CONSTANTS)),
+    )
+    return st.one_of(comparisons, null_comparisons, null_tests)
+
+
+def _conditions(depth: int = 4):
+    """Condition trees of And/Or/Not over the atoms, at most *depth* deep."""
+    if depth == 0:
+        return _atoms()
+    sub = _conditions(depth - 1)
+    operands = st.lists(sub, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        _atoms(),
+        sub.map(Not),
+        operands.map(And),
+        operands.map(Or),
+    )
+
+
+def _null_heavy(values):
+    """A column value that is NULL about half the time."""
+    return st.one_of(st.none(), st.sampled_from(values))
+
+
+_PEOPLE_ROWS = st.lists(
+    st.tuples(
+        _null_heavy(_CONSTANTS["Name"]),
+        _null_heavy(_CONSTANTS["Active"]),
+        _null_heavy(_CONSTANTS["Score"]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestNullSemanticsProperty:
+    def test_sqlite_answers_equal_the_evaluator(self, schema):
+        """Random NOT/AND/OR trees over NULL-heavy rows: SQLite keeps
+        exactly the rows the two-valued evaluator keeps."""
+        backend = SqliteBackend(schema)
+
+        @settings(max_examples=300, deadline=None)
+        @given(condition=_conditions(), rows=_PEOPLE_ROWS)
+        def check(condition, rows):
+            state = StoreState(schema)
+            for key, (name, active, score) in enumerate(rows):
+                state.add_row(
+                    "People", dict(Id=key, Name=name, Active=active, Score=score)
+                )
+            backend.replace_contents(state)
+            assert_same_answer(Select(TableScan("People"), condition), backend, state)
+
+        try:
+            check()
+        finally:
+            backend.close()
+
+
+# ---------------------------------------------------------------------------
+# Query plans: SQLite can use its indexes
+# ---------------------------------------------------------------------------
+
+CHAIN_TYPES = 4
+
+
+def _plan_details(connection, text, params=()):
+    return [row[3] for row in connection.execute("EXPLAIN QUERY PLAN " + text, params)]
+
+
+def _index_names(connection, table):
+    return sorted(
+        row[1]
+        for row in connection.execute(f"PRAGMA index_list({quote(table)})")
+        if row[3] == "c"  # made by CREATE INDEX, not a constraint's own
+    )
+
+
+def _chain_model():
+    mapping = chain_mapping(CHAIN_TYPES)
+    return CompiledModel(mapping, compile_mapping(mapping).views)
+
+
+def _fk_indexes(model):
+    """Every FK-bearing chain table -> the index names it must hold."""
+    return {
+        table.name: sorted(f"{table.name}({fk.columns[0]})" for fk in table.foreign_keys)
+        for table in model.store_schema.tables
+        if table.foreign_keys
+    }
+
+
+def _assert_fk_indexes(backend, model):
+    for table, names in _fk_indexes(model).items():
+        assert _index_names(backend.connection, table) == names, table
+
+
+@pytest.fixture
+def chain_session():
+    model = _chain_model()
+    session = OrmSession(model, backend=SqliteBackend(model.store_schema))
+    with session.edit() as state:
+        for index in range(1, CHAIN_TYPES + 1):
+            for key in range(20):
+                state.add_entity(
+                    set_name(index),
+                    Entity.of(
+                        entity_name(index),
+                        Id=key,
+                        EntityAtt2="a",
+                        EntityAtt3="b",
+                        EntityAtt4=f"c{key % 3}",
+                    ),
+                )
+    yield session
+    session.engine.close()
+
+
+class TestIndexedPlans:
+    # Views over full outer joins still scan.  Stage 4's ``Persons``
+    # ``Id = k`` read plans as MATERIALIZE q6, MATERIALIZE q4, SCAN Emp,
+    # SCAN HR, SCAN q4 LEFT-JOIN, RIGHT-JOIN q4, SCAN q4, MATERIALIZE q7,
+    # SCAN Client, SCAN q6, SCAN q7 LEFT-JOIN, RIGHT-JOIN q7, SCAN q7;
+    # hub-rim TPH's ``Hubs`` plans as MATERIALIZE q6, SCAN Big, SCAN Big,
+    # SCAN q6 LEFT-JOIN, RIGHT-JOIN q6, SCAN q6.
+
+    def test_cached_point_read_searches_the_primary_key(self, chain_session):
+        for index in range(1, CHAIN_TYPES + 1):
+            query = EntityQuery(set_name(index), Comparison("Id", "=", 3))
+            assert len(chain_session.query(query)) == 1
+            epoch = chain_session.engine.epoch
+            plan, values, _key = epoch.plan_cache.plan_with_key(epoch.model, query)
+            for _branch, compiled, params in plan.bound_sql(
+                epoch.model.store_schema, values
+            ):
+                details = _plan_details(
+                    chain_session.backend.connection, compiled.text, params
+                )
+                table = table_name(index)
+                assert details == [
+                    f"SEARCH {table} USING INTEGER PRIMARY KEY (rowid=?)"
+                ], details
+
+    def test_parent_delete_probes_referrers_through_an_index(self, chain_session):
+        backend = chain_session.backend
+        row = backend.to_store_state().rows(table_name(2))[0]
+        statement = delete_statement(table_name(2), row)
+        details = _plan_details(backend.connection, statement.text, statement.params)
+        referrer = table_name(1)
+        # SQLite checks each FK from T1 into T2: one probe per FK column
+        probes = [d for d in details if f" {referrer} " in d]
+        assert sorted(probes) == [
+            f"SEARCH {referrer} USING COVERING INDEX {referrer}(NextA) (NextA=?)",
+            f"SEARCH {referrer} USING COVERING INDEX {referrer}(NextB) (NextB=?)",
+        ]
+        assert not any(d.startswith("SCAN") for d in details), details
+
+    def test_replace_contents_builds_fk_indexes(self, chain_session):
+        _assert_fk_indexes(chain_session.backend, chain_session.model)
+        # the primary key leads every chain table: no index duplicates it
+        assert _index_names(chain_session.backend.connection, table_name(4)) == []
+
+    def test_rebuild_migration_and_undo_keep_fk_indexes(self, chain_session):
+        smo = AddProperty(
+            entity_name(1), Attribute("Extra", STRING, nullable=True), table_name(1)
+        )
+        script = chain_session.engine.migration_script([smo])
+        kinds = [step.kind for step in script.steps]
+        assert kinds[:6] == ["create", "copy", "drop", "rename", "index", "index"]
+        chain_session.evolve(smo)
+        backend = chain_session.backend
+        assert backend.schema.table(table_name(1)).has_column("Extra")
+        _assert_fk_indexes(backend, chain_session.model)
+        chain_session.undo()
+        assert not backend.schema.table(table_name(1)).has_column("Extra")
+        _assert_fk_indexes(backend, chain_session.model)
+
+    def test_attach_adds_indexes_to_a_file_made_without_them(self, tmp_path):
+        model = _chain_model()
+        path = str(tmp_path / "old.db")
+        old = sqlite3.connect(path)
+        for table in creation_order(model.store_schema.tables):
+            old.execute(create_table_sql(table))
+        old.execute(f"INSERT INTO {quote(table_name(4))} (\"Id\") VALUES (1)")
+        old.commit()
+        old.close()
+        backend = SqliteBackend(model.store_schema, db_path=path)
+        try:
+            _assert_fk_indexes(backend, model)
+            assert backend.row_count() == 1  # attaching keeps the data
+        finally:
+            backend.close()
+        # a second attach finds every index in place
+        backend = SqliteBackend(model.store_schema, db_path=path)
+        try:
+            _assert_fk_indexes(backend, model)
+        finally:
+            backend.close()
+
+
 class TestDdl:
     def test_create_table_with_pk_fk_not_null(self, schema):
         sql = create_table_sql(schema.table("Orders"))
@@ -286,6 +565,27 @@ class TestDdl:
             assert text.count("CREATE TABLE") == 2
         finally:
             backend.close()
+
+    def test_key_index_sql_skips_keys_the_primary_key_leads(self):
+        table = Table(
+            "Line",
+            (
+                Column("Oid", INT, False),
+                Column("No", INT, False),
+                Column("Pid", INT),
+            ),
+            ("Oid", "No"),
+            (
+                ForeignKey(("Oid",), "Orders", ("Oid",)),
+                ForeignKey(("Pid",), "People", ("Id",)),
+            ),
+        )
+        assert key_index_sql(table) == [
+            'CREATE INDEX "Line(Pid)" ON "Line" ("Pid")'
+        ]
+        assert key_index_sql(table, if_not_exists=True) == [
+            'CREATE INDEX IF NOT EXISTS "Line(Pid)" ON "Line" ("Pid")'
+        ]
 
     def test_drop_table_sql(self):
         assert drop_table_sql("A b") == 'DROP TABLE "A b"'
@@ -320,6 +620,49 @@ class TestMigrationPlanner:
         # NULL-padding the new column is the INSERT..SELECT itself: no
         # residual DML remains
         assert not script.dml_steps()
+
+    def test_created_and_rebuilt_tables_gain_key_indexes(self, schema, state):
+        orders = schema.table("Orders")
+        widened = Table(
+            "Orders",
+            orders.columns + (Column("Note", STRING),),
+            orders.primary_key,
+            orders.foreign_keys,
+        )
+        log = Table(
+            "Log",
+            (Column("Lid", INT, False), Column("Oid", INT)),
+            ("Lid",),
+            (ForeignKey(("Oid",), "Orders", ("Oid",)),),
+        )
+        new_schema = StoreSchema([schema.table("People"), widened, log])
+        target = StoreState(new_schema)
+        for row in state.rows("People"):
+            target.add_row("People", row)
+        for row in state.rows("Orders"):
+            target.add_row("Orders", dict(row, Note=None))
+        script = plan_migration(schema, new_schema, state, target)
+        texts = [(step.kind, step.statement.text) for step in script.steps]
+        assert texts == [
+            ("create", create_table_sql(widened, name="__migrate__Orders")),
+            ("copy", texts[1][1]),
+            ("drop", drop_table_sql("Orders")),
+            ("rename", 'ALTER TABLE "__migrate__Orders" RENAME TO "Orders"'),
+            ("index", 'CREATE INDEX "Orders(Id)" ON "Orders" ("Id")'),
+            ("create", create_table_sql(log)),
+            ("index", 'CREATE INDEX "Log(Oid)" ON "Log" ("Oid")'),
+        ]
+        assert script.ddl_steps() == script.steps
+        backend = SqliteBackend(schema)
+        try:
+            backend.replace_contents(state)
+            assert _index_names(backend.connection, "Orders") == ["Orders(Id)"]
+            backend.migrate(script, new_schema, target)
+            assert backend.to_store_state().equals(target)
+            assert _index_names(backend.connection, "Orders") == ["Orders(Id)"]
+            assert _index_names(backend.connection, "Log") == ["Log(Oid)"]
+        finally:
+            backend.close()
 
     def test_drop_and_create_tables(self, schema, state):
         extra = Table("Log", (Column("Id", INT, False),), ("Id",))

@@ -287,16 +287,42 @@ class TestLifetime:
             if id(leaf) not in base_ids
         ]
         assert created
+        live = digest_stats().live
         session.undo()
         gc.collect()
-        live = digest_stats().live
+        # the live session keeps none of them: not the journal, the
+        # pending validation delta nor the validation cache
+        assert all(ref() is None for ref in created)
+        assert digest_stats().live <= live - len(created)
         session.engine.close()
         del session
         gc.collect()
-        assert all(ref() is None for ref in created)
-        assert digest_stats().live <= live - len(created)
         # the base model is still alive, and so are its digests
         assert all(_digests[id(leaf)]() is leaf for leaf in model_leaves(model))
+
+    def test_evolve_and_undo_cycles_keep_no_leaf_alive(self):
+        """Neither the pending validation delta nor the validation cache
+        holds an undone evolve's leaves: live digests and the pending
+        delta stay flat however many cycles run."""
+        session = _session("memory")
+        session.validate()
+        suite = dict(suite_for(SCALE, SEED))
+
+        def cycles(kind: str, count: int) -> int:
+            for _ in range(count):
+                session.evolve(suite[kind](session.model))
+                session.undo()
+            gc.collect()
+            return digest_stats().live
+
+        base = cycles("AE-TPT", 0)
+        # AA-FK's leaves leaked through the pending delta, AE-TPT's also
+        # through the cached validation points' client schema
+        for kind in ("AA-FK", "AE-TPT"):
+            assert cycles(kind, 1) <= base, kind
+            assert cycles(kind, 6) <= base, kind
+            assert not session.engine.unvalidated_delta.ops
+        session.engine.close()
 
     def test_a_stale_entry_is_never_served_to_another_object(self):
         # a race can leave an entry whose referent is not the object

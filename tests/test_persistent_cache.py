@@ -380,23 +380,59 @@ class TestDeltaScope:
         assert _verdict(empty) == (0, 0, 0, 0)
         session.engine.close()
 
-    def test_undo_composes_inverse_into_scope(self):
+    @staticmethod
+    def _validated_stage4_session():
         mapping = mapping_stage4()
         model = CompiledModel(mapping, compile_mapping(mapping).views)
         session = OrmSession.create(model)
         session.validate()
-        session.evolve(
-            AddEntity.tpt(
-                session.model, "Sub2", "Person", [Attribute("A2", INT)], "Sub2T"
-            )
+        return session
+
+    @staticmethod
+    def _sub2(session):
+        return AddEntity.tpt(
+            session.model, "Sub2", "Person", [Attribute("A2", INT)], "Sub2T"
         )
-        ops_after_evolve = len(session.engine.unvalidated_delta.ops)
+
+    def test_undo_composes_inverse_into_scope(self):
+        session = self._validated_stage4_session()
+        session.evolve(self._sub2(session))
+        session.validate(scope="delta")
+        assert not session.engine.unvalidated_delta.ops
         session.undo()
-        # the inverse is appended, not cancelled structurally — the
-        # touched neighborhood still covers the round-tripped region
-        assert len(session.engine.unvalidated_delta.ops) > ops_after_evolve
+        # the evolve's delta was validated away, so the undo composes its
+        # inverse — the touched neighborhood covers the round-tripped region
+        assert session.engine.unvalidated_delta.ops
         report = session.validate(scope="delta")
         assert report.coverage_checks > 0
+        session.engine.close()
+
+    def test_undo_restores_the_pending_scope(self):
+        session = self._validated_stage4_session()
+        before = session.engine.epoch.fingerprint
+        session.evolve(self._sub2(session))
+        assert session.engine.unvalidated_delta.ops
+        session.undo()
+        # back on the validated model: nothing awaits validation
+        assert not session.engine.unvalidated_delta.ops
+        assert session.engine.epoch.fingerprint == before
+        assert session.model.fingerprint() == before
+        session.engine.close()
+
+    def test_nested_undos_restore_each_pending_scope(self):
+        session = self._validated_stage4_session()
+        session.evolve(self._sub2(session))
+        first = session.engine.unvalidated_delta
+        session.evolve(
+            AddEntity.tpt(
+                session.model, "Sub3", "Person", [Attribute("A3", INT)], "Sub3T"
+            )
+        )
+        assert len(session.engine.unvalidated_delta.ops) > len(first.ops)
+        session.undo()
+        assert session.engine.unvalidated_delta is first
+        session.undo()
+        assert not session.engine.unvalidated_delta.ops
         session.engine.close()
 
     def test_unknown_scope_rejected(self):
