@@ -21,15 +21,25 @@ digested), the fingerprint after one SMO and the one after its undo
 ``scripts/check_serving_regression.py`` fails when either of the last
 two costs more than a tenth of the cold one.
 
+A ``migration`` block gives the data migration a size axis: on the
+scale-0.25 customer model, each of the six SMO kinds of the end-to-end
+``evolve`` workload is evolved and undone with 50 and with 500
+entities per set, on the memory and the SQLite backend.  An evolve
+migrates only its stale region and an undo migrates that region back,
+so the gate script fails when the summed evolve time, or the summed
+undo time, at 500 entities per set exceeds twice its value at 50.
+
 ``python benchmarks/bench_smo_batch.py`` writes ``BENCH_smo_batch.json``;
 the pytest entries below keep a fast smoke point for CI.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import statistics
+import sys
 import time
 
 import pytest
@@ -41,6 +51,7 @@ from repro.edm import Attribute, INT
 from repro.fingerprint import digest_stats
 from repro.incremental import AddEntity, CompiledModel, IncrementalCompiler
 from repro.session import OrmSession
+from repro.stategen import random_client_state
 from repro.workloads.customer import customer_mapping
 from repro.workloads.hub_rim import hub_rim_mapping
 
@@ -54,6 +65,16 @@ FINGERPRINT_MODEL = {"scale": 0.25, "seed": 7}
 FINGERPRINT_SMO = "AE-TPT"
 #: freshly built models per block; the report holds the medians
 FINGERPRINT_REPEATS = 3
+#: the migration block: the e2e customer model, its SMO kinds, two data
+#: sizes (entities per set) and timed evolve-and-undo cycles per kind
+MIGRATION_MODEL = {"scale": 0.25, "seed": 7}
+MIGRATION_KINDS = (
+    "AE-TPT", "AA-FK", "AA-JT", "AEP-1p-TPT", "AEP-2p-TPT", "AEP-3p-TPT",
+)
+MIGRATION_SIZES = (50, 500)
+MIGRATION_REPEATS = 5
+MIGRATION_DATA_SEED = 3
+BACKENDS = ("memory", "sqlite")
 
 
 def _base_model(workload: str, params: dict) -> CompiledModel:
@@ -177,6 +198,70 @@ def _fingerprint_costs(scale: float, seed: int, repeats: int) -> dict:
     return block
 
 
+def _timed_ms(step, *args) -> float:
+    """Milliseconds of one call, after collecting the garbage earlier
+    steps left, so no collection of theirs lands inside this one."""
+    gc.collect()
+    started = time.perf_counter()
+    step(*args)
+    return (time.perf_counter() - started) * 1000
+
+
+def _migration_point(
+    scale: float, seed: int, per_set: int, backend: str, repeats: int
+) -> dict:
+    """Median evolve and undo milliseconds of each kind at one size.
+
+    Each kind runs one untimed evolve-and-undo cycle first, so the
+    timed cycles pay no first-use cost, like every cycle after the
+    first of a serving session."""
+    model = build_customer_model(scale, seed)
+    suite = dict(suite_for(scale, seed))
+    session = OrmSession.create(model, backend=backend, pool_size=0)
+    session.save(
+        random_client_state(
+            model.client_schema, seed=MIGRATION_DATA_SEED, entities_per_set=per_set
+        )
+    )
+    point = {"rows": session.store_state.row_count(), "evolve_ms": {}, "undo_ms": {}}
+    for kind in MIGRATION_KINDS:
+        evolves, undos = [], []
+        for attempt in range(repeats + 1):
+            evolve_ms = _timed_ms(session.evolve, suite[kind](session.model))
+            undo_ms = _timed_ms(session.undo)
+            if attempt:
+                evolves.append(evolve_ms)
+                undos.append(undo_ms)
+        point["evolve_ms"][kind] = round(statistics.median(evolves), 3)
+        point["undo_ms"][kind] = round(statistics.median(undos), 3)
+    session.engine.close()
+    for phase in ("evolve", "undo"):
+        point[f"{phase}_total_ms"] = round(sum(point[f"{phase}_ms"].values()), 3)
+    return point
+
+
+def _migration_costs(
+    scale: float, seed: int, sizes=MIGRATION_SIZES, repeats: int = MIGRATION_REPEATS
+) -> dict:
+    """The ``migration`` block: evolve and undo per kind, per size, per
+    backend."""
+    return {
+        "model": "customer",
+        "scale": scale,
+        "seed": seed,
+        "kinds": list(MIGRATION_KINDS),
+        "repeats": repeats,
+        "sizes": list(sizes),
+        "backends": {
+            backend: {
+                str(per_set): _migration_point(scale, seed, per_set, backend, repeats)
+                for per_set in sizes
+            }
+            for backend in BACKENDS
+        },
+    }
+
+
 # ---------------------------------------------------------------------------
 # pytest smoke entries (CI)
 # ---------------------------------------------------------------------------
@@ -203,6 +288,23 @@ def test_fingerprint_block_digests_only_rebuilt_leaves():
     assert computed["after_undo"] == 0  # undo restores the base leaves
 
 
+def test_migration_block_feeds_the_slope_gate():
+    """A small migration block has the shape the gate script reads: a
+    timing for every kind, and one slope per backend and phase."""
+    block = _migration_costs(0.15, 7, sizes=(5, 10), repeats=1)
+    for backend in BACKENDS:
+        for point in block["backends"][backend].values():
+            assert set(point["evolve_ms"]) == set(MIGRATION_KINDS)
+            assert point["evolve_total_ms"] > 0 and point["undo_total_ms"] > 0
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
+    from check_serving_regression import migration_slopes
+
+    slopes = migration_slopes(block)
+    assert {(backend, phase) for backend, phase, _ in slopes} == {
+        (backend, phase) for backend in BACKENDS for phase in ("evolve", "undo")
+    }
+
+
 # ---------------------------------------------------------------------------
 # JSON driver
 # ---------------------------------------------------------------------------
@@ -219,6 +321,9 @@ def main() -> None:
             FINGERPRINT_MODEL["scale"],
             FINGERPRINT_MODEL["seed"],
             FINGERPRINT_REPEATS,
+        ),
+        "migration": _migration_costs(
+            MIGRATION_MODEL["scale"], MIGRATION_MODEL["seed"]
         ),
     }
     out = os.path.join(os.path.dirname(__file__), "..", "BENCH_smo_batch.json")

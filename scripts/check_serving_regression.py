@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Regression gates over the serving benchmarks.
 
-Six JSON reports, six gates:
+Six JSON reports and the gates on each:
 
 **BENCH_query_serving.json** — fails (exit 1) if the serving fast path
 regressed below the uncached pipeline where the cache is the whole
@@ -90,12 +90,22 @@ physical-plan layer exists to keep that from coming back.
   ``Id = k`` read searches the primary key instead of scanning the
   table.
 
-**BENCH_smo_batch.json** — the fingerprint gate: the model fingerprint
-after one SMO and after its undo may each cost at most
-FINGERPRINT_MAX_COST_RATIO× (0.1×) the cold fingerprint of a freshly
-built model.  The model's leaves carry cached digests, so a fingerprint
-after an SMO walks only the leaves the SMO rebuilt; a fingerprint that
-re-walks the whole model again costs about as much as the cold one.
+**BENCH_smo_batch.json** — two gates:
+
+* the fingerprint gate: the model fingerprint after one SMO and after
+  its undo may each cost at most FINGERPRINT_MAX_COST_RATIO× (0.1×)
+  the cold fingerprint of a freshly built model.  The model's leaves
+  carry cached digests, so a fingerprint after an SMO walks only the
+  leaves the SMO rebuilt; a fingerprint that re-walks the whole model
+  again costs about as much as the cold one;
+* the migration slope gate: on every backend, the summed evolve time
+  of the six end-to-end SMO kinds at the block's largest size (500
+  entities per set) may be at most MAX_SLOPE× (2×) its value at the
+  smallest (50 per set), and so may the summed undo time.  An evolve
+  migrates only its stale region and carries every other table by
+  reference, and its undo migrates that region back, so ten times the
+  data must not cost ten times as much.  The block must span at least
+  MIGRATION_MIN_SPAN× (10×) in size.
 
 Usage::
 
@@ -114,6 +124,8 @@ GATED_SIZE = "100000"
 #: the slope gate: incremental_ms at GATED_SIZE over SLOPE_BASE_SIZE
 SLOPE_BASE_SIZE = "10000"
 MAX_SLOPE = 2.0
+#: the migration block's largest size over its smallest, at least
+MIGRATION_MIN_SPAN = 10
 DEFAULT_WARM_DISK_MIN_SPEEDUP = 5.0
 DEFAULT_MULTICORE_MIN_EFFICIENCY = 0.5
 MULTICORE_GATED_WORKERS = 4
@@ -563,6 +575,68 @@ def check_fingerprint(path: str) -> int:
     return 0
 
 
+def migration_slopes(block: dict) -> list:
+    """(backend, phase, slope) for each backend and for evolve and undo:
+    the summed time at the block's largest size over its smallest."""
+    sizes = block["sizes"]
+    low, high = str(min(sizes)), str(max(sizes))
+    return [
+        (
+            backend,
+            phase,
+            points[high][f"{phase}_total_ms"] / points[low][f"{phase}_total_ms"],
+        )
+        for backend, points in block["backends"].items()
+        for phase in ("evolve", "undo")
+    ]
+
+
+def check_migration(path: str) -> int:
+    with open(path) as handle:
+        data = json.load(handle)
+    block = data.get("migration")
+    if block is None:
+        print(
+            "FAIL: no migration block — regenerate the report with "
+            "benchmarks/bench_smo_batch.py",
+            file=sys.stderr,
+        )
+        return 1
+    sizes = block["sizes"]
+    if max(sizes) < MIGRATION_MIN_SPAN * min(sizes):
+        print(
+            f"FAIL: the migration block spans {min(sizes)} to {max(sizes)} "
+            f"entities per set, less than {MIGRATION_MIN_SPAN}x",
+            file=sys.stderr,
+        )
+        return 1
+    failures = 0
+    for backend, phase, slope in migration_slopes(block):
+        points = block["backends"][backend]
+        print(
+            f"migration {backend} {phase}: "
+            f"{points[str(min(sizes))][f'{phase}_total_ms']}ms at "
+            f"{min(sizes)}/set -> {points[str(max(sizes))][f'{phase}_total_ms']}ms "
+            f"at {max(sizes)}/set (slope {slope:.2f}x, ceiling {MAX_SLOPE}x)"
+        )
+        if slope > MAX_SLOPE:
+            print(
+                f"FAIL: {backend} {phase} grows {slope:.2f}x from "
+                f"{min(sizes)} to {max(sizes)} entities per set, above the "
+                f"{MAX_SLOPE}x ceiling — the migration costs the store, not "
+                "the SMO's stale region",
+                file=sys.stderr,
+            )
+            failures += 1
+    if failures:
+        return 1
+    print(
+        f"OK: evolve and undo grow <= {MAX_SLOPE}x from {min(sizes)} to "
+        f"{max(sizes)} entities per set on every backend"
+    )
+    return 0
+
+
 def main() -> int:
     query_path = (
         sys.argv[1] if len(sys.argv) > 1 else "BENCH_query_serving.json"
@@ -607,8 +681,12 @@ def main() -> int:
         )
     if os.path.exists(smo_batch_path):
         status = check_fingerprint(smo_batch_path) or status
+        status = check_migration(smo_batch_path) or status
     else:
-        print(f"({smo_batch_path} not present; fingerprint gate skipped)")
+        print(
+            f"({smo_batch_path} not present; fingerprint and migration "
+            "gates skipped)"
+        )
     return status
 
 

@@ -19,6 +19,14 @@ database executes inside a single transaction:
    state the DDL steps produce and the true migrated state (computed
    through the views) becomes parameterized DELETE/UPDATE/INSERT steps.
 
+The residual diff skips every table the target shares with the old
+state (:meth:`~repro.relational.instances.StoreState.shares_table`):
+the session's evolve adopts each table outside the SMO batch's stale
+region into the target, and its undo targets the journal's
+pre-migration state, which shares every table the evolve and later
+writes left alone.  Either way the script, and the time to plan it,
+cover only the region.
+
 The planner is a pure function; execution (and rollback on failure) is
 the backend's job.
 """
@@ -44,7 +52,7 @@ from repro.backend.sqlgen import (
     update_statement,
 )
 from repro.query.dml import diff_store_states
-from repro.relational.instances import StoreState, row_map
+from repro.relational.instances import StoreState, row_view
 from repro.relational.schema import StoreSchema, Table
 
 #: scratch-name prefix for table rebuilds
@@ -231,23 +239,24 @@ def _predict_after_ddl(
 
     Dropped tables vanish, created tables are empty, rebuilt tables keep
     their rows projected onto the surviving columns with NULL padding for
-    added ones — exactly what the ``INSERT ... SELECT`` steps do.
+    added ones — exactly what the ``INSERT ... SELECT`` steps do.  Every
+    other table is adopted from *old_store* by reference, so the residual
+    diff skips each one the target shares with *old_store*.
     """
     predicted = StoreState(new_schema)
     for table in old_store.populated_tables():
         if not new_schema.has_table(table.name):
             continue  # dropped
-        if table.name in rebuilt:
-            _, new_table = rebuilt[table.name]
-            for row in old_store.rows(table.name):
-                values = row_map(row)
-                projected = {
-                    c.name: values.get(c.name) for c in new_table.columns
-                }
-                predicted.add_row(table.name, projected)
-        else:
-            for row in old_store.rows(table.name):
-                predicted.add_row(table.name, row)
+        if table.name not in rebuilt:
+            predicted.adopt_table(old_store, table.name)
+            continue
+        _, new_table = rebuilt[table.name]
+        columns = sorted(new_table.column_names)
+        for row in old_store.rows(table.name):
+            values = row_view(row)
+            predicted.add_row(
+                table.name, tuple((name, values.get(name)) for name in columns)
+            )
     return predicted
 
 

@@ -17,7 +17,7 @@ import sqlite3
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.algebra.evaluate import Bag, bag_of, bag_support
 from repro.algebra.queries import Query
@@ -317,6 +317,14 @@ class SqliteBackend(StoreBackend):
     def statement_cache_stats(self) -> StatementCacheStats:
         return self._statements.stats()
 
+    def snapshot(self) -> Dict[str, FrozenSet[Row]]:
+        """Every non-empty table as the database holds it, read through
+        SQL rather than from the mirror, so a check against it sees what
+        a statement did (or failed to do) to the data itself."""
+        with self._conn_lock:
+            tables = {t.name: self.rows(t.name) for t in self._schema.tables}
+        return {name: frozenset(rows) for name, rows in tables.items() if rows}
+
     def to_store_state(self) -> StoreState:
         with self._conn_lock:
             if self._state_cache is None:
@@ -396,7 +404,10 @@ class SqliteBackend(StoreBackend):
             self._conn.execute("PRAGMA foreign_keys = ON")
         self._schema = new_schema
         self._statements.clear()  # prepared statements may span DDL'd tables
-        self._invalidate()
+        # the script turned the mirror's contents into exactly *target*,
+        # which shares every table the migration left alone with the
+        # mirror, so the next evolve reads no table twice
+        self._state_cache = target
 
     def replace_contents(self, state: StoreState) -> None:
         """Reset the database to exactly *state* (schema included)."""

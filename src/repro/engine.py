@@ -47,10 +47,11 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.algebra.queries import scanned_names
 from repro.backend.base import ReadView, StoreBackend
-from repro.backend.migrate import plan_migration
+from repro.backend.migrate import MigrationScript, plan_migration
 from repro.budget import WorkBudget
 from repro.compiler.validation import (
     ValidationReport,
@@ -60,10 +61,16 @@ from repro.compiler.validation import (
 from repro.containment.cache import ValidationCache
 from repro.containment.persist import PersistentCacheStore, cache_dir_from_env
 from repro.edm.instances import ClientState
-from repro.errors import EvaluationError, IvmError, SmoError
+from repro.edm.schema import ClientSchema
+from repro.errors import EvaluationError, IvmError, SchemaError, SmoError
 from repro.incremental.delta import MappingDelta
 from repro.incremental.model import CompiledModel
-from repro.incremental.smo import EvolutionPlan, IncrementalCompiler, Smo
+from repro.incremental.smo import (
+    BatchResult,
+    EvolutionPlan,
+    IncrementalCompiler,
+    Smo,
+)
 from repro.ivm import (
     ClientDelta,
     DeltaScript,
@@ -96,8 +103,10 @@ class JournalEntry:
 
     Records everything needed to report on — and to *undo* — the step:
     the declarative :class:`MappingDelta` the batch emitted (whose
-    ``inverse()`` replays the model back), a snapshot of the store state
-    from before the migration, and the neighborhood checks the batch
+    ``inverse()`` replays the model back), the store state from before
+    the migration (immutable, and sharing every table the migration left
+    alone with the states after it, so keeping it costs the region, and
+    undo migrates back to it), and the neighborhood checks the batch
     scheduled (used by the benchmarks to compare sequential vs batched
     validation work).  It also keeps what the session awaited validation
     for before the step — the pending delta, the model fingerprint and
@@ -641,36 +650,30 @@ class SessionEngine:
         The whole batch compiles through
         :meth:`~repro.incremental.smo.IncrementalCompiler.compile_batch`,
         so the scheduler validates the *union* neighborhood of the
-        composed delta once instead of once per SMO.  Migration = read
-        the data through the *old* query views, embed the resulting
-        client state into the evolved schema (the paper's ``f(c)``), and
-        store it through the *new* update views; the Section 2.3
-        soundness restriction guarantees this changes nothing for
-        pre-existing data.  Everything — evolved model, migrated store,
-        successor plan cache — is built *before* the publication window,
-        so readers only ever race the short transactional commit.  On
-        success a :class:`JournalEntry` is appended (making the step
-        :meth:`undo`-able); on a validation abort nothing is published.
+        composed delta once instead of once per SMO.  The data migration
+        (:meth:`_region_migration`) is the paper's read-through-the-old-
+        query-views, embed (``f(c)``), write-through-the-new-update-views
+        composition, restricted to the batch's stale region: the Section
+        2.3 soundness restriction leaves every other table's image
+        unchanged, so those tables carry into the migrated state by
+        reference and the cost follows the region, not the store.
+        Everything — evolved model, migrated store, successor plan cache
+        — is built *before* the publication window, so readers only ever
+        race the short transactional commit.  On success a
+        :class:`JournalEntry` is appended (making the step
+        :meth:`undo`-able); on a validation abort nothing was read and
+        nothing is published.
         """
         with self._writer_lock:
             smos = tuple(smos)
             epoch = self._epoch
             model = epoch.model
-            old_client = self.load()
             batch = self._compiler.compile_batch(model, smos)
             evolved = batch.model
-            migrated_client = old_client.embed_into(evolved.client_schema)
-            new_store = apply_update_views(
-                evolved.views, migrated_client, evolved.store_schema
+            store_before, new_store, script = self._region_migration(
+                model, batch
             )
-            store_before = self.backend.to_store_state()
             delta = diff_store_states(store_before, new_store)
-            script = plan_migration(
-                model.store_schema,
-                evolved.store_schema,
-                store_before,
-                new_store,
-            )
             entry = JournalEntry(
                 label=label or "; ".join(smo.describe() for smo in smos),
                 smos=batch.smos,
@@ -719,6 +722,53 @@ class SessionEngine:
             )
             return delta
 
+    def _region_migration(
+        self, model: CompiledModel, batch: BatchResult
+    ) -> Tuple[StoreState, StoreState, MigrationScript]:
+        """(store before, migrated store, migration script) of *batch*.
+
+        The region is the batch's stale tables that the evolved schema
+        keeps; it holds every table the batch creates or redefines and
+        every table whose update view changed.  Only the sets and
+        associations the region's evolved update views scan are read
+        through the old query views (sets new in the evolved schema are
+        empty), plus those whose data the evolved schema cannot hold, so
+        embedding them aborts the evolve instead of dropping their rows.
+        Every other table is adopted from the current store by
+        reference, so the diff and the script skip it.
+
+        Exact for stores in the image of the update views, which is what
+        ``save``, ``save_delta`` and ``evolve`` produce.  A table loaded
+        outside that image keeps its rows when it lies outside the
+        region, where a whole-store migration would have rewritten it.
+        """
+        evolved = batch.model
+        region = {
+            name
+            for name in batch.delta.stale_region(evolved.mapping).tables
+            if evolved.store_schema.has_table(name)
+        }
+        sources = _unembeddable(model.client_schema, evolved.client_schema)
+        for name in region:
+            view = evolved.views.update_views.get(name)
+            if view is not None:
+                sources.update(scanned_names(view.query))
+        store_before = self.backend.to_store_state()
+        old_client = apply_query_views(
+            model.views, store_before, model.client_schema, sources
+        )
+        new_store = apply_update_views(
+            evolved.views,
+            old_client.embed_into(evolved.client_schema),
+            evolved.store_schema,
+            region,
+            store_before,
+        )
+        script = plan_migration(
+            model.store_schema, evolved.store_schema, store_before, new_store
+        )
+        return store_before, new_store, script
+
     def evolve(self, smo: Smo) -> StoreDelta:
         """A batch of one: see :meth:`evolve_many`."""
         return self.evolve_many([smo], label=smo.describe())
@@ -728,9 +778,16 @@ class SessionEngine:
 
         The model is restored by replaying the journal entry's *inverse*
         delta (not from a snapshot — exercising the invertibility of the
-        recorded ops), and the store state from the entry's pre-migration
-        snapshot.  Readers pinned on the undone epoch finish there;
-        everyone else lands on the rolled-back epoch after one swap.
+        recorded ops).  The data migrates back to the entry's
+        pre-migration state: the same migration run backwards, planned
+        from the current state, so it touches only the tables the
+        current state does not share with that one — the evolve's
+        region plus any table written since — and every other table
+        stays shared.
+        Cached answers outside the inverse's stale region and the
+        rewritten tables survive, exactly as across the evolve.  Readers
+        pinned on the undone epoch finish there; everyone else lands on
+        the rolled-back epoch after one swap.
 
         The delta awaiting validation goes back to what it was before the
         evolve when the restored model's fingerprint equals the one
@@ -751,16 +808,30 @@ class SessionEngine:
             next_plans = epoch.plan_cache.successor(
                 inverse, restored.mapping
             )
+            current = self.backend.to_store_state()
+            target = entry.store_before
+            script = plan_migration(
+                current.schema, target.schema, current, target
+            )
+            # every table the migration may rewrite: whatever the current
+            # state does not share with the target
+            changed = {
+                table.name
+                for state in (current, target)
+                for table in state.populated_tables()
+                if not current.shares_table(target, table.name)
+            }
             self._commit(
-                lambda: self.backend.replace_contents(entry.store_before),
+                lambda: self.backend.migrate(script, target.schema, target),
                 restored,
                 next_plans,
                 fingerprint=restored_fp,
-                # undo restores a *pre-migration data snapshot*: it also
-                # reverts every save committed since, including ones in
-                # tables the SMO batch never touched — no table-scoped
-                # argument keeps an entry valid, so the tier clears
-                make_results=epoch.results.empty_successor,
+                # as across the evolve: answers outside the inverse's
+                # stale region survive, minus any table the undo rewrites
+                # (which includes every table written since the evolve)
+                make_results=lambda: epoch.results.successor(
+                    inverse, restored.mapping, restored_fp
+                ).successor_for_tables(changed, restored_fp),
             )
             self.writeplans.invalidate(inverse, restored.mapping)
             self._incremental = None
@@ -799,25 +870,14 @@ class SessionEngine:
         would schedule, without touching the engine's model or data."""
         return self._compiler.plan(self._epoch.model, smos)
 
-    def migration_script(self, smos: Sequence[Smo]):
+    def migration_script(self, smos: Sequence[Smo]) -> MigrationScript:
         """Dry-run the *store-side* migration of a batch, without
-        mutating anything."""
+        mutating anything: the script :meth:`evolve_many` would run,
+        planned over the same region."""
         with self._writer_lock:
-            smos = tuple(smos)
             model = self._epoch.model
-            old_client = self.load()
-            batch = self._compiler.compile_batch(model, smos)
-            evolved = batch.model
-            migrated_client = old_client.embed_into(evolved.client_schema)
-            target = apply_update_views(
-                evolved.views, migrated_client, evolved.store_schema
-            )
-            return plan_migration(
-                model.store_schema,
-                evolved.store_schema,
-                self.backend.to_store_state(),
-                target,
-            )
+            batch = self._compiler.compile_batch(model, tuple(smos))
+            return self._region_migration(model, batch)[2]
 
     def validate(
         self,
@@ -892,3 +952,23 @@ class SessionEngine:
 
     def __str__(self) -> str:
         return f"SessionEngine({self._epoch}, {self.backend.name})"
+
+
+def _unembeddable(old: ClientSchema, new: ClientSchema) -> Set[str]:
+    """The sets and associations of *old* whose data *new* may not hold:
+    those *new* drops, and each set with a type *new* drops or redefines.
+    :meth:`ClientState.embed_into` rejects such data, so a migration
+    reads them to abort on it rather than lose it."""
+    names = {s.name for s in old.entity_sets if not new.has_entity_set(s.name)}
+    names.update(
+        a.name for a in old.associations if not new.has_association(a.name)
+    )
+    for entity_type in old.entity_types:
+        name = entity_type.name
+        if new.has_entity_type(name) and new.entity_type(name) == entity_type:
+            continue
+        try:
+            names.add(old.set_of_type(name).name)
+        except SchemaError:
+            pass  # a type no set holds carries no data
+    return names

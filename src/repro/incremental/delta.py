@@ -361,8 +361,9 @@ class ReplaceFragmentsOp(DeltaOp):
         return (ReplaceFragmentsOp(self.after, self.before),)
 
     def touched(self) -> Touched:
-        changed = [f for f in self.before if f not in self.after]
-        changed += [f for f in self.after if f not in self.before]
+        before, after = set(self.before), set(self.after)
+        changed = [f for f in self.before if f not in after]
+        changed += [f for f in self.after if f not in before]
         sets: List[str] = []
         assocs: List[str] = []
         tables: List[str] = []

@@ -13,7 +13,7 @@ which gives tests and benchmarks an independent ground truth:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Collection, List, Optional
 
 from repro.algebra.evaluate import ClientContext, StoreContext, evaluate_query
 from repro.edm.instances import ClientState
@@ -26,12 +26,29 @@ from repro.relational.schema import StoreSchema
 
 
 def apply_update_views(
-    views: CompiledViews, client_state: ClientState, store_schema: StoreSchema
+    views: CompiledViews,
+    client_state: ClientState,
+    store_schema: StoreSchema,
+    tables: Optional[Collection[str]] = None,
+    base: Optional[StoreState] = None,
 ) -> StoreState:
-    """Translate a client state to the store through the update views."""
+    """Translate a client state to the store through the update views.
+
+    With *tables*, only those tables' update views run, and every other
+    table of *store_schema* that *base* holds is adopted from *base* by
+    reference (:meth:`StoreState.adopt_table`, key indexes included).
+    *client_state* then only needs the sets and associations those views
+    scan.
+    """
     store_state = StoreState(store_schema)
+    if tables is not None and base is not None:
+        for table in base.populated_tables():
+            if table.name not in tables and store_schema.has_table(table.name):
+                store_state.adopt_table(base, table.name)
     context = ClientContext(client_state)
     for update_view in views.update_views.values():
+        if tables is not None and update_view.table_name not in tables:
+            continue
         for row in evaluate_query(update_view.query, context):
             store_state.add_row(
                 update_view.table_name, update_view.constructor.construct(row)
@@ -40,23 +57,37 @@ def apply_update_views(
 
 
 def apply_query_views(
-    views: CompiledViews, store_state: StoreState, client_schema: ClientSchema
+    views: CompiledViews,
+    store_state: StoreState,
+    client_schema: ClientSchema,
+    names: Optional[Collection[str]] = None,
 ) -> ClientState:
     """Reconstruct a client state from the store through the query views.
 
     Each entity set is populated from the query view of its root type
     (which constructs entities of every concrete type in the hierarchy);
-    association sets from their association views.
+    association sets from their association views.  With *names*, only
+    the entity sets and associations it names are read, each association
+    with the two sets its pairs reference; the others stay empty.
     """
+    if names is not None:
+        names = set(names)
+        for association in client_schema.associations:
+            if association.name in names:
+                names.update((association.entity_set1, association.entity_set2))
     client_state = ClientState(client_schema)
     context = StoreContext(store_state)
     for entity_set in client_schema.entity_sets:
+        if names is not None and entity_set.name not in names:
+            continue
         view = views.query_views.get(entity_set.root_type)
         if view is None:
             continue
         for row in evaluate_query(view.query, context):
             client_state.add_entity(entity_set.name, view.constructor.construct(row))
     for association in client_schema.associations:
+        if names is not None and association.name not in names:
+            continue
         view = views.association_views.get(association.name)
         if view is None:
             continue

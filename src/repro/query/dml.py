@@ -106,12 +106,23 @@ def classify_rows(table, fresh, gone) -> TableDelta:
 
 
 def diff_store_states(old: StoreState, new: StoreState) -> StoreDelta:
-    """Per-table row diff, pairing rows that share a primary key."""
+    """Per-table row diff, pairing rows that share a primary key.
+
+    Tables the two states share (:meth:`StoreState.shares_table`) are
+    equal by construction and skipped, so diffing a successor that
+    adopted every table outside a region costs O(region).  Tables absent
+    from *new*'s schema are skipped too: a migration's DDL drops them
+    with their rows, so no DML names them.
+    """
     delta = StoreDelta()
     table_names = {t.name for t in old.populated_tables()} | {
         t.name for t in new.populated_tables()
     }
     for table_name in sorted(table_names):
+        if old.shares_table(new, table_name) or not new.schema.has_table(
+            table_name
+        ):
+            continue
         table = new.schema.table(table_name)
         old_rows: Set[Row] = set(old.rows(table_name))
         new_rows: Set[Row] = set(new.rows(table_name))

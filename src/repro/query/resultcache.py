@@ -49,9 +49,11 @@ Lifecycle, mirrored from the epoch engine's write paths:
   source cache is never mutated, so readers pinned to an old epoch keep
   byte-identical answers;
 * **invalidate** — whole-state ``save`` drops entries by written tables
-  (:meth:`successor_for_tables`), SMOs drop by touched neighborhood
-  exactly as :meth:`PlanCache.successor` does (:meth:`successor`), and
-  ``undo`` / ``replace_contents`` clear (data is restored wholesale, so
+  (:meth:`successor_for_tables`); an SMO batch and its ``undo`` drop by
+  touched neighborhood exactly as :meth:`PlanCache.successor` does
+  (:meth:`successor`), then by the tables their migration rewrote, which
+  for an undo includes every table written since the evolve; and
+  ``replace_contents`` clears (data is replaced wholesale, so
   table-scoped reasoning does not apply).
 
 The cache is bounded by a cost-aware :class:`~repro.cache.LruCache`: an
@@ -467,7 +469,7 @@ class ResultCache:
         return clone
 
     def empty_successor(self) -> "ResultCache":
-        """A fresh cache carrying the counters: for ``undo`` and
+        """A fresh cache carrying the counters: for
         ``replace_contents``, where the data moves wholesale and no
         table-scoped argument can keep any entry valid."""
         return self._next(lambda _full, _entry: None)
@@ -524,8 +526,8 @@ class ResultCache:
         return self._next(carry)
 
     def successor(self, delta, mapping, fingerprint: str) -> "ResultCache":
-        """The next epoch's cache after an SMO batch: delta-scoped
-        invalidation by touched sets and tables, exactly the
+        """The next epoch's cache after an SMO batch or its undo:
+        delta-scoped invalidation by touched sets and tables, exactly the
         :meth:`PlanCache.successor` discipline.  Survivors are restamped
         with the evolved fingerprint — their sets and tables are provably
         outside the batch's touched neighborhood, so their data and

@@ -420,6 +420,13 @@ class StoreState:
         rows.shared = True
         self._rows[table_name] = rows
 
+    def shares_table(self, other: "StoreState", table_name: str) -> bool:
+        """Whether this state and *other* hold one table's storage in
+        common (one adopted it from the other, or both from a third), so
+        its rows are equal without looking at them."""
+        rows = self._rows.get(table_name)
+        return rows is not None and rows is other._rows.get(table_name)
+
     def carry_rows(self, other: "StoreState", table_name: str, dead) -> None:
         """Take *other*'s rows for one table, minus the rows in *dead*.
 

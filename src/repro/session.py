@@ -42,7 +42,7 @@ Example::
     session.evolve(AddEntity.tpt(...))      # schema + data migrate together
     plan = session.plan([smo1, smo2])       # dry-run: delta + checks, no mutation
     session.evolve_many([smo1, smo2])       # one batch, one neighborhood validation
-    session.undo()                          # inverse delta + data snapshot restore
+    session.undo()                          # inverse delta + migration back
 """
 
 from __future__ import annotations
@@ -298,9 +298,9 @@ class OrmSession:
 
         The model is restored by replaying the journal entry's *inverse*
         delta (not from a snapshot — exercising the invertibility of the
-        recorded ops), and the store state from the entry's pre-migration
-        snapshot.  Object-level edits saved *after* the evolution are
-        rolled back with it.
+        recorded ops), and the data by migrating it back to the entry's
+        pre-migration state.  Object-level edits saved *after* the
+        evolution are rolled back with it.
         """
         return self.engine.undo()
 

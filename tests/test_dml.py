@@ -7,6 +7,7 @@ from repro.edm import ClientState, Entity
 from repro.mapping import apply_update_views
 from repro.query import apply_delta, diff_store_states, translate_update
 from repro.query.dml import to_sql
+from repro.relational import StoreSchema, StoreState
 from repro.stategen import random_client_state
 from repro.workloads.paper_example import mapping_stage4
 
@@ -111,3 +112,29 @@ class TestApplyDelta:
         new = ClientState(mapping.client_schema)
         delta = translate_update(views, old, new, mapping.store_schema)
         assert delta.statement_count() == 4  # HR x2 deletes? see below
+
+
+class TestDiffSkips:
+    def test_shared_tables_are_skipped(self, setup):
+        """A table one state adopted from the other is not looked at, so
+        a diff over a successor costs only the tables it rewrote."""
+        mapping, views = setup
+        old = apply_update_views(views, _base_state(mapping.client_schema), mapping.store_schema)
+        new = apply_update_views(
+            views, ClientState(mapping.client_schema), mapping.store_schema,
+            tables={"Emp"}, base=old,
+        )
+        assert new.shares_table(old, "HR") and new.shares_table(old, "Client")
+        assert not new.shares_table(old, "Emp")
+        delta = diff_store_states(old, new)
+        assert set(delta.tables) == {"Emp"}
+        assert len(delta.tables["Emp"].deletes) == len(old.rows("Emp"))
+
+    def test_tables_the_new_schema_drops_are_skipped(self, setup):
+        """A migration's DDL drops them, rows and all."""
+        mapping, views = setup
+        old = apply_update_views(views, _base_state(mapping.client_schema), mapping.store_schema)
+        smaller = StoreSchema([t for t in mapping.store_schema.tables if t.name != "Client"])
+        new = StoreState(smaller)
+        assert old.rows("Client")
+        assert "Client" not in diff_store_states(old, new).tables

@@ -60,6 +60,7 @@ from repro.incremental import AddProperty, CompiledModel
 from repro.ivm import DeltaScript, EntityOp
 from repro.query.dml import StoreDelta, TableDelta
 from repro.query.language import EntityQuery
+from repro.query.plancache import CachedPlan
 from repro.query import resultcache
 from repro.query.resultcache import _Doorkeeper, read_runtime, table_leaf
 from repro.relational.instances import StoreState, row_from_mapping
@@ -776,6 +777,92 @@ def test_a_write_that_misses_an_answer_carries_the_entry_itself():
     assert result_stats(session).maintained == before + 1
     assert canon(session.query(point)) == canon(answer)
     assert entity in session.query(scan)
+
+
+# ---------------------------------------------------------------------------
+# Undo carries the tier outside the region it migrates
+# ---------------------------------------------------------------------------
+
+def chain_pair(backend: str):
+    """A tier-on session and its tier-off twin over the chain data."""
+    source = chain_session()
+    data = source.load()
+    cached, reference = cached_and_reference(source.model, backend)
+    cached.save(data)
+    reference.save(data)
+    return cached, reference
+
+
+def count_executions(monkeypatch) -> list:
+    """Record every cached-plan execution from now on."""
+    executed: list = []
+    original = CachedPlan.execute
+
+    def execute(plan, reader, values):
+        executed.append(plan)
+        return original(plan, reader, values)
+
+    monkeypatch.setattr(CachedPlan, "execute", execute)
+    return executed
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestUndoCarriesTheTier:
+    OUTSIDE = EntityQuery(set_name(3), Comparison("EntityAtt4", "=", "c1"))
+    INSIDE = EntityQuery(set_name(1), Comparison("EntityAtt4", "=", "c1"))
+
+    def test_answers_outside_the_region_hit_through_evolve_and_undo(
+        self, backend, monkeypatch
+    ):
+        cached, _ = chain_pair(backend)
+        try:
+            for query in (self.OUTSIDE, self.INSIDE, self.OUTSIDE, self.INSIDE):
+                cached.query(query)  # admitted on the second miss
+            answer = canon(cached.query(self.OUTSIDE))
+            executed = count_executions(monkeypatch)
+            hits = result_stats(cached).hits
+            widen_entity1(cached)  # region: T1, set 1
+            assert canon(cached.query(self.OUTSIDE)) == answer
+            cached.undo()
+            assert canon(cached.query(self.OUTSIDE)) == answer
+            assert executed == []
+            assert result_stats(cached).hits == hits + 2
+            misses = result_stats(cached).misses
+            cached.query(self.INSIDE)
+            assert len(executed) == 1
+            assert result_stats(cached).misses == misses + 1
+        finally:
+            cached.backend.close()
+
+    def test_undo_drops_an_answer_over_a_table_written_since_the_evolve(
+        self, backend
+    ):
+        cached, reference = chain_pair(backend)
+        try:
+            for _ in range(2):
+                cached.query(self.OUTSIDE)
+            widen_entity1(cached)
+            widen_entity1(reference)
+            entity = Entity.of(
+                entity_name(3), Id=4, EntityAtt2="w", EntityAtt3="b4",
+                EntityAtt4="c1",
+            )
+            script = DeltaScript((EntityOp("update", set_name(3), entity=entity),))
+            cached.save_delta(script)
+            reference.save_delta(script)
+            assert entity in cached.query(self.OUTSIDE)  # maintained entry
+            assert len(cached.engine.epoch.results) == 1
+            cached.undo()
+            reference.undo()
+            assert len(cached.engine.epoch.results) == 0
+            misses = result_stats(cached).misses
+            answer = cached.query(self.OUTSIDE)
+            assert result_stats(cached).misses == misses + 1
+            assert canon(answer) == canon(reference.query(self.OUTSIDE))
+            assert entity not in answer
+        finally:
+            cached.backend.close()
+            reference.backend.close()
 
 
 # ---------------------------------------------------------------------------
