@@ -286,8 +286,6 @@ def _measure_backend(
             "torn_reads": torn_query_only + len(pool.torn),
             "epochs_published": stats.epochs_published,
             "read_retries": stats.read_retries,
-            "serialized_reads": stats.serialized_reads,
-            "torn_reads_served_counter": stats.torn_reads_served,
             "plan_cache": {
                 "hits": plans_after.hits,
                 "misses": plans_after.misses,
@@ -319,7 +317,6 @@ def test_concurrent_serving_smoke(benchmark, backend_name):
 def test_no_torn_reads_under_churn(backend_name):
     result = _measure_backend(backend_name, **SMOKE)
     assert result["torn_reads"] == 0
-    assert result["torn_reads_served_counter"] == 0
     assert result["epochs_published"] >= 2 * SMOKE["batches"]
     assert result["plan_cache"]["untouched_plans_survived"]
 
@@ -331,9 +328,9 @@ def test_no_torn_reads_under_churn(backend_name):
 def main() -> None:
     result = {
         "claim": "epoch-based serving engine: concurrent readers keep "
-        "answering (lock-free on memory snapshots, seqlock-validated on "
-        "SQLite) while evolve_many/undo batches publish new epochs by "
-        "atomic swap; every response is consistent with exactly one "
+        "answering (lock-free on memory snapshots, under a read lease that "
+        "excludes each publication window on SQLite) while evolve_many/undo "
+        "batches publish new epochs by atomic swap; every response is consistent with exactly one "
         "epoch fingerprint (torn_reads must be 0) and untouched-set "
         "plans survive every swap",
         "config": {

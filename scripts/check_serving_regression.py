@@ -13,9 +13,9 @@ physical-plan layer exists to keep that from coming back.
 
 **BENCH_serving_concurrent.json** — the epoch-engine gates:
 
-* ``torn_reads`` and ``torn_reads_served_counter`` must be 0 on every
-  backend — a single response inconsistent with its epoch fingerprint
-  is a correctness bug, not a regression;
+* ``torn_reads`` (responses the benchmark's readers found inconsistent
+  with the epoch fingerprint they came with) must be 0 on every backend
+  — a single one is a correctness bug, not a regression;
 * untouched-set plans must survive the churn
   (``untouched_plans_survived``);
 * churn p99 latency must stay within FACTOR× of the concurrency
@@ -162,7 +162,7 @@ def check_concurrent(path: str) -> int:
     factor = float(os.environ.get("REPRO_CHURN_P99_FACTOR", DEFAULT_FACTOR))
     failures = 0
     for backend, result in data["backends"].items():
-        torn = result["torn_reads"] + result["torn_reads_served_counter"]
+        torn = result["torn_reads"]
         single_p99 = result["single_warm"]["p99_ms"]
         query_only_p99 = result["query_only"]["p99_ms"]
         churn_p99 = result["churn"]["p99_ms"]
@@ -174,7 +174,6 @@ def check_concurrent(path: str) -> int:
             f"{backend}: torn={torn} churn_p99={churn_p99}ms "
             f"baseline={round(baseline, 3)}ms budget={round(budget, 3)}ms "
             f"(factor {factor}) retries={result['read_retries']} "
-            f"serialized={result['serialized_reads']} "
             f"plans_survived={survived}"
         )
         if torn != 0:

@@ -20,6 +20,8 @@ Contract highlights:
 * :meth:`migrate` executes a planned :class:`MigrationScript` plus the
   store-schema swap as one transaction with the same all-or-nothing
   guarantee;
+* :meth:`exclusive` holds off every live reader; the epoch engine
+  publishes each epoch inside it (a no-op on snapshot engines);
 * :meth:`to_store_state` materializes the contents as a
   :class:`StoreState` and may cache it — the session's ``store_state``
   property is this method, so repeated reads of an unchanged store are
@@ -35,7 +37,6 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from repro.algebra.queries import Query
 from repro.errors import SchemaError
 from repro.query.dml import StoreDelta
-from repro.relational.constraints import ConstraintViolation
 from repro.relational.instances import Row, StoreState
 from repro.relational.schema import StoreSchema
 
@@ -88,22 +89,31 @@ class StoreBackend:
         """Reset schema and data wholesale (undo, bulk load)."""
         raise NotImplementedError
 
-    # -- integrity -----------------------------------------------------
-    def check_constraints(self) -> List[ConstraintViolation]:
-        """Current PK/FK violations (empty for engines that enforce
-        natively — they cannot reach a violating state)."""
-        raise NotImplementedError
-
     # -- concurrent reading --------------------------------------------
     def read_view(self) -> "ReadView":
         """A handle the epoch engine publishes for concurrent readers.
 
         A snapshot engine returns a view pinned to the data as of this
         call; a live engine returns a view whose :meth:`ReadView.acquire`
-        leases whatever per-reader resources (a pooled connection) one
-        request needs.
+        leases the store's current data (and whatever per-reader
+        resources, such as a pooled connection, one request needs).
         """
         raise NotImplementedError
+
+    @contextmanager
+    def exclusive(self) -> Iterator[None]:
+        """Hold the store against every live reader.
+
+        While the calling thread holds it, no :meth:`ReadView.acquire`
+        lease of a live view is granted or outstanding; it is re-entrant
+        on that thread, and the mutating methods take it themselves.
+        The epoch engine publishes each epoch inside it, so a live reader
+        sees either the old epoch with the old data or the new epoch with
+        the new data.  A snapshot engine's readers pin their own state,
+        so for it this is a no-op.
+        """
+        raise NotImplementedError
+        yield  # pragma: no cover
 
     def close(self) -> None:
         """Release engine resources (no-op by default)."""
@@ -113,8 +123,9 @@ class ReadView:
     """Protocol of what :meth:`StoreBackend.read_view` returns.
 
     When ``snapshot`` is True the view pins immutable data and a reader
-    needs no further coordination; when False the data is live and the
-    engine brackets each read with its seqlock.
+    needs no further coordination; when False the data is live, and a
+    lease excludes the store's :meth:`StoreBackend.exclusive` holder, so
+    the data and the current epoch cannot change while it is held.
     """
 
     snapshot: bool = False
@@ -130,10 +141,6 @@ class ReadView:
         """
         raise NotImplementedError
         yield  # pragma: no cover
-
-    def release(self) -> None:
-        """Drop per-view resources when the owning epoch is replaced
-        (no-op by default; views over pooled engines hold nothing)."""
 
 
 def default_backend_name() -> str:

@@ -33,11 +33,7 @@ from repro.algebra.queries import Query
 from repro.backend.base import ReadView, StoreBackend
 from repro.errors import ValidationError
 from repro.query.dml import StoreDelta, apply_delta
-from repro.relational.constraints import (
-    ConstraintViolation,
-    check_all,
-    check_delta,
-)
+from repro.relational.constraints import check_delta
 from repro.relational.instances import Row, StoreState, key_index_builds
 from repro.relational.schema import StoreSchema
 
@@ -108,6 +104,11 @@ class MemoryBackend(StoreBackend):
         view by the engine; writes swap the state, never mutate it."""
         return MemoryReadView(self._state)
 
+    @contextmanager
+    def exclusive(self) -> Iterator[None]:
+        """A no-op: every reader holds a snapshot no write can touch."""
+        yield
+
     def index_stats(self) -> KeyIndexStats:
         return KeyIndexStats(builds=key_index_builds())
 
@@ -132,10 +133,6 @@ class MemoryBackend(StoreBackend):
 
     def replace_contents(self, state: StoreState) -> None:
         self._state = state
-
-    # -- integrity -----------------------------------------------------
-    def check_constraints(self) -> List[ConstraintViolation]:
-        return check_all(self._state)
 
     def __str__(self) -> str:
         return f"MemoryBackend({self._state.row_count()} rows)"

@@ -59,12 +59,20 @@ from repro.relational.schema import StoreSchema, Table
 REBUILD_PREFIX = "__migrate__"
 
 
+#: step kinds after which a table's own rows must match their parents
+_FILLS = frozenset({"create", "copy", "update", "insert"})
+#: step kinds that can take away the rows (or the table) others reference
+_EMPTIES = frozenset({"drop", "delete", "update"})
+
+
 @dataclass(frozen=True)
 class MigrationStep:
     """One ordered statement of a migration script."""
 
     kind: str  # "create" | "drop" | "copy" | "rename" | "index" | "delete" | "update" | "insert"
     statement: CompiledSql
+    #: the table the step acts on, by its name once the script is done
+    table: str
     note: str = ""
 
     def __str__(self) -> str:
@@ -91,6 +99,21 @@ class MigrationScript:
 
     def dml_steps(self) -> List[MigrationStep]:
         return [s for s in self.steps if s.kind in ("delete", "update", "insert")]
+
+    def foreign_key_scope(self, schema: StoreSchema) -> List[str]:
+        """The tables of *schema*, the schema the script leaves behind,
+        whose foreign keys the script can break: each table it creates,
+        rebuilds or writes rows into, and each table with a foreign key
+        into one it rebuilds, drops, or deletes or updates rows of.
+        Every other foreign key joins two tables the script left alone."""
+        filled = {s.table for s in self.steps if s.kind in _FILLS}
+        emptied = {s.table for s in self.steps if s.kind in _EMPTIES}
+        return [
+            table.name
+            for table in schema.tables
+            if table.name in filled
+            or any(fk.ref_table in emptied for fk in table.foreign_keys)
+        ]
 
     def to_sql(self) -> str:
         """The whole script as executable text (params inlined, framed by
@@ -144,6 +167,7 @@ def plan_migration(
             MigrationStep(
                 "create",
                 CompiledSql(create_table_sql(new_table, name=scratch), ()),
+                new_table.name,
                 note=f"rebuild {new_table.name}: new definition",
             )
         )
@@ -160,6 +184,7 @@ def plan_migration(
                         f"SELECT {cols} FROM {quote(old_table.name)}",
                         (),
                     ),
+                    new_table.name,
                     note="old-query-view ∘ new-update-view on surviving columns",
                 )
             )
@@ -167,6 +192,7 @@ def plan_migration(
             MigrationStep(
                 "drop",
                 CompiledSql(drop_table_sql(old_table.name), ()),
+                new_table.name,
                 note=f"rebuild {new_table.name}: retire old definition",
             )
         )
@@ -178,6 +204,7 @@ def plan_migration(
                     f"{quote(new_table.name)}",
                     (),
                 ),
+                new_table.name,
             )
         )
         script.steps.extend(_index_steps(new_table))
@@ -185,13 +212,13 @@ def plan_migration(
     # 2. drops, referrers first
     for table in drop_order(dropped):
         script.steps.append(
-            MigrationStep("drop", CompiledSql(drop_table_sql(table.name), ()))
+            MigrationStep("drop", CompiledSql(drop_table_sql(table.name), ()), table.name)
         )
 
     # 3. creates, referees first
     for table in creation_order(created):
         script.steps.append(
-            MigrationStep("create", CompiledSql(create_table_sql(table), ()))
+            MigrationStep("create", CompiledSql(create_table_sql(table), ()), table.name)
         )
         script.steps.extend(_index_steps(table))
 
@@ -201,25 +228,25 @@ def plan_migration(
     for table_name in sorted(residual.tables):
         for row in residual.tables[table_name].deletes:
             script.steps.append(
-                MigrationStep("delete", delete_statement(table_name, row))
+                MigrationStep("delete", delete_statement(table_name, row), table_name)
             )
     for table_name in sorted(residual.tables):
         table = new_schema.table(table_name)
         for old_row, new_row in residual.tables[table_name].updates:
             script.steps.append(
-                MigrationStep("update", update_statement(table, old_row, new_row))
+                MigrationStep("update", update_statement(table, old_row, new_row), table_name)
             )
     for table_name in sorted(residual.tables):
         for row in residual.tables[table_name].inserts:
             script.steps.append(
-                MigrationStep("insert", insert_statement(table_name, row))
+                MigrationStep("insert", insert_statement(table_name, row), table_name)
             )
     return script
 
 
 def _index_steps(table: Table) -> List[MigrationStep]:
     return [
-        MigrationStep("index", CompiledSql(statement, ()))
+        MigrationStep("index", CompiledSql(statement, ()), table.name)
         for statement in key_index_sql(table)
     ]
 

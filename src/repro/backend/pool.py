@@ -42,18 +42,22 @@ class ReadWriteGate:
     retry) when DDL races an in-flight reader on another connection, so
     the writer drains readers first: once a writer announces itself, new
     readers queue behind it — writers can never starve under sustained
-    read traffic.  Reads themselves never block each other.
+    read traffic.  Reads themselves never block each other.  The write
+    side is re-entrant: the thread holding it may take it again, and
+    readers wait for its outermost release.
     """
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._readers = 0
-        self._writer_waiting = False
+        #: the thread holding (or draining readers for) the write side
+        self._writer: Optional[int] = None
+        self._depth = 0
 
     @contextmanager
     def read(self) -> Iterator[None]:
         with self._cond:
-            while self._writer_waiting:
+            while self._writer is not None:
                 self._cond.wait()
             self._readers += 1
         try:
@@ -66,18 +70,23 @@ class ReadWriteGate:
 
     @contextmanager
     def write(self) -> Iterator[None]:
+        me = threading.get_ident()
         with self._cond:
-            while self._writer_waiting:  # one writer at a time in the gate
-                self._cond.wait()
-            self._writer_waiting = True
-            while self._readers:
-                self._cond.wait()
+            if self._writer != me:
+                while self._writer is not None:  # one writer in the gate
+                    self._cond.wait()
+                self._writer = me
+                while self._readers:
+                    self._cond.wait()
+            self._depth += 1
         try:
             yield
         finally:
             with self._cond:
-                self._writer_waiting = False
-                self._cond.notify_all()
+                self._depth -= 1
+                if not self._depth:
+                    self._writer = None
+                    self._cond.notify_all()
 
 
 class PooledConnection:

@@ -42,7 +42,6 @@ from repro.cache import CacheStats, LruCache
 from repro.errors import SchemaError, SmoError, ValidationError
 from repro.query.dml import StoreDelta
 from repro.query.dml import apply_delta as apply_store_delta
-from repro.relational.constraints import ConstraintViolation
 from repro.relational.instances import Row, StoreState
 from repro.relational.schema import StoreSchema
 
@@ -140,6 +139,8 @@ class SqliteBackend(StoreBackend):
     reader-connection pool: :meth:`read_view` leases one pooled
     connection (with its private statement cache) per request, so
     readers never touch the main connection and never share cursors.
+    :meth:`exclusive` holds the pool's gate and the main connection's
+    lock together, so it excludes every reader of either kind.
     Pooled in-memory databases use SQLite's shared-cache URI form so
     every connection sees the same data; the main connection anchors the
     database for its whole lifetime.
@@ -226,6 +227,14 @@ class SqliteBackend(StoreBackend):
 
     def read_view(self) -> "SqliteReadView":
         return SqliteReadView(self)
+
+    @contextmanager
+    def exclusive(self) -> Iterator[None]:
+        """Hold off every reader: pooled ones queue at the gate, and
+        readers of the main connection at its lock.  Re-entrant on the
+        holding thread."""
+        with self._gate.write(), self._conn_lock:
+            yield
 
     def _existing(self, kind: str = "table") -> set:
         cursor = self._conn.execute(
@@ -340,7 +349,7 @@ class SqliteBackend(StoreBackend):
         # Identical-text runs (per-table deletes/updates/inserts) execute
         # as one prepared statement via executemany instead of per row.
         groups = grouped_delta_statements(delta, self._schema)
-        with self._gate.write(), self._conn_lock:
+        with self.exclusive():
             try:
                 with self._transaction("save-changes"):
                     for text, rows in groups:
@@ -361,7 +370,7 @@ class SqliteBackend(StoreBackend):
                 self._state_cache = apply_store_delta(self._state_cache, delta)
 
     def migrate(self, script, new_schema: StoreSchema, target: StoreState) -> None:
-        with self._gate.write(), self._conn_lock:
+        with self.exclusive():
             self._migrate_locked(script, new_schema, target)
 
     def _migrate_locked(
@@ -370,8 +379,10 @@ class SqliteBackend(StoreBackend):
         # Table rebuilds (drop parent + rename twin) defeat SQLite's
         # deferred-FK counters, so this follows SQLite's documented
         # schema-change procedure instead: FK enforcement off for the
-        # transaction, an explicit whole-database ``foreign_key_check``
-        # before COMMIT, and rollback if anything dangles.
+        # transaction, an explicit ``foreign_key_check`` before COMMIT,
+        # and rollback if anything dangles.  Only the tables whose foreign
+        # keys the script can break are checked; every other pair of
+        # tables is as consistent as enforcement left it.
         self._conn.execute("PRAGMA foreign_keys = OFF")
         try:
             self._conn.execute("BEGIN IMMEDIATE")
@@ -380,15 +391,16 @@ class SqliteBackend(StoreBackend):
                     self._conn.execute(
                         step.statement.text, step.statement.params
                     )
-                dangling = self._conn.execute(
-                    "PRAGMA foreign_key_check"
-                ).fetchall()
-                if dangling:
-                    table, rowid, ref_table, _ = dangling[0]
-                    raise sqlite3.IntegrityError(
-                        f"FOREIGN KEY constraint failed "
-                        f"({table} row {rowid} -> {ref_table})"
-                    )
+                for name in script.foreign_key_scope(new_schema):
+                    dangling = self._conn.execute(
+                        f"PRAGMA foreign_key_check({quote(name)})"
+                    ).fetchall()
+                    if dangling:
+                        table, rowid, ref_table, _ = dangling[0]
+                        raise sqlite3.IntegrityError(
+                            f"FOREIGN KEY constraint failed "
+                            f"({table} row {rowid} -> {ref_table})"
+                        )
                 self._conn.execute("COMMIT")
             except BaseException:
                 self._conn.execute("ROLLBACK")
@@ -411,7 +423,7 @@ class SqliteBackend(StoreBackend):
 
     def replace_contents(self, state: StoreState) -> None:
         """Reset the database to exactly *state* (schema included)."""
-        with self._gate.write(), self._conn_lock:
+        with self.exclusive():
             self._replace_contents_locked(state)
 
     def _replace_contents_locked(self, state: StoreState) -> None:
@@ -448,24 +460,6 @@ class SqliteBackend(StoreBackend):
         self._schema = state.schema
         self._statements.clear()
         self._invalidate()
-
-    # -- integrity -----------------------------------------------------
-    def check_constraints(self) -> List[ConstraintViolation]:
-        """Native enforcement means a live database is always clean; this
-        surfaces violations only for databases edited out-of-band."""
-        violations: List[ConstraintViolation] = []
-        with self._conn_lock:
-            cursor = self._conn.execute("PRAGMA foreign_key_check")
-            dangling = cursor.fetchall()
-        for table, rowid, ref_table, _fk_index in dangling:
-            violations.append(
-                ConstraintViolation(
-                    table,
-                    "foreign-key",
-                    f"row {rowid} dangles into {ref_table}",
-                )
-            )
-        return violations
 
     def close(self) -> None:
         """Release the pool and the main connection; safe to call twice
@@ -530,9 +524,8 @@ class _LeasedReader:
 
     Lives exactly as long as one request; cached plans run through
     :meth:`run_plan` on the private connection.  The schema is read from
-    the owning backend *live* — if a migration swaps it while this
-    reader is in flight, the epoch engine's seqlock detects the overlap
-    and retries the request.
+    the owning backend *live*; the lease holds off every migration, so
+    it is the schema of the data the statements read.
     """
 
     def __init__(self, backend: SqliteBackend, leased: PooledConnection) -> None:
@@ -548,11 +541,13 @@ class _LeasedReader:
 class SqliteReadView(ReadView):
     """Live read view over a :class:`SqliteBackend`.
 
-    Not a snapshot: SQLite serves whatever is committed.  With a pool,
-    :meth:`acquire` leases one pooled connection per request (check-in
-    clears its statement cache, so cursors never migrate between worker
-    threads); without one, readers serialize on the main connection
-    under the backend's lock.
+    Not a snapshot: SQLite serves whatever is committed, so every view
+    of one backend reads the same data.  With a pool, :meth:`acquire`
+    holds the backend's gate shared and leases one pooled connection per
+    request (check-in clears its statement cache, so cursors never
+    migrate between worker threads); without one, readers serialize on
+    the main connection under the backend's lock.  Either way no
+    :meth:`SqliteBackend.exclusive` holder runs while a lease is out.
     """
 
     snapshot = False

@@ -7,34 +7,33 @@ that claim: an :class:`OrmSession` is split into an immutable
 cache slice valid for it + a data read view) and a :class:`SessionEngine`
 that coordinates readers and writers around it.
 
-**Reader protocol** — :meth:`SessionEngine.query` is lock-free.  A reader
-grabs the current epoch reference (one attribute read, atomic under the
-GIL), resolves its plan from the epoch's own plan cache, and executes:
+**Reader protocol** — :meth:`SessionEngine.query` grabs the current
+epoch reference (one attribute read, atomic under the GIL), resolves its
+plan from the epoch's own plan cache, and executes:
 
 * on engines with **snapshot reads** (memory: store states are replaced
   wholesale, never mutated) the epoch's view pins one immutable state, so
-  the response is consistent with that epoch *by construction* — even if
-  a writer publishes ten epochs mid-flight, this reader finishes on its
-  own;
+  the read takes no lock and the response is consistent with that epoch
+  *by construction* — even if a writer publishes ten epochs mid-flight,
+  this reader finishes on its own;
 * on **live engines** (SQLite: the data is in the database, one version
-  at a time) reads are validated with a seqlock: the engine's version
-  counter is odd while a writer mutates, and a reader whose counter
-  observation changed across its execution — or whose statements raced a
-  table rebuild and failed — retries on the fresh epoch.  A bounded
-  number of retries falls back to running under the writer lock, which
-  cannot race.  Either way **no torn response is ever served**: every
-  answer is consistent with exactly one epoch.
+  at a time) a result-tier hit is served without touching the store.  A
+  miss takes the view's read lease, which no publication window
+  overlaps, and looks at the current epoch only while it holds it: if a
+  writer published since the read began, the read re-plans once on that
+  epoch, then executes.  The data and the epoch cannot move under the
+  lease, so the answer is consistent with that epoch *by construction*.
 
 **Writer protocol** — ``save`` / ``evolve`` / ``evolve_many`` / ``undo`` /
 ``replace_contents`` serialize on one re-entrant writer lock.  A writer
 builds everything off to the side (compile the batch, compute the
 migrated store, derive the successor plan cache with delta-scoped
-invalidation), then publishes in a short critical window::
+invalidation), then publishes in a short window under the backend's
+:meth:`~repro.backend.base.StoreBackend.exclusive` hold::
 
-    version += 1        (odd: live readers will retry)
     backend mutation    (transactional: all or nothing)
+    next result tier    (maintained from the post-write store)
     epoch = next_epoch  (THE atomic swap)
-    version += 1        (even: readers are clean again)
 
 In-flight snapshot readers finish on the old epoch; new readers land on
 the new one.  On a validation abort nothing was published and the old
@@ -44,7 +43,6 @@ epoch stands untouched.
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -62,7 +60,7 @@ from repro.containment.cache import ValidationCache
 from repro.containment.persist import PersistentCacheStore, cache_dir_from_env
 from repro.edm.instances import ClientState
 from repro.edm.schema import ClientSchema
-from repro.errors import EvaluationError, IvmError, SchemaError, SmoError
+from repro.errors import IvmError, SchemaError, SmoError
 from repro.incremental.delta import MappingDelta
 from repro.incremental.model import CompiledModel
 from repro.incremental.smo import (
@@ -85,16 +83,6 @@ from repro.query.language import EntityQuery
 from repro.query.plancache import CachedPlan, PlanCache
 from repro.query.resultcache import DEFAULT_RESULT_BUDGET, ResultCache
 from repro.relational.instances import StoreState
-
-try:  # the engines raise these when a read races a migration
-    import sqlite3
-
-    _RETRYABLE_READ_ERRORS: Tuple[type, ...] = (
-        sqlite3.OperationalError,
-        sqlite3.ProgrammingError,
-    )
-except ImportError:  # pragma: no cover
-    _RETRYABLE_READ_ERRORS = ()
 
 
 @dataclass(frozen=True)
@@ -173,13 +161,9 @@ class EngineStats:
     epoch_id: int
     epochs_published: int
     queries: int = 0
-    #: reads that observed a concurrent write and re-executed
+    #: live reads that found a newer epoch under their lease and
+    #: re-planned on it (snapshot reads never do)
     read_retries: int = 0
-    #: reads that exhausted retries and ran under the writer lock
-    serialized_reads: int = 0
-    #: responses served despite failing validation — must stay 0;
-    #: anything else is a bug, and the concurrent benchmark asserts on it
-    torn_reads_served: int = 0
     #: incremental saves that hit an IvmError and fell back to a
     #: whole-state save (correct, just not incremental)
     ivm_fallbacks: int = 0
@@ -189,8 +173,6 @@ class EngineStats:
             f"EngineStats(epoch={self.epoch_id}, "
             f"published={self.epochs_published}, queries={self.queries}, "
             f"retries={self.read_retries}, "
-            f"serialized={self.serialized_reads}, "
-            f"torn_served={self.torn_reads_served}, "
             f"ivm_fallbacks={self.ivm_fallbacks})"
         )
 
@@ -203,9 +185,6 @@ class SessionEngine:
     any thread; all writers serialize internally — callers never manage
     locks.
     """
-
-    #: live-view reads retry this many times before serializing
-    MAX_READ_RETRIES = 16
 
     def __init__(
         self,
@@ -234,14 +213,10 @@ class SessionEngine:
         #: committed evolutions, oldest first; ``undo`` pops from the end
         self.journal: List[JournalEntry] = []
         self._writer_lock = threading.RLock()
-        #: seqlock: odd while a writer is inside its publication window
-        self._version = 0
         self._epoch_counter = 0
         self._epochs_published = 0
         self._queries = 0
         self._read_retries = 0
-        self._serialized_reads = 0
-        self._torn_reads_served = 0
         self._ivm_fallbacks = 0
         #: compiled write plans survive across epochs (delta-scoped
         #: invalidation on evolution, like the read-side PlanCache)
@@ -295,10 +270,12 @@ class SessionEngine:
     ):
         """The publication window (writer lock held by the caller).
 
-        Backend mutations are transactional, so an exception means the
-        data is unchanged and the *old* epoch remains exactly right —
-        only the seqlock is restored.  On success the new epoch becomes
-        visible with one reference assignment.
+        The mutation, the next result tier and the epoch swap all run
+        under the backend's exclusive hold, so no live read's lease
+        overlaps them.  Backend mutations are transactional, so an
+        exception means the data is unchanged and the *old* epoch
+        remains exactly right.  On success the new epoch becomes visible
+        with one reference assignment.
 
         *make_results* builds the next epoch's result-tier slice.  It
         runs after the mutation succeeded (so it can read the post-write
@@ -306,24 +283,17 @@ class SessionEngine:
         to an empty successor — dropping cached answers is always
         correct, serving stale ones never is.
         """
-        old_view = self._epoch.view
-        self._version += 1  # odd: live readers back off
-        try:
+        with self.backend.exclusive():
             result = mutate()
-        except BaseException:
-            self._version += 1  # even again; nothing was published
-            raise
-        try:
-            results = (
-                make_results()
-                if make_results is not None
-                else self._epoch.results.empty_successor()
-            )
-        except Exception:
-            results = self._epoch.results.empty_successor()
-        self._epoch = self._next_epoch(model, plan_cache, results, fingerprint)
-        self._version += 1  # even: publication complete
-        old_view.release()
+            try:
+                results = (
+                    make_results()
+                    if make_results is not None
+                    else self._epoch.results.empty_successor()
+                )
+            except Exception:
+                results = self._epoch.results.empty_successor()
+            self._epoch = self._next_epoch(model, plan_cache, results, fingerprint)
         return result
 
     # ------------------------------------------------------------------
@@ -331,7 +301,7 @@ class SessionEngine:
     # ------------------------------------------------------------------
     def query(self, query: EntityQuery) -> List[object]:
         """Answer an object query; safe from any thread, lock-free on
-        snapshot backends."""
+        snapshot backends and on result-tier hits."""
         rows, _ = self.query_with_epoch(query)
         return rows
 
@@ -349,56 +319,34 @@ class SessionEngine:
         if epoch.view.snapshot:
             return self.query_on(epoch, query), epoch
 
-        # Live backends: the plan is resolved once per read, and again
-        # only after an epoch swap.  A result-tier hit touches no backend
-        # at all, so it cannot race a migration — serve it before the
-        # seqlock loop.
+        # Live backends: a result-tier hit touches no backend, so it is
+        # served without a lease.  A miss reads under the view's lease,
+        # and no writer publishes while it is held: the epoch read under
+        # it is the epoch of the data the statements see.
         planned = epoch.plan_cache.plan_with_key(epoch.model, query)
         cached = self._lookup(epoch, planned)
         if cached is not None:
             return cached, epoch
-
-        for _ in range(self.MAX_READ_RETRIES):
-            before = self._version
-            if before & 1:  # writer mid-publication; brief yield
+        with epoch.view.acquire() as reader:
+            if self._epoch is not epoch:
+                # a writer published since this read began
                 self._read_retries += 1
-                time.sleep(0.0005)
-                continue
-            if self._epoch is not epoch:
                 epoch = self._epoch
                 planned = epoch.plan_cache.plan_with_key(epoch.model, query)
-            try:
-                rows, bags = self._execute(epoch, planned)
-            except _RETRYABLE_READ_ERRORS:
-                # a migration rebuilt a table under this read
-                rows = None
-            except EvaluationError:
-                # a stale plan bound against a swapped schema slice
-                rows = None
-            if rows is not None and self._version == before:
-                # the seqlock validated the rows, and with them the bags
-                # the same execution counted them from
-                self._populate(epoch, planned, rows, bags)
-                return rows, epoch
-            self._read_retries += 1
-        # Sustained churn: serialize this one read against writers.
-        with self._writer_lock:
-            self._serialized_reads += 1
-            if self._epoch is not epoch:
-                epoch = self._epoch
-                planned = epoch.plan_cache.plan_with_key(epoch.model, query)
-            rows, bags = self._execute(epoch, planned)
-            self._populate(epoch, planned, rows, bags)
-            return rows, epoch
+            plan, values, _key = planned
+            rows, bags = plan.execute(reader, values)
+        self._populate(epoch, planned, rows, bags)
+        return rows, epoch
 
     def query_on(self, epoch: Epoch, query: EntityQuery) -> List[object]:
         """Execute *query* against a specific epoch.
 
         On snapshot backends this is how a reader stays pinned: an old
         epoch keeps answering from its own immutable state while newer
-        epochs serve fresh traffic.  On live backends the data under the
-        view may have moved on — use :meth:`query_with_epoch` unless you
-        are inside its validation loop.
+        epochs serve fresh traffic.  On live backends every view reads
+        the store's current data, which has moved on if a writer
+        published since *epoch*; :meth:`query_with_epoch` answers with
+        the epoch its data belongs to.
         """
         planned = epoch.plan_cache.plan_with_key(epoch.model, query)
         if not epoch.view.snapshot:
@@ -426,7 +374,7 @@ class SessionEngine:
 
     @staticmethod
     def _populate(epoch: Epoch, planned, rows: List[object], bags) -> None:
-        """Offer an answer validated against *epoch* to its result tier."""
+        """Offer an answer read from *epoch*'s data to its result tier."""
         plan, values, key = planned
         epoch.results.populate(
             key,
@@ -478,27 +426,36 @@ class SessionEngine:
         """
         with self._writer_lock:
             self._incremental = None  # state replaced wholesale; reseed lazily
-            epoch = self._epoch
-            target = apply_update_views(
-                epoch.model.views, new_state, epoch.model.store_schema
-            )
-            delta = diff_store_states(self.backend.to_store_state(), target)
-            written = [
-                name for name, td in delta.tables.items() if not td.empty
-            ]
+            return self._save_whole(new_state, publish_empty=True)
+
+    def _save_whole(
+        self, state: ClientState, *, publish_empty: bool
+    ) -> StoreDelta:
+        """Lower *state* through the update views, diff it against the
+        store and commit the difference (writer lock held).  An empty
+        difference publishes an epoch only if *publish_empty*.
+
+        A whole-state save has no signed DML to propagate, so the result
+        tier drops exactly the entries scanning a written table and
+        carries the rest.
+        """
+        epoch = self._epoch
+        target = apply_update_views(
+            epoch.model.views, state, epoch.model.store_schema
+        )
+        delta = diff_store_states(self.backend.to_store_state(), target)
+        written = [name for name, td in delta.tables.items() if not td.empty]
+        if written or publish_empty:
             self._commit(
                 lambda: self.backend.apply_delta(delta),
                 epoch.model,
                 epoch.plan_cache,
                 fingerprint=epoch.fingerprint,
-                # whole-state save: no signed DML to propagate, so the
-                # result tier drops exactly the entries scanning a
-                # written table and carries the rest
                 make_results=lambda: epoch.results.successor_for_tables(
                     written, epoch.fingerprint
                 ),
             )
-            return delta
+        return delta
 
     # ------------------------------------------------------------------
     # Incremental writing (IVM)
@@ -617,26 +574,9 @@ class SessionEngine:
 
     def _fallback_save(self, inc: IncrementalWriteState) -> StoreDelta:
         """Whole-state save of the mutated cached view, then reseed counts."""
-        epoch = self._epoch
         try:
-            target = apply_update_views(
-                epoch.model.views, inc.client_state, epoch.model.store_schema
-            )
-            delta = diff_store_states(self.backend.to_store_state(), target)
-            if not delta.empty:
-                written = [
-                    name for name, td in delta.tables.items() if not td.empty
-                ]
-                self._commit(
-                    lambda: self.backend.apply_delta(delta),
-                    epoch.model,
-                    epoch.plan_cache,
-                    fingerprint=epoch.fingerprint,
-                    make_results=lambda: epoch.results.successor_for_tables(
-                        written, epoch.fingerprint
-                    ),
-                )
-            inc.counts = seed_counts(epoch.model, inc.client_state)
+            delta = self._save_whole(inc.client_state, publish_empty=False)
+            inc.counts = seed_counts(self._epoch.model, inc.client_state)
         except BaseException:
             self._incremental = None
             raise
@@ -941,8 +881,6 @@ class SessionEngine:
             epochs_published=self._epochs_published,
             queries=self._queries,
             read_retries=self._read_retries,
-            serialized_reads=self._serialized_reads,
-            torn_reads_served=self._torn_reads_served,
             ivm_fallbacks=self._ivm_fallbacks,
         )
 

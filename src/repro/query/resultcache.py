@@ -38,9 +38,9 @@ Lifecycle, mirrored from the epoch engine's write paths:
   records the key, so one-shot reads build nothing and writes maintain
   nothing for them.  The entry adopts the executed bags and rows as
   they are — no interpreter pass, no second construction, no store
-  state.  Snapshot backends populate inline; live backends only after
-  the seqlock validated the read, which validates rows and bags
-  together because one execution produced both;
+  state.  Snapshot backends populate inline; live backends after the
+  read lease under which one execution produced rows and bags
+  together, into the tier of the epoch the read saw under it;
 * **maintain** — ``save_delta`` / ``apply_script`` derive the next
   epoch's cache with :meth:`ResultCache.successor_for_delta`: entries
   whose answer the delta leaves unchanged are carried by reference,

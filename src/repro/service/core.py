@@ -14,8 +14,9 @@ tests drive it directly.  Its verb methods speak the JSON wire format of
 Concurrency model: the tenant registry has its own lock (create / drop /
 lookup are rare and cheap); everything per-tenant rides on the epoch
 engine's reader/writer coordination — ``query`` calls are lock-free on
-snapshot backends and seqlock-validated on live ones, writers serialize
-inside the engine.  SQLite tenants get a reader connection pool
+snapshot backends and on result-tier hits, a live backend's reads hold
+a read lease that no epoch's publication overlaps, and writers
+serialize inside the engine.  SQLite tenants get a reader connection pool
 (``pool_size``) because SQLite connections are thread-affine: each
 pooled connection is leased to exactly one request at a time and its
 statement cache never crosses threads.

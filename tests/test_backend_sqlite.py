@@ -20,6 +20,7 @@ from repro.errors import SchemaError, SmoError, ValidationError
 from repro.incremental import AddEntity, AddProperty, CompiledModel
 from repro.query import EntityQuery
 from repro.query.dml import StoreDelta, TableDelta
+from repro.query.dml import apply_delta as apply_store_delta
 from repro.relational import ForeignKey, StoreState
 from repro.relational.instances import make_row
 from repro.session import OrmSession
@@ -203,6 +204,29 @@ class TestTransactionality:
         with pytest.raises(ValidationError, match="migration"):
             session.backend.migrate(script, schema, target)
         assert session.backend.snapshot() == snapshot
+
+    def test_migration_checks_a_referrer_it_never_touches(self, session):
+        """The migration's foreign-key check covers only the tables the
+        script can break, and that still includes one the script never
+        touches when it deletes a row that table references."""
+        _populate(session)
+        backend = session.backend
+        dump = list(backend.connection.iterdump())
+        schema = backend.schema
+        state = session.store_state
+        hr = next(row for row in state.rows("HR") if dict(row)["Id"] == 2)
+        target = apply_store_delta(
+            state,
+            StoreDelta(tables={"HR": TableDelta("HR", deletes=[hr])}),
+        )
+        from repro.backend import plan_migration
+
+        script = plan_migration(schema, schema, state, target)
+        assert {step.table for step in script.steps} == {"HR"}
+        assert "Emp" in script.foreign_key_scope(schema)
+        with pytest.raises(ValidationError, match="migration"):
+            backend.migrate(script, schema, target)
+        assert list(backend.connection.iterdump()) == dump
 
     def test_save_constraint_violation_error_matches_memory(self, session, model):
         """Same error surface on either engine for a violating delta."""

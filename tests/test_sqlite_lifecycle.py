@@ -12,6 +12,7 @@ from repro.backend.sqlite import SqliteBackend
 from repro.compiler import compile_mapping
 from repro.incremental import CompiledModel
 from repro.query import EntityQuery
+from repro.query.dml import StoreDelta
 from repro.session import OrmSession
 from repro.workloads.paper_example import mapping_stage1
 
@@ -122,6 +123,36 @@ class TestPoolHygiene:
             pool.checkout()
         assert len(attempts) == 2
         pool.close()
+
+
+@pytest.mark.parametrize("pool_size", [0, 2])
+class TestExclusive:
+    def test_reentrant_and_blocks_readers_until_the_outermost_exit(
+        self, stage1_model, pool_size
+    ):
+        session = _populated(stage1_model, pool_size=pool_size)
+        backend = session.backend
+        view = backend.read_view()
+        at_lease, leased = threading.Event(), threading.Event()
+
+        def reader() -> None:
+            at_lease.set()
+            with view.acquire():
+                leased.set()
+
+        thread = threading.Thread(target=reader)
+        with backend.exclusive():
+            with backend.exclusive():
+                # a mutation inside the hold takes it again on this thread
+                backend.apply_delta(StoreDelta())
+                thread.start()
+                assert at_lease.wait(10)
+                assert not leased.wait(0.1)
+            assert not leased.wait(0.1), "an inner exit released the hold"
+        assert leased.wait(10)
+        thread.join(10)
+        assert not thread.is_alive()
+        backend.close()
 
 
 class TestCrossThreadServing:
