@@ -162,7 +162,7 @@ def _measure(
 
         whole_ms = statistics.median(whole_latencies) * 1000.0
         incremental_ms = statistics.median(incremental_latencies) * 1000.0
-        writeplans = session.engine.writeplans.stats()
+        writeplans = session.writeplans.stats()
         return {
             "rows": rows,
             "ops_per_save": OPS_PER_SAVE,
@@ -176,7 +176,7 @@ def _measure(
                 "compiled": writeplans.misses,
                 "entries": writeplans.entries,
             },
-            "ivm_fallbacks": session.engine.stats().ivm_fallbacks,
+            "ivm_fallbacks": session.serving_stats().epoch.ivm_fallbacks,
         }
     finally:
         session.backend.close()

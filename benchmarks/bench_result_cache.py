@@ -220,7 +220,7 @@ def _measure(
                     stale_reads += 1
 
         stats = cached.serving_stats().results
-        epoch = cached.engine.epoch
+        epoch = cached.epoch
         one_shot_entries = 0
         for query in one_shot:
             _plan, values, key = epoch.plan_cache.plan_with_key(epoch.model, query)

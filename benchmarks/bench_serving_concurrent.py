@@ -126,26 +126,25 @@ def _latency_summary(latencies, elapsed: float) -> dict:
 def _expected_answers(session: OrmSession) -> dict:
     """fingerprint -> {query kind+parity -> answer digest}, precomputed
     for both epochs the churn alternates between."""
-    engine = session.engine
 
     def snapshot() -> dict:
         return {
-            ("touched", parity): _digest(engine.query(_touched_query(parity)))
+            ("touched", parity): _digest(session.query(_touched_query(parity)))
             for parity in (0, 1)
         } | {
             ("untouched", parity): _digest(
-                engine.query(_untouched_query(parity))
+                session.query(_untouched_query(parity))
             )
             for parity in (0, 1)
         }
 
-    base_fp = engine.epoch.fingerprint
+    base_fp = session.epoch.fingerprint
     expected = {base_fp: snapshot()}
-    engine.evolve(_churn_smo())
-    evolved_fp = engine.epoch.fingerprint
+    session.evolve(_churn_smo())
+    evolved_fp = session.epoch.fingerprint
     expected[evolved_fp] = snapshot()
-    engine.undo()
-    assert engine.epoch.fingerprint == base_fp
+    session.undo()
+    assert session.epoch.fingerprint == base_fp
     assert expected[base_fp][("touched", 0)] != expected[evolved_fp][
         ("touched", 0)
     ]
@@ -168,7 +167,7 @@ class _ReaderPool:
         self._threads: list = []
 
     def _reader(self, index: int) -> None:
-        engine = self.session.engine
+        session = self.session
         local_latencies = []
         value = index
         try:
@@ -180,7 +179,7 @@ class _ReaderPool:
                     else _untouched_query(value % 2)
                 )
                 started = time.perf_counter()
-                rows, epoch = engine.query_with_epoch(query)
+                rows, epoch = session.query_with_epoch(query)
                 local_latencies.append(time.perf_counter() - started)
                 want = self.expected.get(epoch.fingerprint)
                 if want is None or _digest(rows) != want[(kind, value % 2)]:
@@ -215,11 +214,10 @@ class _ReaderPool:
 
 
 def _measure_single_warm(session: OrmSession, queries: int = 200) -> dict:
-    engine = session.engine
     # warm every shape the workload uses
     for parity in (0, 1):
-        engine.query(_touched_query(parity))
-        engine.query(_untouched_query(parity))
+        session.query(_touched_query(parity))
+        session.query(_untouched_query(parity))
     latencies = []
     started = time.perf_counter()
     for value in range(queries):
@@ -230,7 +228,7 @@ def _measure_single_warm(session: OrmSession, queries: int = 200) -> dict:
             else _untouched_query(value % 2)
         )
         t0 = time.perf_counter()
-        engine.query(query)
+        session.query(query)
         latencies.append(time.perf_counter() - t0)
     elapsed = time.perf_counter() - started
     return _latency_summary(latencies, elapsed)
@@ -244,7 +242,6 @@ def _measure_backend(
 ) -> dict:
     model = _chain_model()
     session = _session(model, backend_name, clients)
-    engine = session.engine
     try:
         expected = _expected_answers(session)
         single = _measure_single_warm(session)
@@ -258,8 +255,8 @@ def _measure_backend(
         plans_before = session.plan_cache.stats()
         with _ReaderPool(session, expected, clients) as pool:
             for _ in range(batches):
-                engine.evolve_many([_churn_smo()])
-                engine.undo()
+                session.evolve_many([_churn_smo()])
+                session.undo()
         churn = _latency_summary(pool.latencies, pool.elapsed)
         assert not pool.errors, pool.errors[0]
         plans_after = session.plan_cache.stats()
@@ -271,7 +268,7 @@ def _measure_backend(
             plans_after.hits > plans_before.hits
             and plans_after.misses - plans_before.misses <= 4 * batches
         )
-        stats = engine.stats()
+        stats = session.serving_stats().epoch
         return {
             "clients": clients,
             "batches": batches,
@@ -297,7 +294,7 @@ def _measure_backend(
             },
         }
     finally:
-        engine.close()
+        session.close()
 
 
 # ---------------------------------------------------------------------------

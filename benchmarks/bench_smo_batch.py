@@ -234,7 +234,7 @@ def _migration_point(
                 undos.append(undo_ms)
         point["evolve_ms"][kind] = round(statistics.median(evolves), 3)
         point["undo_ms"][kind] = round(statistics.median(undos), 3)
-    session.engine.close()
+    session.close()
     for phase in ("evolve", "undo"):
         point[f"{phase}_total_ms"] = round(sum(point[f"{phase}_ms"].values()), 3)
     return point

@@ -152,30 +152,24 @@ class SqliteBackend(StoreBackend):
         self,
         schema: StoreSchema,
         db_path: Optional[str] = None,
-        connection: Optional[sqlite3.Connection] = None,
         pool_size: int = 0,
     ) -> None:
         self._schema = schema
         self.db_path = db_path or ":memory:"
         self.pool_size = pool_size
         self._uri: Optional[str] = None
-        if connection is not None:
-            self._conn = connection
+        if self.db_path == ":memory:" and pool_size:
+            # a plain :memory: database is private per connection;
+            # pooled readers need the shared-cache URI form
+            self._uri = (
+                f"file:repro-mem-{next(_MEMORY_DB_IDS)}"
+                "?mode=memory&cache=shared"
+            )
+            self._conn = sqlite3.connect(
+                self._uri, uri=True, check_same_thread=False
+            )
         else:
-            if self.db_path == ":memory:" and pool_size:
-                # a plain :memory: database is private per connection;
-                # pooled readers need the shared-cache URI form
-                self._uri = (
-                    f"file:repro-mem-{next(_MEMORY_DB_IDS)}"
-                    "?mode=memory&cache=shared"
-                )
-                self._conn = sqlite3.connect(
-                    self._uri, uri=True, check_same_thread=False
-                )
-            else:
-                self._conn = sqlite3.connect(
-                    self.db_path, check_same_thread=False
-                )
+            self._conn = sqlite3.connect(self.db_path, check_same_thread=False)
         self._conn.isolation_level = None  # explicit BEGIN/COMMIT below
         self._conn.execute("PRAGMA foreign_keys = ON")
         self._conn.execute("PRAGMA busy_timeout = 10000")

@@ -218,7 +218,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             )
         _write(args.output, dumps_model(session.model))
     finally:
-        session.backend.close()
+        session.close()
     return 0
 
 
@@ -240,7 +240,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 script = session.migration_script(smos)
                 print(script.summary())
             finally:
-                session.backend.close()
+                session.close()
     return 0 if plan.ok else 1
 
 
@@ -289,7 +289,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             print(session.serving_stats(), file=sys.stderr)
         return 0
     finally:
-        session.backend.close()
+        session.close()
 
 
 def cmd_save_delta(args: argparse.Namespace) -> int:
@@ -310,7 +310,7 @@ def cmd_save_delta(args: argparse.Namespace) -> int:
             print(session.serving_stats(), file=sys.stderr)
         return 0
     finally:
-        session.backend.close()
+        session.close()
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -328,7 +328,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(session.serving_stats())
         return 0
     finally:
-        session.backend.close()
+        session.close()
 
 
 def cmd_ddl(args: argparse.Namespace) -> int:
@@ -346,7 +346,7 @@ def cmd_ddl(args: argparse.Namespace) -> int:
         print(script.to_sql())
         return 0
     finally:
-        session.backend.close()
+        session.close()
 
 
 def cmd_cache(args: argparse.Namespace) -> int:

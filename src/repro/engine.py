@@ -1,15 +1,35 @@
-"""The epoch-based serving engine: concurrent queries, serialized writers.
+"""An ORM-style session over a compiled model: the epoch engine.
+
+Everything the compilers produce comes together here, the way a
+downstream application would use it:
+
+* **queries** run against the relational data through view unfolding
+  (Section 1.1's query translation);
+* **SaveChanges** translates object-level modifications into the minimal
+  store delta through the update views (Section 1.1's update
+  translation), with store constraints checked before anything is
+  applied;
+* **schema evolution** applies an SMO through the incremental compiler
+  and *migrates the stored data* — reading the old data through the old
+  query views and storing it through the new update views is exactly the
+  semantics-preserving migration, because both mappings agree on all
+  pre-existing client states (the Section 2.3 soundness restriction).
 
 The paper's incremental compiler exists so a *live* ORM can evolve its
-schema without stopping the world.  This module is the runtime half of
-that claim: an :class:`OrmSession` is split into an immutable
-:class:`Epoch` value (compiled model + structural fingerprint + the plan
-cache slice valid for it + a data read view) and a :class:`SessionEngine`
-that coordinates readers and writers around it.
+schema without stopping the world.  An :class:`OrmSession` therefore
+serves every request from an immutable :class:`Epoch` value (compiled
+model + structural fingerprint + the plan cache slice valid for it + a
+data read view) and coordinates readers and writers around it.  The
+session talks to the relational data only through a
+:class:`~repro.backend.base.StoreBackend`: the in-memory interpreter, or
+a live SQLite database that executes the generated SQL/DDL itself
+(``backend="sqlite"``; the ``REPRO_BACKEND`` environment variable picks
+the default).  Query, SaveChanges, evolve and undo behave identically on
+either.
 
-**Reader protocol** — :meth:`SessionEngine.query` grabs the current
-epoch reference (one attribute read, atomic under the GIL), resolves its
-plan from the epoch's own plan cache, and executes:
+**Reader protocol** — :meth:`OrmSession.query` grabs the current epoch
+reference (one attribute read, atomic under the GIL), resolves its plan
+from the epoch's own plan cache, and executes:
 
 * on engines with **snapshot reads** (memory: store states are replaced
   wholesale, never mutated) the epoch's view pins one immutable state, so
@@ -24,11 +44,12 @@ plan from the epoch's own plan cache, and executes:
   epoch, then executes.  The data and the epoch cannot move under the
   lease, so the answer is consistent with that epoch *by construction*.
 
-**Writer protocol** — ``save`` / ``evolve`` / ``evolve_many`` / ``undo`` /
-``replace_contents`` serialize on one re-entrant writer lock.  A writer
-builds everything off to the side (compile the batch, compute the
-migrated store, derive the successor plan cache with delta-scoped
-invalidation), then publishes in a short window under the backend's
+**Writer protocol** — ``save`` / ``save_delta`` / ``evolve`` /
+``evolve_many`` / ``undo`` and assigning ``store_state`` serialize on one
+re-entrant writer lock.  A writer builds everything off to the side
+(compile the batch, compute the migrated store, derive the successor
+plan cache with delta-scoped invalidation), then publishes in a short
+window under the backend's
 :meth:`~repro.backend.base.StoreBackend.exclusive` hold::
 
     backend mutation    (transactional: all or nothing)
@@ -38,6 +59,18 @@ invalidation), then publishes in a short window under the backend's
 In-flight snapshot readers finish on the old epoch; new readers land on
 the new one.  On a validation abort nothing was published and the old
 epoch stands untouched.
+
+Example::
+
+    session = OrmSession.create(model)                      # in-memory
+    session = OrmSession.create(model, backend="sqlite")    # live SQLite
+    with session.edit() as state:
+        state.add_entity("Persons", Entity.of("Person", Id=1, Name="ann"))
+    session.query(EntityQuery("Persons"))
+    session.evolve(AddEntity.tpt(...))      # schema + data migrate together
+    plan = session.plan([smo1, smo2])       # dry-run: delta + checks, no mutation
+    session.evolve_many([smo1, smo2])       # one batch, one neighborhood validation
+    session.undo()                          # inverse delta + migration back
 """
 
 from __future__ import annotations
@@ -48,7 +81,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.queries import scanned_names
-from repro.backend.base import ReadView, StoreBackend
+from repro.backend.base import ReadView, StoreBackend, create_backend
+from repro.backend.memory import MemoryBackend
 from repro.backend.migrate import MigrationScript, plan_migration
 from repro.budget import WorkBudget
 from repro.compiler.validation import (
@@ -61,6 +95,7 @@ from repro.containment.persist import PersistentCacheStore, cache_dir_from_env
 from repro.edm.instances import ClientState
 from repro.edm.schema import ClientSchema
 from repro.errors import IvmError, SchemaError, SmoError
+from repro.fingerprint import digest_stats
 from repro.incremental.delta import MappingDelta
 from repro.incremental.model import CompiledModel
 from repro.incremental.smo import (
@@ -80,7 +115,7 @@ from repro.ivm import (
 from repro.mapping.roundtrip import apply_query_views, apply_update_views
 from repro.query.dml import StoreDelta, diff_store_states
 from repro.query.language import EntityQuery
-from repro.query.plancache import CachedPlan, PlanCache
+from repro.query.plancache import PlanCache, ServingStats
 from repro.query.resultcache import DEFAULT_RESULT_BUDGET, ResultCache
 from repro.relational.instances import StoreState
 
@@ -106,7 +141,6 @@ class JournalEntry:
     label: str
     smos: Tuple[Smo, ...]
     delta: MappingDelta
-    store_delta: "StoreDelta"
     store_before: StoreState
     check_names: Tuple[str, ...]
     pending_before: MappingDelta
@@ -177,23 +211,33 @@ class EngineStats:
         )
 
 
-class SessionEngine:
-    """Epoch-coordinated core of an ORM session.
+class OrmSession:
+    """A compiled model plus the relational data it maps.
 
-    One engine owns one backend, one validation cache, one journal, and
+    One session owns one backend, one validation cache, one journal, and
     the chain of epochs it publishes.  All public readers are safe from
     any thread; all writers serialize internally — callers never manage
-    locks.
+    locks.  Without a *backend* the session keeps its data in memory,
+    starting from *store_state* (or an empty store).
     """
 
     def __init__(
         self,
         model: CompiledModel,
-        backend: StoreBackend,
+        store_state: Optional[StoreState] = None,
+        backend: Optional[StoreBackend] = None,
         budget: Optional[WorkBudget] = None,
         cache_dir: Optional[str] = None,
         result_cache_budget: Optional[int] = None,
     ) -> None:
+        if backend is None:
+            backend = MemoryBackend(
+                store_state
+                if store_state is not None
+                else StoreState(model.store_schema)
+            )
+        elif store_state is not None:
+            raise SmoError("pass either store_state or backend, not both")
         self.backend = backend
         # The validation cache is the per-process L1; *cache_dir* (or the
         # REPRO_CACHE_DIR environment variable) attaches the on-disk L2
@@ -214,7 +258,6 @@ class SessionEngine:
         self.journal: List[JournalEntry] = []
         self._writer_lock = threading.RLock()
         self._epoch_counter = 0
-        self._epochs_published = 0
         self._queries = 0
         self._read_retries = 0
         self._ivm_fallbacks = 0
@@ -232,6 +275,36 @@ class SessionEngine:
         )
         self._epoch = self._next_epoch(model, PlanCache(), results)
 
+    @staticmethod
+    def create(
+        model: CompiledModel,
+        backend: Optional[str] = None,
+        db_path: Optional[str] = None,
+        pool_size: int = 0,
+        cache_dir: Optional[str] = None,
+        result_cache_budget: Optional[int] = None,
+    ) -> "OrmSession":
+        """A session over an empty database.
+
+        *backend* names the store engine (``"memory"`` / ``"sqlite"``);
+        when ``None`` the ``REPRO_BACKEND`` environment variable decides
+        (defaulting to memory).  *db_path* puts a SQLite store on disk
+        instead of in ``:memory:``; *pool_size* > 0 provisions a reader
+        connection pool for concurrent serving.  *cache_dir* attaches the
+        persistent cross-process validation cache (defaulting to
+        ``REPRO_CACHE_DIR`` when set).  *result_cache_budget* bounds the
+        materialized result tier in cells (rows × width); ``0`` disables
+        it, ``None`` uses the default.
+        """
+        return OrmSession(
+            model,
+            backend=create_backend(
+                backend, model.store_schema, db_path=db_path, pool_size=pool_size
+            ),
+            cache_dir=cache_dir,
+            result_cache_budget=result_cache_budget,
+        )
+
     # ------------------------------------------------------------------
     # Epoch plumbing
     # ------------------------------------------------------------------
@@ -239,6 +312,46 @@ class SessionEngine:
     def epoch(self) -> Epoch:
         """The current epoch (atomic to read; grab once per request)."""
         return self._epoch
+
+    @property
+    def engine(self) -> "OrmSession":
+        """This session itself: a read-only alias the end-to-end
+        benchmark's workloads still call."""
+        return self
+
+    @property
+    def model(self) -> CompiledModel:
+        """The current epoch's compiled model."""
+        return self._epoch.model
+
+    @property
+    def plan_cache(self) -> PlanCache:
+        """The current epoch's plan cache."""
+        return self._epoch.plan_cache
+
+    @property
+    def store_state(self) -> StoreState:
+        """The backend's contents as a (possibly cached) StoreState.
+
+        Assigning a state resets schema and data wholesale (bulk loads,
+        tests).  The model is unchanged but every cached plan is dropped
+        — a wholesale reset may swap the store schema under the plans'
+        feet.
+        """
+        return self.backend.to_store_state()
+
+    @store_state.setter
+    def store_state(self, state: StoreState) -> None:
+        with self._writer_lock:
+            self._incremental = None
+            epoch = self._epoch
+            self._commit(
+                lambda: self.backend.replace_contents(state),
+                epoch.model,
+                epoch.plan_cache.empty_successor(),
+                fingerprint=epoch.fingerprint,
+                make_results=epoch.results.empty_successor,
+            )
 
     def _next_epoch(
         self,
@@ -248,7 +361,6 @@ class SessionEngine:
         fingerprint: Optional[str] = None,
     ) -> Epoch:
         self._epoch_counter += 1
-        self._epochs_published += 1
         return Epoch(
             epoch_id=self._epoch_counter,
             model=model,
@@ -300,8 +412,14 @@ class SessionEngine:
     # Reading
     # ------------------------------------------------------------------
     def query(self, query: EntityQuery) -> List[object]:
-        """Answer an object query; safe from any thread, lock-free on
-        snapshot backends and on result-tier hits."""
+        """Answer an object query from the relational data alone.
+
+        Served through the current epoch's :class:`PlanCache`: the query
+        is split into a constant-free shape plus a parameter vector, and
+        structurally identical queries reuse one unfolded (and, on
+        SQLite, SQL-compiled) plan.  Safe from any thread, lock-free on
+        snapshot backends and on result-tier hits.
+        """
         rows, _ = self.query_with_epoch(query)
         return rows
 
@@ -386,14 +504,30 @@ class SessionEngine:
             bags,
         )
 
-    def plan_for(
-        self, query: EntityQuery
-    ) -> Tuple[CachedPlan, Tuple[object, ...], Epoch]:
-        """The cached plan for *query* under the current epoch (explain
-        paths want the plan itself, not its results)."""
+    def explain(self, query: EntityQuery) -> str:
+        """The store-level plan a query unfolds to (Entity-SQL text).
+
+        Routed through the same plan cache as :meth:`query`, so explain
+        shows — and warms — exactly the plan execution will use.
+        """
         epoch = self._epoch
         plan, values = epoch.plan_cache.plan_for(epoch.model, query)
-        return plan, values, epoch
+        return plan.explain(values)
+
+    def explain_sql(
+        self, query: EntityQuery
+    ) -> List[Tuple[str, str, Tuple[object, ...]]]:
+        """Per-branch ``(constructed type, SQL text, bound parameters)``
+        of the cached plan — the statements :meth:`query` executes on a
+        SQL backend."""
+        epoch = self._epoch
+        plan, values = epoch.plan_cache.plan_for(epoch.model, query)
+        return [
+            (branch.concrete_type, compiled.text, params)
+            for branch, compiled, params in plan.bound_sql(
+                epoch.model.store_schema, values
+            )
+        ]
 
     def load(self) -> ClientState:
         """Materialise the whole object view of the database (Q)."""
@@ -420,6 +554,10 @@ class SessionEngine:
     def save(self, new_state: ClientState) -> StoreDelta:
         """SaveChanges: persist *new_state* as the object view.
 
+        Computes the minimal row delta (via the update views) and hands
+        it to the backend, which applies it transactionally — the
+        interpreter checks PK/FK explicitly, SQLite enforces them
+        natively.  On a constraint violation nothing is applied.
         Data-only: the epoch's model and plans carry over unchanged, but
         a fresh epoch (same fingerprint) is still published so snapshot
         readers see the new data atomically.
@@ -427,6 +565,17 @@ class SessionEngine:
         with self._writer_lock:
             self._incremental = None  # state replaced wholesale; reseed lazily
             return self._save_whole(new_state, publish_empty=True)
+
+    @contextmanager
+    def edit(self) -> Iterator[ClientState]:
+        """Edit the object view in place and save on exit::
+
+            with session.edit() as state:
+                state.add_entity("Persons", Entity.of("Person", Id=1, ...))
+        """
+        state = self.load()
+        yield state
+        self.save(state)
 
     def _save_whole(
         self, state: ClientState, *, publish_empty: bool
@@ -474,12 +623,18 @@ class SessionEngine:
             self._incremental = IncrementalWriteState(state, counts)
         return self._incremental
 
-    def apply_script(self, script: DeltaScript) -> StoreDelta:
-        """Apply a :class:`DeltaScript` incrementally (the wire verb).
+    def save_delta(self, script: DeltaScript) -> StoreDelta:
+        """Incremental SaveChanges: apply a recorded edit script.
 
-        The script replays onto the engine's cached client view with
-        recording on; the captured :class:`ClientDelta` then pushes
-        through the compiled writeplans.  Validation errors raised by the
+        Instead of re-materializing every update view over the whole
+        client state (what :meth:`save` does), the script replays onto
+        the session's cached client view with recording on, and the
+        captured :class:`ClientDelta` pushes through compiled per-view
+        delta rules (:mod:`repro.ivm.writeplan`), producing exactly the
+        same store DML at cost proportional to the *change*, not the
+        database.  Shapes the delta rules cannot handle fall back to a
+        whole-state save transparently — the result is always
+        byte-identical to :meth:`save`.  Validation errors raised by the
         replay leave the cached state only partially mutated, so any
         failure drops the cache — the next incremental save reseeds.
         """
@@ -497,10 +652,14 @@ class SessionEngine:
             return self._push_delta(inc, recorder)
 
     @contextmanager
-    def incremental_edit(self) -> Iterator[ClientState]:
-        """Context manager yielding the cached client view with recording
-        on; mutations made inside the block are pushed incrementally on
-        exit.  An exception inside the block drops the cache (the state
+    def edit_incremental(self) -> Iterator[ClientState]:
+        """Like :meth:`edit`, but mutations are recorded and saved
+        through the incremental write path on exit::
+
+            with session.edit_incremental() as state:
+                state.update_entity("Persons", changed_person)
+
+        An exception inside the block drops the cached client view (it
         may be partially mutated) and propagates."""
         with self._writer_lock:
             inc = self._incremental_write_state()
@@ -514,18 +673,6 @@ class SessionEngine:
             finally:
                 inc.client_state.stop_recording()
             self._push_delta(inc, recorder)
-
-    def apply_client_delta(self, delta: ClientDelta) -> StoreDelta:
-        """Push an externally-recorded :class:`ClientDelta`.
-
-        The delta must describe mutations *already applied* to the
-        engine's cached client view (record with
-        :meth:`incremental_edit`, or :meth:`ClientState.record_into` on
-        the state returned by a prior load that the engine adopted).
-        """
-        with self._writer_lock:
-            inc = self._incremental_write_state()
-            return self._push_delta(inc, recorder=delta)
 
     def _push_delta(
         self, inc: IncrementalWriteState, recorder: ClientDelta
@@ -618,7 +765,6 @@ class SessionEngine:
                 label=label or "; ".join(smo.describe() for smo in smos),
                 smos=batch.smos,
                 delta=batch.delta,
-                store_delta=delta,
                 store_before=store_before,
                 check_names=batch.check_names,
                 pending_before=self._unvalidated_delta,
@@ -787,27 +933,12 @@ class SessionEngine:
                 )
             return entry
 
-    def replace_contents(self, state: StoreState) -> None:
-        """Reset schema and data wholesale (bulk loads, tests).  The
-        model is unchanged but every cached plan is dropped — a wholesale
-        reset may swap the store schema under the plans' feet."""
-        with self._writer_lock:
-            self._incremental = None
-            epoch = self._epoch
-            self._commit(
-                lambda: self.backend.replace_contents(state),
-                epoch.model,
-                epoch.plan_cache.empty_successor(),
-                fingerprint=epoch.fingerprint,
-                make_results=epoch.results.empty_successor,
-            )
-
     # ------------------------------------------------------------------
     # Dry runs and validation
     # ------------------------------------------------------------------
     def plan(self, smos: Sequence[Smo]) -> EvolutionPlan:
         """Dry-run a batch: the delta it would emit and the checks it
-        would schedule, without touching the engine's model or data."""
+        would schedule, without touching the session's model or data."""
         return self._compiler.plan(self._epoch.model, smos)
 
     def migration_script(self, smos: Sequence[Smo]) -> MigrationScript:
@@ -825,7 +956,16 @@ class SessionEngine:
         symbolic: bool = True,
         scope: str = "full",
     ) -> ValidationReport:
-        """Validate the current model through the engine cache.
+        """Validate the current model through the session cache.
+
+        Repeated calls (and SMO validations in between) share one
+        :class:`ValidationCache`, so re-validating an unchanged or locally
+        changed model is dominated by cache hits — the report's
+        ``cache_hits`` / ``cache_misses`` show the split.  When the cache
+        has a persistent store attached (``cache_dir`` /
+        ``REPRO_CACHE_DIR``), a fresh process warms from disk the same way
+        (``l2_hits``).  ``symbolic`` toggles the layered containment fast
+        path.
 
         ``scope="full"`` runs every check of Algorithm 1.
         ``scope="delta"`` composes the deltas of every evolution (and
@@ -875,21 +1015,40 @@ class SessionEngine:
         return self._unvalidated_delta
 
     # ------------------------------------------------------------------
-    def stats(self) -> EngineStats:
-        return EngineStats(
-            epoch_id=self._epoch.epoch_id,
-            epochs_published=self._epochs_published,
-            queries=self._queries,
-            read_retries=self._read_retries,
-            ivm_fallbacks=self._ivm_fallbacks,
+    def serving_stats(self) -> ServingStats:
+        """Hit/miss/eviction counters of the query-serving fast path,
+        plus the session's reader/writer coordination counters."""
+        epoch = self._epoch
+        backend = self.backend
+        statement_stats = getattr(backend, "statement_cache_stats", None)
+        index_stats = getattr(backend, "index_stats", None)
+        return ServingStats(
+            backend=backend.name,
+            plans=epoch.plan_cache.stats(),
+            statements=statement_stats() if statement_stats else None,
+            indexes=index_stats() if index_stats else None,
+            epoch=EngineStats(
+                epoch_id=epoch.epoch_id,
+                epochs_published=self._epoch_counter,
+                queries=self._queries,
+                read_retries=self._read_retries,
+                ivm_fallbacks=self._ivm_fallbacks,
+            ),
+            writeplans=self.writeplans.stats(),
+            validation=self.validation_cache.stats(),
+            results=epoch.results.stats(),
+            digests=digest_stats(),
         )
 
     def close(self) -> None:
+        """Release the backend and the persistent validation cache."""
         self.backend.close()
         self.validation_cache.close()
 
     def __str__(self) -> str:
-        return f"SessionEngine({self._epoch}, {self.backend.name})"
+        return (
+            f"OrmSession({self.model}, {self.store_state.row_count()} rows)"
+        )
 
 
 def _unembeddable(old: ClientSchema, new: ClientSchema) -> Set[str]:

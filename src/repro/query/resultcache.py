@@ -41,7 +41,7 @@ Lifecycle, mirrored from the epoch engine's write paths:
   state.  Snapshot backends populate inline; live backends after the
   read lease under which one execution produced rows and bags
   together, into the tier of the epoch the read saw under it;
-* **maintain** — ``save_delta`` / ``apply_script`` derive the next
+* **maintain** — ``save_delta`` and ``edit_incremental`` derive the next
   epoch's cache with :meth:`ResultCache.successor_for_delta`: entries
   whose answer the delta leaves unchanged are carried by reference,
   maintainable entries it changes are rebuilt copy-on-write in O(|Δ|),
@@ -53,8 +53,8 @@ Lifecycle, mirrored from the epoch engine's write paths:
   touched neighborhood exactly as :meth:`PlanCache.successor` does
   (:meth:`successor`), then by the tables their migration rewrote, which
   for an undo includes every table written since the evolve; and
-  ``replace_contents`` clears (data is replaced wholesale, so
-  table-scoped reasoning does not apply).
+  assigning the session's ``store_state`` clears (data is replaced
+  wholesale, so table-scoped reasoning does not apply).
 
 The cache is bounded by a cost-aware :class:`~repro.cache.LruCache`: an
 entry's cost is its rows × width in cells, not its entry count, so one

@@ -12,11 +12,11 @@ tests drive it directly.  Its verb methods speak the JSON wire format of
 :mod:`repro.service.wire` on both sides, so a facade only moves bytes.
 
 Concurrency model: the tenant registry has its own lock (create / drop /
-lookup are rare and cheap); everything per-tenant rides on the epoch
-engine's reader/writer coordination — ``query`` calls are lock-free on
-snapshot backends and on result-tier hits, a live backend's reads hold
-a read lease that no epoch's publication overlaps, and writers
-serialize inside the engine.  SQLite tenants get a reader connection pool
+lookup are rare and cheap); everything per-tenant rides on the session's
+own reader/writer coordination (:mod:`repro.engine`) — ``query`` calls
+are lock-free on snapshot backends and on result-tier hits, a live
+backend's reads hold a read lease that no epoch's publication overlaps,
+and writers serialize inside the session.  SQLite tenants get a reader connection pool
 (``pool_size``) because SQLite connections are thread-affine: each
 pooled connection is leased to exactly one request at a time and its
 statement cache never crosses threads.
@@ -110,7 +110,7 @@ class SessionService:
             previous = self._tenants.get(tenant)
             self._tenants[tenant] = session
         if previous is not None:
-            previous.engine.close()
+            previous.close()
         epoch = session.epoch
         return {
             "tenant": tenant,
@@ -125,7 +125,7 @@ class SessionService:
                 session = self._tenants.pop(tenant)
             except KeyError:
                 raise UnknownTenant(f"unknown tenant {tenant!r}") from None
-        session.engine.close()
+        session.close()
         return {"tenant": tenant, "dropped": True}
 
     @staticmethod
@@ -150,7 +150,7 @@ class SessionService:
         consistent with (the torn-read assertion token)."""
         session = self.session(tenant)
         query = wire.query_from_json(payload)
-        rows, epoch = session.engine.query_with_epoch(query)
+        rows, epoch = session.query_with_epoch(query)
         return {
             "rows": [wire.encode_result(r) for r in rows],
             "count": len(rows),
@@ -176,12 +176,11 @@ class SessionService:
         current view instead (add-only convenience for load generators).
         """
         session = self.session(tenant)
-        engine = session.engine
         state_payload = payload.get("state")
         if state_payload is None:
             raise SchemaError("save payload must carry a 'state' object")
         if payload.get("merge"):
-            state = engine.load()
+            state = session.load()
             for set_name, entities in (
                 state_payload.get("entities") or {}
             ).items():
@@ -196,10 +195,10 @@ class SessionService:
                     )
         else:
             state = wire.client_state_from_json(
-                engine.epoch.model.client_schema, state_payload
+                session.model.client_schema, state_payload
             )
-        delta = engine.save(state)
-        epoch = engine.epoch
+        delta = session.save(state)
+        epoch = session.epoch
         return {
             "applied": delta.statement_count(),
             "epoch": epoch.epoch_id,
@@ -229,7 +228,6 @@ class SessionService:
         ``target`` client schema and apply the implied SMOs as one batch
         while queries keep flowing."""
         session = self.session(tenant)
-        engine = session.engine
         target_document = payload.get("target")
         if target_document is None:
             raise SchemaError("evolve payload must carry a 'target' schema")
@@ -239,20 +237,20 @@ class SessionService:
             target_document.get("clientSchema", target_document)
         )
         smos = smos_from_diff(
-            engine.epoch.model,
+            session.model,
             target,
             style_overrides=wire.style_overrides(payload),
         )
         if not smos:
-            epoch = engine.epoch
+            epoch = session.epoch
             return {
                 "applied": [],
                 "epoch": epoch.epoch_id,
                 "fingerprint": epoch.fingerprint,
             }
-        engine.evolve_many(smos, label=payload.get("label"))
-        entry = engine.journal[-1]
-        epoch = engine.epoch
+        session.evolve_many(smos, label=payload.get("label"))
+        entry = session.journal[-1]
+        epoch = session.epoch
         return {
             "applied": [smo.describe() for smo in entry.smos],
             "delta_ops": len(entry.delta),
@@ -263,8 +261,8 @@ class SessionService:
 
     def undo(self, tenant: str) -> Dict[str, Any]:
         session = self.session(tenant)
-        entry = session.engine.undo()
-        epoch = session.engine.epoch
+        entry = session.undo()
+        epoch = session.epoch
         return {
             "undone": entry.label,
             "epoch": epoch.epoch_id,
@@ -284,4 +282,4 @@ class SessionService:
             sessions = list(self._tenants.values())
             self._tenants.clear()
         for session in sessions:
-            session.engine.close()
+            session.close()

@@ -450,7 +450,7 @@ def chain_session():
                     ),
                 )
     yield session
-    session.engine.close()
+    session.close()
 
 
 class TestIndexedPlans:
@@ -465,7 +465,7 @@ class TestIndexedPlans:
         for index in range(1, CHAIN_TYPES + 1):
             query = EntityQuery(set_name(index), Comparison("Id", "=", 3))
             assert len(chain_session.query(query)) == 1
-            epoch = chain_session.engine.epoch
+            epoch = chain_session.epoch
             plan, values, _key = epoch.plan_cache.plan_with_key(epoch.model, query)
             for _branch, compiled, params in plan.bound_sql(
                 epoch.model.store_schema, values
@@ -501,7 +501,7 @@ class TestIndexedPlans:
         smo = AddProperty(
             entity_name(1), Attribute("Extra", STRING, nullable=True), table_name(1)
         )
-        script = chain_session.engine.migration_script([smo])
+        script = chain_session.migration_script([smo])
         kinds = [step.kind for step in script.steps]
         assert kinds[:6] == ["create", "copy", "drop", "rename", "index", "index"]
         chain_session.evolve(smo)

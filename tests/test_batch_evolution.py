@@ -189,7 +189,7 @@ class TestAbortAtomicity:
         # warm the cache against the *current* model
         session.validate()
         entries_before = len(session.validation_cache)
-        misses_before = session.cache_stats().misses
+        misses_before = session.validation_cache.stats().misses
 
         def vip_smo():
             return AddEntity.tpc(
@@ -201,7 +201,7 @@ class TestAbortAtomicity:
             session.evolve(vip_smo())  # the Figure 6 violation
         # every entry inserted while compiling the rejected model is gone
         assert len(session.validation_cache) == entries_before
-        misses_after_first = session.cache_stats().misses
+        misses_after_first = session.validation_cache.stats().misses
         assert misses_after_first > misses_before  # the attempt did work
 
         # an identical retry recomputes (nothing poisoned, nothing reused
@@ -209,7 +209,7 @@ class TestAbortAtomicity:
         with pytest.raises(ValidationError):
             session.evolve(vip_smo())
         assert len(session.validation_cache) == entries_before
-        assert session.cache_stats().misses > misses_after_first
+        assert session.validation_cache.stats().misses > misses_after_first
 
         # and the session still accepts a valid evolution afterwards
         session.evolve(subtype_smo(session.model, 9))

@@ -375,7 +375,7 @@ class TestKeyIndexThreadSafety:
                         else Comparison("EntityAtt4", "=", f"c{turn % 5}")
                     )
                     query = EntityQuery(set_name(index), condition)
-                    rows, epoch = session.engine.query_with_epoch(query)
+                    rows, epoch = session.query_with_epoch(query)
                     served.append((query, rows, epoch))
                     turn += 1
             except Exception as exc:  # noqa: BLE001 — collected for assertion

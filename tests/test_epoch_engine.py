@@ -132,7 +132,7 @@ class TestPinnedReaders:
         session.evolve(_churn_smo(session.model))
         pinned = session.epoch
         query = EntityQuery(set_name(1))
-        before = session.engine.query_on(pinned, query)
+        before = session.query_on(pinned, query)
         assert all("Tmp" in e.value_map for e in before)
 
         session.undo()
@@ -140,7 +140,7 @@ class TestPinnedReaders:
         rolled_back = session.query(query)
         assert all("Tmp" not in e.value_map for e in rolled_back)
         # the pinned epoch still answers from its own world, identically
-        after = session.engine.query_on(pinned, query)
+        after = session.query_on(pinned, query)
         assert sorted(map(repr, after)) == sorted(map(repr, before))
 
     def test_every_epoch_in_a_chain_stays_consistent(self, chain_compiled):
@@ -162,7 +162,7 @@ class TestPinnedReaders:
                 )
             epochs.append((session.epoch, base + i + 1))
         for epoch, expected in epochs:
-            assert len(session.engine.query_on(epoch, query)) == expected
+            assert len(session.query_on(epoch, query)) == expected
 
 
 @pytest.mark.parametrize("pool_size", [0, 2])
@@ -176,9 +176,8 @@ class TestPublicationWindow:
         self, chain_compiled, pool_size
     ):
         session = _chain_session(chain_compiled, "sqlite", pool_size=pool_size)
-        engine = session.engine
         query = EntityQuery(set_name(1))
-        old = engine.epoch
+        old = session.epoch
         state = session.load()
         state.add_entity(
             set_name(1),
@@ -207,13 +206,13 @@ class TestPublicationWindow:
             return acquire()
 
         old.view.acquire = announced_acquire
-        retries = engine.stats().read_retries
+        retries = session.serving_stats().epoch.read_retries
         saved, answered = [], []
         writer = threading.Thread(
             target=lambda: saved.append(session.save(state))
         )
         reader = threading.Thread(
-            target=lambda: answered.append(engine.query_with_epoch(query))
+            target=lambda: answered.append(session.query_with_epoch(query))
         )
         writer.start()
         try:
@@ -222,7 +221,7 @@ class TestPublicationWindow:
             assert at_lease.wait(10)
             reader.join(0.2)
             assert reader.is_alive(), "the read returned inside the window"
-            assert engine.epoch is old
+            assert session.epoch is old
         finally:
             publish.set()
             writer.join(10)
@@ -230,14 +229,14 @@ class TestPublicationWindow:
         assert not writer.is_alive() and not reader.is_alive()
         assert len(saved) == 1
         ((rows, epoch),) = answered
-        assert epoch is engine.epoch
+        assert epoch is session.epoch
         assert epoch.epoch_id == old.epoch_id + 1
         assert len(rows) == 4
         assert sorted(map(repr, rows)) == sorted(
-            map(repr, engine.query(query))
+            map(repr, session.query(query))
         )
-        assert engine.stats().read_retries == retries + 1
-        engine.close()
+        assert session.serving_stats().epoch.read_retries == retries + 1
+        session.close()
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -253,27 +252,26 @@ class TestConcurrentTraffic:
         session = _chain_session(
             chain_compiled, backend_name, pool_size=self.CLIENTS
         )
-        engine = session.engine
         touched = EntityQuery(set_name(1))
         untouched = EntityQuery(set_name(CHAIN_TYPES))
 
         # Precompute, per fingerprint, the answer a consistent response
         # must equal — structural fingerprints repeat across the churn.
-        base_fp = engine.epoch.fingerprint
+        base_fp = session.epoch.fingerprint
         expected = {
             base_fp: {
-                "touched": sorted(map(repr, engine.query(touched))),
-                "untouched": sorted(map(repr, engine.query(untouched))),
+                "touched": sorted(map(repr, session.query(touched))),
+                "untouched": sorted(map(repr, session.query(untouched))),
             }
         }
-        engine.evolve(_churn_smo(engine.epoch.model))
-        evolved_fp = engine.epoch.fingerprint
+        session.evolve(_churn_smo(session.epoch.model))
+        evolved_fp = session.epoch.fingerprint
         expected[evolved_fp] = {
-            "touched": sorted(map(repr, engine.query(touched))),
-            "untouched": sorted(map(repr, engine.query(untouched))),
+            "touched": sorted(map(repr, session.query(touched))),
+            "untouched": sorted(map(repr, session.query(untouched))),
         }
-        engine.undo()
-        assert engine.epoch.fingerprint == base_fp
+        session.undo()
+        assert session.epoch.fingerprint == base_fp
         assert expected[base_fp] != expected[evolved_fp]
 
         errors = []
@@ -282,7 +280,7 @@ class TestConcurrentTraffic:
         def reader(query: EntityQuery, kind: str) -> None:
             while not stop.is_set():
                 try:
-                    rows, epoch = engine.query_with_epoch(query)
+                    rows, epoch = session.query_with_epoch(query)
                 except Exception as exc:  # noqa: BLE001 — the assertion
                     errors.append(exc)
                     return
@@ -315,23 +313,23 @@ class TestConcurrentTraffic:
             thread.start()
         try:
             for _ in range(self.BATCHES):
-                engine.evolve_many([_churn_smo(engine.epoch.model)])
-                assert engine.epoch.fingerprint == evolved_fp
-                engine.undo()
-                assert engine.epoch.fingerprint == base_fp
+                session.evolve_many([_churn_smo(session.epoch.model)])
+                assert session.epoch.fingerprint == evolved_fp
+                session.undo()
+                assert session.epoch.fingerprint == base_fp
         finally:
             stop.set()
             for thread in threads:
                 thread.join()
         try:
             assert not errors, errors[0]
-            stats = engine.stats()
+            stats = session.serving_stats().epoch
             assert stats.epochs_published >= 2 * self.BATCHES
             if backend_name == "memory":
                 # snapshot reads never re-plan
                 assert stats.read_retries == 0
         finally:
-            engine.close()
+            session.close()
 
     def test_untouched_set_plans_survive_the_swap(
         self, chain_compiled, backend_name
@@ -339,12 +337,11 @@ class TestConcurrentTraffic:
         """The neighborhood principle on the serving side: evolving
         Entity1 must not evict the plan for the last chain set."""
         session = _chain_session(chain_compiled, backend_name)
-        engine = session.engine
         query = EntityQuery(set_name(CHAIN_TYPES), projection=("EntityAtt2",))
         session.query(query)
         misses_before = session.plan_cache.stats().misses
 
-        engine.evolve_many([_churn_smo(engine.epoch.model)])
+        session.evolve_many([_churn_smo(session.epoch.model)])
         hits_before = session.plan_cache.stats().hits
         session.query(query)
         after = session.plan_cache.stats()
@@ -352,7 +349,7 @@ class TestConcurrentTraffic:
             "the untouched set's plan should have survived the epoch swap"
         )
         assert after.misses == misses_before
-        engine.close()
+        session.close()
 
     def test_every_read_looks_its_plan_up_once(self, chain_compiled, backend_name):
         """A read resolves its plan once, whether it misses the result
@@ -367,4 +364,4 @@ class TestConcurrentTraffic:
         assert (after.hits + after.misses) - (before.hits + before.misses) == reads
         results = session.serving_stats().results
         assert (results.misses, results.hits) == (2, reads - 2)
-        session.engine.close()
+        session.close()

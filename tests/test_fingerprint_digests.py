@@ -162,7 +162,7 @@ class TestCachedEqualsReference:
             session.undo()
             assert _assert_fresh(session) == base, kind
         assert committed >= 6
-        session.engine.close()
+        session.close()
 
     def test_batch_and_its_undo(self, backend):
         session = _session(backend)
@@ -173,7 +173,7 @@ class TestCachedEqualsReference:
         assert _assert_fresh(session) != base
         session.undo()
         assert _assert_fresh(session) == base
-        session.engine.close()
+        session.close()
 
 
 class TestRebuiltLeavesOnly:
@@ -198,7 +198,7 @@ class TestRebuiltLeavesOnly:
             # undo restores the very leaves the base model held
             assert after_undo.computed == after_evolve.computed, kind
             assert {id(leaf) for leaf in model_leaves(session.model)} == base_ids
-        session.engine.close()
+        session.close()
 
     def test_serving_stats_report_the_digests(self):
         session = _session("memory")
@@ -207,7 +207,7 @@ class TestRebuiltLeavesOnly:
         assert stats.digests.live >= len(model_leaves(session.model))
         assert "leaf digests" in str(stats)
         assert set(wire.stats_to_json(stats)["digests"]) == {"computed", "reused", "live"}
-        session.engine.close()
+        session.close()
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ class TestLifetime:
         # pending validation delta nor the validation cache
         assert all(ref() is None for ref in created)
         assert digest_stats().live <= live - len(created)
-        session.engine.close()
+        session.close()
         del session
         gc.collect()
         # the base model is still alive, and so are its digests
@@ -321,8 +321,8 @@ class TestLifetime:
         for kind in ("AA-FK", "AE-TPT"):
             assert cycles(kind, 1) <= base, kind
             assert cycles(kind, 6) <= base, kind
-            assert not session.engine.unvalidated_delta.ops
-        session.engine.close()
+            assert not session.unvalidated_delta.ops
+        session.close()
 
     def test_a_stale_entry_is_never_served_to_another_object(self):
         # a race can leave an entry whose referent is not the object

@@ -199,7 +199,7 @@ class TestWriteplanCache:
         stats = session.serving_stats().writeplans
         assert stats.misses == 1
         assert stats.hits == 1
-        assert session.engine.stats().ivm_fallbacks == 0
+        assert session.serving_stats().epoch.ivm_fallbacks == 0
         assert session.store_state.rows("Pass") == (
             make_row(Pno=10, Country="de", OwnerId=1),
         )
@@ -572,7 +572,7 @@ class TestFallback:
             )
         assert not delta.empty
         assert inc.backend.snapshot() == ref.backend.snapshot()
-        assert inc.engine.stats().ivm_fallbacks == 1
+        assert inc.serving_stats().epoch.ivm_fallbacks == 1
         # the fallback reseeded the counts: later saves work incrementally
         monkeypatch.undo()
         inc.save_delta(
@@ -588,4 +588,4 @@ class TestFallback:
         with ref.edit() as state:
             state.update_entity("Persons", Entity.of("Person", Id=2, Name="bob2"))
         assert inc.backend.snapshot() == ref.backend.snapshot()
-        assert inc.engine.stats().ivm_fallbacks == 1
+        assert inc.serving_stats().epoch.ivm_fallbacks == 1

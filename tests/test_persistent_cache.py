@@ -83,7 +83,7 @@ class TestWarmFromDisk:
         model = CompiledModel(mapping, compile_mapping(mapping).views)
         s1 = OrmSession.create(model, cache_dir=str(tmp_path))
         cold = s1.validate()
-        s1.engine.close()
+        s1.close()
         s2 = OrmSession.create(model, cache_dir=str(tmp_path))
         warm = s2.validate()
         assert warm.l2_hits > 0
@@ -91,7 +91,7 @@ class TestWarmFromDisk:
         stats = s2.serving_stats()
         assert stats.validation is not None
         assert stats.validation.l2_hits > 0
-        s2.engine.close()
+        s2.close()
 
     def test_env_var_names_the_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
@@ -101,7 +101,7 @@ class TestWarmFromDisk:
         session = OrmSession.create(model)  # picks the env var up itself
         session.validate()
         assert session.validation_cache.store is not None
-        session.engine.close()
+        session.close()
         assert os.path.exists(os.path.join(str(tmp_path), "validation_cache.sqlite"))
 
 
@@ -272,7 +272,7 @@ class TestTransactions:
         )
         after = session.validation_cache.store.stats().entries
         assert after > before  # committed batch flushed to disk
-        session.engine.close()
+        session.close()
 
 
 class TestCounterexamples:
@@ -361,7 +361,7 @@ class TestDeltaScope:
             < full_after.coverage_checks + full_after.containment_checks
         )
         assert full.coverage_checks > 0
-        session.engine.close()
+        session.close()
 
     def test_accumulator_resets_after_successful_validate(self):
         mapping = mapping_stage4()
@@ -372,13 +372,13 @@ class TestDeltaScope:
                 session.model, "Sub1", "Person", [Attribute("A1", INT)], "Sub1T"
             )
         )
-        assert len(session.engine.unvalidated_delta.ops) > 0
+        assert len(session.unvalidated_delta.ops) > 0
         session.validate(scope="delta")
-        assert len(session.engine.unvalidated_delta.ops) == 0
+        assert len(session.unvalidated_delta.ops) == 0
         # an empty composed delta validates nothing at all
         empty = session.validate(scope="delta")
         assert _verdict(empty) == (0, 0, 0, 0)
-        session.engine.close()
+        session.close()
 
     @staticmethod
     def _validated_stage4_session():
@@ -398,42 +398,42 @@ class TestDeltaScope:
         session = self._validated_stage4_session()
         session.evolve(self._sub2(session))
         session.validate(scope="delta")
-        assert not session.engine.unvalidated_delta.ops
+        assert not session.unvalidated_delta.ops
         session.undo()
         # the evolve's delta was validated away, so the undo composes its
         # inverse — the touched neighborhood covers the round-tripped region
-        assert session.engine.unvalidated_delta.ops
+        assert session.unvalidated_delta.ops
         report = session.validate(scope="delta")
         assert report.coverage_checks > 0
-        session.engine.close()
+        session.close()
 
     def test_undo_restores_the_pending_scope(self):
         session = self._validated_stage4_session()
-        before = session.engine.epoch.fingerprint
+        before = session.epoch.fingerprint
         session.evolve(self._sub2(session))
-        assert session.engine.unvalidated_delta.ops
+        assert session.unvalidated_delta.ops
         session.undo()
         # back on the validated model: nothing awaits validation
-        assert not session.engine.unvalidated_delta.ops
-        assert session.engine.epoch.fingerprint == before
+        assert not session.unvalidated_delta.ops
+        assert session.epoch.fingerprint == before
         assert session.model.fingerprint() == before
-        session.engine.close()
+        session.close()
 
     def test_nested_undos_restore_each_pending_scope(self):
         session = self._validated_stage4_session()
         session.evolve(self._sub2(session))
-        first = session.engine.unvalidated_delta
+        first = session.unvalidated_delta
         session.evolve(
             AddEntity.tpt(
                 session.model, "Sub3", "Person", [Attribute("A3", INT)], "Sub3T"
             )
         )
-        assert len(session.engine.unvalidated_delta.ops) > len(first.ops)
+        assert len(session.unvalidated_delta.ops) > len(first.ops)
         session.undo()
-        assert session.engine.unvalidated_delta is first
+        assert session.unvalidated_delta is first
         session.undo()
-        assert not session.engine.unvalidated_delta.ops
-        session.engine.close()
+        assert not session.unvalidated_delta.ops
+        session.close()
 
     def test_unknown_scope_rejected(self):
         mapping = mapping_stage4()
@@ -441,4 +441,4 @@ class TestDeltaScope:
         session = OrmSession.create(model)
         with pytest.raises(ValueError, match="unknown validation scope"):
             session.validate(scope="partial")
-        session.engine.close()
+        session.close()

@@ -159,7 +159,7 @@ def test_non_empty_dropped_association_aborts_and_reads_like_the_oracle(backend)
         client = apply_query_views(
             model.views, session.store_state, model.client_schema
         )
-        evolved = session.engine._compiler.compile_batch(
+        evolved = session._compiler.compile_batch(
             model, [DropAssociation("Holds")]
         ).model
         with pytest.raises(SchemaError, match="Holds"):

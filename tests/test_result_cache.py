@@ -111,7 +111,7 @@ def assert_answers_agree(cached: OrmSession, reference: OrmSession, queries):
 
 
 def result_stats(session: OrmSession):
-    return session.engine.epoch.results.stats()
+    return session.epoch.results.stats()
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def test_executed_bags_equal_the_interpreters_bag_counts(factory, backend):
             random_client_state(model.client_schema, seed=5, entities_per_set=6)
         )
         context = StoreContext(session.store_state)
-        epoch = session.engine.epoch
+        epoch = session.epoch
         branches = 0
         for query in probe_queries(model.client_schema):
             plan, values, _key = epoch.plan_cache.plan_with_key(epoch.model, query)
@@ -488,7 +488,7 @@ class TestFallbackAndEviction:
         query = EntityQuery("Persons")
         session.query(query)
         session.query(query)
-        cache = session.engine.epoch.results
+        cache = session.epoch.results
         assert len(cache) >= 1
         # force every entry unmaintainable (the FOJ case, white-box)
         with cache._entries.lock:
@@ -526,7 +526,7 @@ class TestFallbackAndEviction:
         query = EntityQuery("Persons")
         session.query(query)
         session.query(query)  # the second miss admits the entry
-        epoch = session.engine.epoch
+        epoch = session.epoch
         cache = epoch.results
         _, values, key = epoch.plan_cache.plan_with_key(epoch.model, query)
         with cache._entries.lock:
@@ -665,7 +665,7 @@ class TestSecondMissAdmission:
             widen_entity1(session)
         query = EntityQuery(set_name(4), Comparison("Id", "=", 3))
         session.query(query)
-        doorkeeper = session.engine.epoch.results._doorkeeper
+        doorkeeper = session.epoch.results._doorkeeper
         assert len(doorkeeper) == 1
         if write == "save_delta":
             entity = Entity.of(
@@ -682,7 +682,7 @@ class TestSecondMissAdmission:
             widen_entity1(session)
         else:
             session.undo()
-        results = session.engine.epoch.results
+        results = session.epoch.results
         assert results._doorkeeper is doorkeeper
         assert len(results) == 0
         session.query(query)
@@ -755,7 +755,7 @@ def test_a_write_that_misses_an_answer_carries_the_entry_itself():
         session.query(scan)
 
     def entries():
-        epoch = session.engine.epoch
+        epoch = session.epoch
         stored = epoch.results._entries._entries
         found = []
         for query in (point, scan):
@@ -851,10 +851,10 @@ class TestUndoCarriesTheTier:
             cached.save_delta(script)
             reference.save_delta(script)
             assert entity in cached.query(self.OUTSIDE)  # maintained entry
-            assert len(cached.engine.epoch.results) == 1
+            assert len(cached.epoch.results) == 1
             cached.undo()
             reference.undo()
-            assert len(cached.engine.epoch.results) == 0
+            assert len(cached.epoch.results) == 0
             misses = result_stats(cached).misses
             answer = cached.query(self.OUTSIDE)
             assert result_stats(cached).misses == misses + 1
@@ -981,7 +981,7 @@ def test_result_cache_successor_race_with_populations():
                         EntityAtt4="c",
                     ),
                 )
-    cache = session.engine.epoch.results
+    cache = session.epoch.results
     stop = threading.Event()
     successors: list = []
     errors: list = []

@@ -177,7 +177,7 @@ class TestCrossThreadServing:
         for thread in threads:
             thread.join()
         assert all(count == 3 for count in results.values()), results
-        session.engine.close()
+        session.close()
 
     def test_many_threads_share_the_pool(self, stage1_model):
         session = _populated(stage1_model, pool_size=2)
@@ -200,7 +200,7 @@ class TestCrossThreadServing:
         stats = session.backend._pool.stats()
         assert stats["created"] <= 2
         assert stats["checkouts"] >= 8 * 25
-        session.engine.close()
+        session.close()
 
     def test_private_memory_database_cannot_pool(self, stage1_model):
         from repro.errors import SchemaError

@@ -210,7 +210,7 @@ class TestSessionCache:
         assert first.cache_misses > 0
         assert second.cache_hits > 0 and second.cache_misses == 0
         assert second.elapsed < first.elapsed
-        assert session.cache_stats().entries > 0
+        assert session.validation_cache.stats().entries > 0
 
 
 class TestLruBound:
