@@ -19,23 +19,36 @@ read of each table after a write is also reported on its own
 (``first_read_ms``): it is the read that would pay for any index the
 write left behind, and the median over all one-shot reads hides it.
 
+Each size also reports ``upkeep_ms_per_delta``: the median time the
+tier-on session spends inside
+:meth:`~repro.query.resultcache.ResultCache.successor_for_delta` per
+write, timed by wrapping that method (as the end-to-end tracer in
+``benchmarks/e2e/e2e_trace.py`` does).  The ``admitted_points`` block
+times the same upkeep at 10^4 rows with 100 and with 1,000 admitted
+``Id = k`` entries under the same update batch: a write must pay for the
+entries its rows reach, not for every entry the tier holds.
+
 ``python benchmarks/bench_result_cache.py`` writes
 ``BENCH_result_cache.json`` for both backends;
 ``scripts/check_serving_regression.py`` gates on a >= 3x maintained-read
 speedup at the 10^5-row tier, on one-shot reads costing at most 1.5x
 their re-execution and leaving no entry, on the first read after a
-write growing at most 2x from 10^4 to 10^5 rows on every backend, and
-on zero stale reads in CI.
+write and on the per-write upkeep each growing at most 2x from 10^4 to
+10^5 rows on every backend, on the upkeep growing at most 2x from 100
+to 1,000 admitted entries, and on zero stale reads in CI.
 The pytest entries run a 10^4-row smoke version (equivalence
 assertions, no timing asserts).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import statistics
 import time
+from contextlib import contextmanager
+from typing import List
 
 import pytest
 
@@ -46,6 +59,7 @@ from repro.edm import Entity
 from repro.incremental import CompiledModel
 from repro.ivm import DeltaScript, EntityOp
 from repro.query.language import EntityQuery
+from repro.query.resultcache import ResultCache
 from repro.session import OrmSession
 from repro.workloads.chain import chain_mapping, entity_name, set_name
 
@@ -66,6 +80,9 @@ ONE_SHOT_PER_ROUND = 32
 #: maintenance, not eviction churn; eviction has its own tests)
 BUDGET_CELLS_PER_ROW = 40
 SMOKE = {"size": 10_000, "rounds": 2, "queries_per_round": 8, "one_shot_per_round": 8}
+#: the admitted-entries curve: rows, and the Id = k entries admitted
+ADMITTED_ROWS = 10_000
+ADMITTED_ENTRIES = (100, 1_000)
 
 
 def _model() -> CompiledModel:
@@ -138,6 +155,37 @@ def _canon(rows):
     return sorted(repr(r) for r in rows)
 
 
+@contextmanager
+def _timed_upkeep(samples: List[float]):
+    """Record the milliseconds of every
+    :meth:`ResultCache.successor_for_delta` call made inside the block,
+    by wrapping the method."""
+    original = ResultCache.__dict__["successor_for_delta"]
+
+    @functools.wraps(original)
+    def timed(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            samples.append((time.perf_counter() - started) * 1000.0)
+
+    ResultCache.successor_for_delta = timed
+    try:
+        yield
+    finally:
+        ResultCache.successor_for_delta = original
+
+
+def _update_script(per_set: int, round_no: int) -> DeltaScript:
+    return DeltaScript(
+        tuple(
+            EntityOp("update", set_name(index), entity=entity)
+            for index, entity in _update_batch(per_set, round_no, OPS_PER_SAVE)
+        )
+    )
+
+
 def _measure(
     backend_name: str,
     rows: int,
@@ -159,7 +207,7 @@ def _measure(
                 cached.query(query)
                 baseline.query(query)
 
-        maintain_ms, baseline_save_ms = [], []
+        maintain_ms, baseline_save_ms, upkeep_ms = [], [], []
         one_shot_s, one_shot_baseline_s = [], []
         first_read_s, first_read_baseline_s = [], []
         one_shot = []
@@ -167,17 +215,11 @@ def _measure(
         reads = 0
         stale_reads = 0
         for round_no in range(rounds):
-            script = DeltaScript(
-                tuple(
-                    EntityOp("update", set_name(index), entity=entity)
-                    for index, entity in _update_batch(
-                        per_set, round_no, OPS_PER_SAVE
-                    )
-                )
-            )
+            script = _update_script(per_set, round_no)
 
             started = time.perf_counter()
-            cached.save_delta(script)
+            with _timed_upkeep(upkeep_ms):
+                cached.save_delta(script)
             maintain_ms.append((time.perf_counter() - started) * 1000.0)
 
             started = time.perf_counter()
@@ -242,6 +284,7 @@ def _measure(
                 else None
             ),
             "maintain_ms_per_delta": round(statistics.median(maintain_ms), 3),
+            "upkeep_ms_per_delta": round(statistics.median(upkeep_ms), 3),
             "baseline_save_ms_per_delta": round(
                 statistics.median(baseline_save_ms), 3
             ),
@@ -266,6 +309,7 @@ def _measure(
                 "hits": stats.hits,
                 "misses": stats.misses,
                 "maintained": stats.maintained,
+                "visited": stats.visited,
                 "invalidated": stats.invalidated,
                 "fallbacks": stats.fallbacks,
                 "evictions": stats.evictions,
@@ -278,6 +322,40 @@ def _measure(
     finally:
         cached.backend.close()
         baseline.backend.close()
+
+
+def _admitted_points(backend_name: str, entries: int, rounds: int = ROUNDS) -> dict:
+    """Per-write upkeep with *entries* admitted ``Id = k`` answers at
+    :data:`ADMITTED_ROWS` rows, spread over the entity sets, under the
+    update batch."""
+    rows = ADMITTED_ROWS
+    session = _session(_model(), backend_name, rows, BUDGET_CELLS_PER_ROW * rows)
+    per_set = rows // CHAIN_TYPES
+    try:
+        points = [
+            EntityQuery(
+                set_name(read % CHAIN_TYPES + 1),
+                Comparison("Id", "=", read // CHAIN_TYPES % per_set),
+            )
+            for read in range(entries)
+        ]
+        for _ in range(2):  # admitted on the second miss
+            for query in points:
+                session.query(query)
+        upkeep_ms: List[float] = []
+        for round_no in range(rounds):
+            with _timed_upkeep(upkeep_ms):
+                session.save_delta(_update_script(per_set, round_no))
+        stats = session.serving_stats().results
+        return {
+            "entries": stats.entries,
+            "upkeep_ms_per_delta": round(statistics.median(upkeep_ms), 3),
+            "visited": stats.visited,
+            "maintained": stats.maintained,
+            "fallbacks": stats.fallbacks,
+        }
+    finally:
+        session.backend.close()
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +390,16 @@ def test_maintained_reads_are_exact(backend_name):
     assert stats["hits"] > 0
 
 
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_admitted_points_are_routed(backend_name):
+    """100 admitted Id = k entries: a 16-update write visits only the
+    entries whose key it updates, never all of them."""
+    result = _admitted_points(backend_name, 100, rounds=2)
+    assert result["entries"] == 100
+    assert result["visited"] <= 2 * OPS_PER_SAVE
+    assert result["fallbacks"] == 0
+
+
 # ---------------------------------------------------------------------------
 # JSON driver
 # ---------------------------------------------------------------------------
@@ -324,7 +412,9 @@ def main() -> None:
         "with zero stale reads and O(|delta|) maintenance per write; "
         "one-shot reads cost at most 1.5x re-execution and leave no entry; "
         "on every backend the first read of a table after a write costs "
-        "at most 2x more at 10^5 rows than at 10^4",
+        "at most 2x more at 10^5 rows than at 10^4; the tier's per-write "
+        "upkeep grows at most 2x from 10^4 to 10^5 rows and from 100 to "
+        "1,000 admitted Id = k entries",
         "config": {
             "chain_types": CHAIN_TYPES,
             "ops_per_save": OPS_PER_SAVE,
@@ -333,10 +423,16 @@ def main() -> None:
             "rounds": ROUNDS,
             "budget_cells_per_row": BUDGET_CELLS_PER_ROW,
             "sizes": list(SIZES),
+            "admitted_rows": ADMITTED_ROWS,
+            "admitted_entries": list(ADMITTED_ENTRIES),
         },
         "backends": {
             backend_name: {
-                "sizes": {str(rows): _measure(backend_name, rows) for rows in SIZES}
+                "sizes": {str(rows): _measure(backend_name, rows) for rows in SIZES},
+                "admitted_points": {
+                    str(entries): _admitted_points(backend_name, entries)
+                    for entries in ADMITTED_ENTRIES
+                },
             }
             for backend_name in BACKENDS
         },

@@ -88,7 +88,16 @@ physical-plan layer exists to keep that from coming back.
   O(|delta|), so a write must not leave the next read an O(rows) index
   build; SQLite's generated SQL keeps its predicates sargable, so an
   ``Id = k`` read searches the primary key instead of scanning the
-  table.
+  table;
+* the upkeep slope gates: on every backend, the time a write spends
+  maintaining the tier (``upkeep_ms_per_delta``, the median time inside
+  ``ResultCache.successor_for_delta``) may grow at most MAX_SLOPE× (2×)
+  from 10^4 to 10^5 rows, and at most MAX_SLOPE× from the fewest to the
+  most admitted ``Id = k`` entries in the ``admitted_points`` block
+  (100 and 1,000).  A write visits only the entries its rows reach and
+  copies only the partitions and chunks it changes, so neither the
+  table size nor the number of entries it cannot reach may show in its
+  cost.  A report without either field fails.
 
 **BENCH_smo_batch.json** — two gates:
 
@@ -395,6 +404,7 @@ def check_result_cache(path: str) -> int:
     gated_seen = False
     for backend, result in data["backends"].items():
         failures += _check_first_read_slope(backend, result["sizes"])
+        failures += _check_upkeep_slopes(backend, result)
         for size, point in result["sizes"].items():
             stats = point["result_cache"]
             print(
@@ -488,7 +498,9 @@ def check_result_cache(path: str) -> int:
     print(
         f"OK: zero stale reads, fallbacks bounded, one-shot reads leave no "
         f"entry and cost <= {ONE_SHOT_MAX_COST_RATIO}x re-execution, "
-        f"first reads after a write grow <= {MAX_SLOPE}x on every backend"
+        f"first reads after a write and per-write upkeep grow <= {MAX_SLOPE}x "
+        "with the rows, and upkeep <= "
+        f"{MAX_SLOPE}x with the admitted entries, on every backend"
         + (
             f", maintained reads >= {min_speedup}x at {GATED_SIZE} rows "
             f"(best {best_gated_speedup}x)"
@@ -532,6 +544,62 @@ def _check_first_read_slope(backend: str, sizes: dict) -> int:
         )
         return 1
     return 0
+
+
+def _check_upkeep_slopes(backend: str, result: dict) -> int:
+    """Per-write upkeep: at most MAX_SLOPE× from SLOPE_BASE_SIZE to
+    GATED_SIZE rows, and from the fewest to the most admitted entries."""
+    failures = 0
+    curves = []
+    points = [result["sizes"].get(SLOPE_BASE_SIZE), result["sizes"].get(GATED_SIZE)]
+    if None in points:
+        print(f"({backend}: no {SLOPE_BASE_SIZE}/{GATED_SIZE}-row pair; "
+              "upkeep-by-rows gate skipped)")
+    elif any("upkeep_ms_per_delta" not in point for point in points):
+        print(
+            f"FAIL [{backend}]: no upkeep_ms_per_delta — regenerate the "
+            "report with benchmarks/bench_result_cache.py",
+            file=sys.stderr,
+        )
+        failures += 1
+    else:
+        curves.append(
+            (f"{SLOPE_BASE_SIZE} -> {GATED_SIZE} rows",
+             [point["upkeep_ms_per_delta"] for point in points])
+        )
+    admitted = result.get("admitted_points") or {}
+    counts = sorted(admitted, key=int)
+    if len(counts) < 2 or any(
+        "upkeep_ms_per_delta" not in admitted[count] for count in counts
+    ):
+        print(
+            f"FAIL [{backend}]: no admitted_points upkeep curve (two or more "
+            "entry counts) — regenerate the report with "
+            "benchmarks/bench_result_cache.py",
+            file=sys.stderr,
+        )
+        failures += 1
+    else:
+        curves.append(
+            (f"{counts[0]} -> {counts[-1]} admitted entries",
+             [admitted[counts[0]]["upkeep_ms_per_delta"],
+              admitted[counts[-1]]["upkeep_ms_per_delta"]])
+        )
+    for label, (base, top) in curves:
+        slope = top / base
+        print(
+            f"{backend}: upkeep per write {base}ms -> {top}ms over {label} "
+            f"(slope {slope:.2f}x, ceiling {MAX_SLOPE}x)"
+        )
+        if slope > MAX_SLOPE:
+            print(
+                f"FAIL [{backend}]: result-tier upkeep grows {slope:.2f}x over "
+                f"{label}, above the {MAX_SLOPE}x ceiling — a write pays for "
+                "entries it cannot reach or copies whole answers",
+                file=sys.stderr,
+            )
+            failures += 1
+    return failures
 
 
 def check_fingerprint(path: str) -> int:

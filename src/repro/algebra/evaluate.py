@@ -204,6 +204,8 @@ Bag = Dict[RowKey, Tuple[RowDict, int]]
 
 
 def row_key(row: RowDict) -> RowKey:
+    if TYPE_TAG not in row:  # store rows: sort the pairs at C speed
+        return tuple(sorted(row.items()))
     return tuple(sorted((k, v) for k, v in row.items() if k != TYPE_TAG))
 
 

@@ -21,9 +21,8 @@ hitting the source.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Callable, Dict, Hashable, Iterable, Optional
 
 #: what :meth:`LruCache.get` returns for an entry stamped by another
 #: version (the entry is dropped and counted as a miss and invalidated)
@@ -66,6 +65,14 @@ class LruCache:
     * ``stamp(value)`` names the version a value was built for;
       :meth:`get` with an expected stamp refuses a value stamped
       otherwise.
+    * ``index`` is a secondary index over the entries that the cache
+      keeps in step with them under the lock:
+      ``index.update(key, old, new)`` runs whenever the value under
+      *key* changes — *old* is None for a value stored, *new* is None
+      for a value that leaves, and both are set when a successor's
+      *carry* rebuilds a value — and :meth:`successor` gives the next
+      epoch ``index.successor()``, an equal index the two may then
+      change apart.  Its methods must not call back into the cache.
 
     ``lock`` is public so an owner can keep its own counters exact under
     the same lock; it is not re-entrant, so never call the cache while
@@ -78,6 +85,7 @@ class LruCache:
         cost: Optional[Callable[[object], int]] = None,
         on_evict: Optional[Callable[[object], None]] = None,
         stamp: Optional[Callable[[object], object]] = None,
+        index=None,
     ) -> None:
         self.bound = bound
         self.lock = threading.Lock()
@@ -85,11 +93,13 @@ class LruCache:
         self.misses = 0
         self.evictions = 0
         self.invalidated = 0
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        #: insertion order is LRU order: least recently used first
+        self._entries: Dict[Hashable, object] = {}
         self._cost = 0
         self._cost_of = cost
         self._on_evict = on_evict
         self._stamp_of = stamp
+        self._index = index
 
     # -- reading -------------------------------------------------------
     def get(self, key: Hashable, stamp=None):
@@ -98,17 +108,19 @@ class LruCache:
         miss and an invalidation — and :data:`STALE` is returned
         instead."""
         with self.lock:
-            value = self._entries.get(key, _MISSING)
+            # popped and put back: a hit moves to the most recent end
+            value = self._entries.pop(key, _MISSING)
             if value is _MISSING:
                 self.misses += 1
                 return None
             if stamp is not None and self._stamp_of(value) != stamp:
-                self._remove(key, value)
+                self._cost -= self._price(value)
+                self._left(key, value)
                 self.misses += 1
                 self.invalidated += 1
                 return STALE
             self.hits += 1
-            self._entries.move_to_end(key)
+            self._entries[key] = value
             return value
 
     def get_or_build(self, key: Hashable, build: Callable[[], object]):
@@ -119,10 +131,10 @@ class LruCache:
         A build that raises counts nothing.
         """
         with self.lock:
-            value = self._entries.get(key, _MISSING)
+            value = self._entries.pop(key, _MISSING)
             if value is not _MISSING:
                 self.hits += 1
-                self._entries.move_to_end(key)
+                self._entries[key] = value
                 return value
         value = build()
         with self.lock:
@@ -166,39 +178,74 @@ class LruCache:
     def clear(self) -> int:
         """Drop every entry (counted as invalidated); return how many."""
         with self.lock:
-            dropped = list(self._entries.values())
+            dropped = list(self._entries.items())
             self._entries.clear()
             self._cost = 0
             self.invalidated += len(dropped)
-            if self._on_evict is not None:
-                for value in dropped:
-                    self._on_evict(value)
+            for key, value in dropped:
+                self._left(key, value)
         return len(dropped)
 
     # -- epochs --------------------------------------------------------
     def successor(
-        self, carry: Optional[Callable[[Hashable, object], object]] = None
+        self,
+        carry: Optional[Callable[[Hashable, object], object]] = None,
+        reach: Optional[Callable[[object], Iterable[Hashable]]] = None,
     ) -> "LruCache":
         """The next epoch's cache; this one is never changed.
 
         Every entry passes through ``carry(key, value)`` in LRU order: it
         returns the value to keep (the same one, or a rebuilt copy) or
-        None to drop it, which counts as invalidated.  *carry* runs
-        outside the lock, so readers of this cache are not held up.  The
-        counters carry forward, so rates stay observable across epochs.
+        None to drop it, which counts as invalidated.  With *reach*, only
+        the entries under the keys ``reach(index)`` names pass through
+        *carry* (*index* is the successor's own copy of the secondary
+        index, so it names exactly the successor's entries); the entry
+        map is copied whole, and no other entry costs a call.  *carry*
+        and *reach* run outside the lock, so readers of this cache are
+        not held up.  The counters carry forward, so rates stay
+        observable across epochs.
         """
         with self.lock:
-            items = list(self._entries.items())
+            if reach is None:
+                items = list(self._entries.items())
+            else:
+                entries = self._entries.copy()
+                cost = self._cost
             counters = (self.hits, self.misses, self.evictions, self.invalidated)
-        clone = LruCache(self.bound, self._cost_of, self._on_evict, self._stamp_of)
+            index = None if self._index is None else self._index.successor()
+        clone = LruCache(
+            self.bound, self._cost_of, self._on_evict, self._stamp_of, index
+        )
         clone.hits, clone.misses, clone.evictions, clone.invalidated = counters
-        for key, value in items:
-            kept = value if carry is None else carry(key, value)
-            if kept is None:
-                clone.invalidated += 1
-                continue
-            clone._entries[key] = kept
-            clone._cost += clone._price(kept)
+        if reach is None:
+            for key, value in items:
+                kept = value if carry is None else carry(key, value)
+                if kept is not value and index is not None:
+                    index.update(key, value, kept)
+                if kept is None:
+                    clone.invalidated += 1
+                    continue
+                clone._entries[key] = kept
+                clone._cost += clone._price(kept)
+        else:
+            clone._entries = entries
+            clone._cost = cost
+            for key in reach(index):
+                value = entries.get(key, _MISSING)
+                if value is _MISSING:
+                    continue
+                kept = carry(key, value)
+                if kept is value:
+                    continue
+                clone._cost -= clone._price(value)
+                if index is not None:
+                    index.update(key, value, kept)
+                if kept is None:
+                    del entries[key]
+                    clone.invalidated += 1
+                    continue
+                entries[key] = kept
+                clone._cost += clone._price(kept)
         clone._trim()
         return clone
 
@@ -231,19 +278,36 @@ class LruCache:
             return value
         self._entries[key] = value
         self._cost += cost
+        if self._index is not None:
+            self._index.update(key, None, value)
         self._trim()
         return value
 
     def _trim(self) -> None:
-        while self._cost > self.bound and self._entries:
-            key, value = self._entries.popitem(last=False)
+        """Evict least recently used entries until the cost fits."""
+        excess = self._cost - self.bound
+        if excess <= 0:
+            return
+        victims = []
+        for key, value in self._entries.items():
+            if excess <= 0:
+                break
+            victims.append((key, value))
+            excess -= self._price(value)
+        for key, value in victims:
+            del self._entries[key]
             self._cost -= self._price(value)
             self.evictions += 1
-            if self._on_evict is not None:
-                self._on_evict(value)
+            self._left(key, value)
 
     def _remove(self, key: Hashable, value) -> None:
         del self._entries[key]
         self._cost -= self._price(value)
+        self._left(key, value)
+
+    def _left(self, key: Hashable, value) -> None:
+        """*value* no longer sits under *key*: tell the hooks."""
+        if self._index is not None:
+            self._index.update(key, value, None)
         if self._on_evict is not None:
             self._on_evict(value)

@@ -24,10 +24,24 @@ multiplicity counts whose support is exactly
 applying the signed stream and re-filtering through the entry's bound
 root predicate reconstructs the fresh answer in O(|Δ|) — probes go
 through :meth:`~repro.relational.instances.StoreState.key_index`, never
-a table scan.  Shapes the rules cannot maintain (full outer joins,
-non-key join probes) mark the entry *unmaintainable*: it still serves
-warm reads, but any write touching its tables invalidates it — always
-correct, never stale.
+a table scan.  The bags are :class:`~repro.relational.instances.PartitionedMap`
+instances and the constructed answer an insertion-ordered
+:class:`~repro.relational.instances.ChunkedRows`, the store's own
+persistent structures, so a maintained entry shares every partition and
+chunk the delta leaves alone with its predecessor.  Shapes the rules
+cannot maintain (full outer joins, non-key join probes) mark the entry
+*unmaintainable*: it still serves warm reads, but any write touching its
+tables invalidates it — always correct, never stale.
+
+A write finds the entries it can change through a routing index instead
+of visiting every entry.  An entry is routed when each of its bound
+branches has a *pin* (:func:`branch_pin`): a ``(table, column, value)``
+that every row the branch derives from carries, read off a top-level
+``column = constant`` conjunct of a selection over one table scan.  A
+write reaches a routed entry only through a deleted, inserted or
+updated (either side) row carrying one of its pins; entries over joins,
+unions, or predicates without such an equality stay unrouted and are
+visited by every write to their tables, as before.
 
 Lifecycle, mirrored from the epoch engine's write paths:
 
@@ -42,10 +56,11 @@ Lifecycle, mirrored from the epoch engine's write paths:
   read lease under which one execution produced rows and bags
   together, into the tier of the epoch the read saw under it;
 * **maintain** — ``save_delta`` and ``edit_incremental`` derive the next
-  epoch's cache with :meth:`ResultCache.successor_for_delta`: entries
-  whose answer the delta leaves unchanged are carried by reference,
-  maintainable entries it changes are rebuilt copy-on-write in O(|Δ|),
-  everything else is invalidated.  The
+  epoch's cache with :meth:`ResultCache.successor_for_delta`: it visits
+  only the entries the delta reaches, carrying the rest with the copied
+  entry map; visited entries whose answer the delta leaves unchanged
+  are carried by reference, maintainable entries it changes are rebuilt
+  copy-on-write in O(|Δ|), unmaintainable ones are invalidated.  The
   source cache is never mutated, so readers pinned to an old epoch keep
   byte-identical answers;
 * **invalidate** — whole-state ``save`` drops entries by written tables
@@ -66,8 +81,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple
 
+from repro.algebra.conditions import And, Comparison, Condition
 from repro.algebra.delta import (
     DeltaRuntime,
     Node,
@@ -83,12 +100,14 @@ from repro.algebra.evaluate import (
     StoreContext,
     row_key,
 )
-from repro.algebra.queries import Query, TableScan
+from repro.algebra.queries import Col, Project, Query, Select, TableScan
 from repro.cache import STALE, CacheStats, LruCache
 from repro.errors import EvaluationError, IvmError
-from repro.query.dml import StoreDelta
+from repro.query.dml import StoreDelta, TableDelta
 from repro.query.unfold import UnfoldedBranch, construct_row
 from repro.relational.instances import (
+    ChunkedRows,
+    PartitionedMap,
     StoreState,
     row_values,
     row_view,
@@ -178,22 +197,96 @@ def table_leaf(scan: Query, context: StoreContext) -> Node:
     return _TableNode(scan.table_name, context.scan_columns(scan))
 
 
+#: ``(table, column, value)``: what every row of one branch carries
+Pin = Tuple[str, str, object]
+
+def _identity(result: object) -> Tuple[int]:
+    """What names a constructed result in its entry's answer: itself,
+    by identity (results need not be hashable, and equal results of
+    different rows are distinct)."""
+    return (id(result),)
+
+
+def _conjuncts(condition: Condition) -> Iterator[Condition]:
+    if isinstance(condition, And):
+        for operand in condition.operands:
+            yield from _conjuncts(operand)
+    else:
+        yield condition
+
+
+def branch_pin(query: Query, schema: StoreSchema) -> Optional[Pin]:
+    """A ``(table, column, value)`` that every row *query* derives from
+    carries, or None.
+
+    *query* must be a chain of selections and projections over one
+    table scan.  The pin comes from a top-level ``column = constant``
+    conjunct of one of the selections, the constant not NULL, with the
+    column traced through the renaming items of the projections beneath
+    it to a column of the table.  A row whose column is NULL or another
+    value fails that conjunct, so a write none of whose rows carries the
+    pin leaves the branch's rows as they were.  A pin on the primary key
+    is preferred, then one on a foreign key's column.
+    """
+    found: List[Tuple[str, object]] = []
+    node = query
+    while not isinstance(node, TableScan):
+        if isinstance(node, Select):
+            found.extend(
+                (atom.attr, atom.const)
+                for atom in _conjuncts(node.condition)
+                if isinstance(atom, Comparison)
+                and atom.op == "="
+                and atom.const is not None
+            )
+        elif isinstance(node, Project):
+            renamed = {
+                item.output: item.expr.name
+                for item in node.items
+                if isinstance(item.expr, Col)
+            }
+            found = [
+                (renamed[column], value) for column, value in found if column in renamed
+            ]
+        else:
+            return None
+        node = node.source
+    table = schema.table(node.table_name)
+    columns = set(table.column_names)
+    foreign = {column for fk in table.foreign_keys for column in fk.columns}
+    best: Optional[Tuple[int, str, object]] = None
+    for column, value in found:
+        if column not in columns:
+            continue
+        rank = 0 if column in table.primary_key else 1 if column in foreign else 2
+        if best is None or rank < best[0]:
+            best = (rank, column, value)
+    return None if best is None else (table.name, best[1], best[2])
+
+
 @dataclass(eq=False, slots=True)
 class _Entry:
     """One materialized answer: per-branch row bags plus the constructed
-    results.  Immutable after publication — maintenance builds a copy."""
+    results.  Immutable after publication — maintenance builds a
+    successor that shares every partition and chunk it does not
+    change."""
 
     values: Tuple[object, ...]
     projection: Optional[Tuple[str, ...]]
     branches: Tuple[UnfoldedBranch, ...]
     #: None = unmaintainable shape; serves warm reads, dies on writes
     roots: Optional[Tuple[Node, ...]]
-    bags: List[Bag]
-    constructed: Dict[Tuple[int, RowKey], object]
+    #: per branch: row key -> (row, multiplicity, constructed result)
+    bags: Tuple[PartitionedMap, ...]
+    #: the constructed results in answer order
+    answer: ChunkedRows
     tables: FrozenSet[str]
     fingerprint: str
     cost: int
     results: Optional[List[object]]
+    #: each branch's pin; None = unrouted (some branch has none, or the
+    #: shape is unmaintainable)
+    pins: Optional[Tuple[Pin, ...]]
 
     @property
     def maintainable(self) -> bool:
@@ -203,8 +296,8 @@ class _Entry:
         rows = self.results
         if rows is None:
             # benign race: concurrent readers build identical lists over
-            # the (immutable) constructed dict; last assignment wins
-            rows = list(self.constructed.values())
+            # the (immutable) answer; last assignment wins
+            rows = self.answer.to_list()
             self.results = rows
         return rows
 
@@ -227,9 +320,12 @@ def build_entry(
     The executors count exactly what a bag evaluation of the bound
     branches counts (the executed-bag oracle in the test suite holds
     both to the interpreter), which is what licenses the delta rules to
-    add and subtract derivations against the counts.
+    add and subtract derivations against the counts.  A maintainable
+    entry whose every branch has a pin (:func:`branch_pin`) is routed:
+    only writes whose rows carry one of its pins visit it.
     """
     bound = plan.bind(values)
+    pins: Optional[Tuple[Pin, ...]] = None
     try:
         schema_context = StoreContext(StoreState(schema))
         roots: Optional[Tuple[Node, ...]] = tuple(
@@ -238,73 +334,220 @@ def build_entry(
         )
     except (IvmError, EvaluationError):
         roots = None
-    keys = [(bi, key) for bi, bag in enumerate(bags) for key in bag]
+    else:
+        found = tuple(branch_pin(branch.store_query, schema) for branch in bound.branches)
+        if None not in found:
+            pins = found
+    results = iter(rows)
     return _Entry(
         values=values,
         projection=plan.shape.projection,
         branches=bound.branches,
         roots=roots,
-        bags=bags,
-        constructed=dict(zip(keys, rows)),
+        bags=tuple(
+            PartitionedMap(
+                {key: (row, count, next(results)) for key, (row, count) in bag.items()}
+            )
+            for bag in bags
+        ),
+        answer=ChunkedRows.of(list(rows), key=_identity),
         tables=plan.tables,
         fingerprint=fingerprint,
         cost=sum(len(row) for bag in bags for row, _count in bag.values()),
         results=list(rows),
+        pins=pins,
     )
 
 
 def _maintained_entry(entry: _Entry, rt: DeltaRuntime, fingerprint: str) -> _Entry:
     """*entry* with the delta applied: the entry itself when the delta
-    reaches none of its branches, else a copy — O(|Δ|) plus the
-    copy-on-write of the touched dicts.  Raises :class:`IvmError` when a
-    multiplicity invariant breaks (the caller invalidates instead)."""
+    leaves its answer unchanged, else a successor — O(|Δ|) plus the
+    copy-on-write of the partitions and chunks it touches.
+
+    The delta rules' signed rows are netted per row before they are
+    applied: a join whose two sides change at one key emits a row's
+    removal in one term and its re-derivation in another, and only the
+    sum is the change.  Raises :class:`IvmError` when a net count would
+    go negative (the caller invalidates instead)."""
     if entry.roots is None:
         raise IvmError("entry shape is not maintainable")
     changes = [
         () if root.sources.isdisjoint(rt.touched) else root.delta(rt)
         for root in entry.roots
     ]
-    if not any(changes):
-        return entry  # the answer is unchanged: carry it by reference
-    constructed = dict(entry.constructed)
-    bags: List[Bag] = []
+    answer: Optional[ChunkedRows] = None
+    bags = list(entry.bags)
     cost = entry.cost
     projection = entry.projection
-    for bi, (signed, bag, branch) in enumerate(
-        zip(changes, entry.bags, entry.branches)
-    ):
-        if not signed:
-            bags.append(bag)  # unchanged branch: share the bag
-            continue
-        per = dict(bag)
+    for bi, (signed, branch) in enumerate(zip(changes, entry.branches)):
+        net: Dict[RowKey, list] = {}
         for sign, row in signed:
-            key = row_key(row)
+            net.setdefault(row_key(row), [row, 0])[1] += sign
+        per: Optional[PartitionedMap] = None
+        for key, (row, change) in net.items():
+            if not change:
+                continue
+            if per is None:
+                per = bags[bi] = bags[bi].successor()
+                if answer is None:
+                    answer = entry.answer.successor(())
             slot = per.get(key)
-            count = (slot[1] if slot is not None else 0) + sign
+            count = (0 if slot is None else slot[1]) + change
             if count < 0:
-                raise IvmError(
-                    "negative multiplicity in a maintained result bag"
-                )
+                raise IvmError("negative multiplicity in a maintained result bag")
             if count == 0:
-                if slot is not None:
-                    del per[key]
-                    constructed.pop((bi, key), None)
-                    cost -= len(slot[0])
+                per.pop(key)
+                answer.discard_key(_identity(slot[2]))
+                cost -= len(slot[0])
             elif slot is None:
-                per[key] = (row, count)
-                constructed[(bi, key)] = construct_row(projection, branch, row)
+                result = construct_row(projection, branch, row)
+                per.insert(key, (row, count, result))
+                answer.add(result)
                 cost += len(row)
             else:
-                per[key] = (slot[0], count)
-        bags.append(per)
-    return replace(
-        entry,
-        bags=bags,
-        constructed=constructed,
+                per[key] = (slot[0], count, slot[2])
+    if answer is None:
+        return entry  # the answer is unchanged: carry it by reference
+    return _Entry(
+        values=entry.values,
+        projection=projection,
+        branches=entry.branches,
+        roots=entry.roots,
+        bags=tuple(bags),
+        answer=answer,
+        tables=entry.tables,
         fingerprint=fingerprint,
         cost=cost,
-        results=None,  # rebuilt lazily from the constructed dict
+        results=None,  # rebuilt lazily from the answer
+        pins=entry.pins,
     )
+
+
+class _Routes:
+    """The routing index: which entries a write's rows can reach.
+
+    A routed entry sits under each of its pins; an unrouted one under
+    each table it scans.  The :class:`~repro.cache.LruCache` holding the
+    entries keeps this index in step with them under its lock, so it
+    never names an entry the cache let go; a successor shares every
+    partition and bucket with its predecessor until one of them writes
+    it.
+    """
+
+    __slots__ = ("_pins", "_columns", "_unrouted")
+
+    def __init__(self) -> None:
+        #: pin -> keys of the entries routed under it
+        self._pins = PartitionedMap()
+        #: table -> {column: pins naming it}; replaced, never written
+        self._columns: Dict[str, Dict[str, int]] = {}
+        #: table -> keys of the unrouted entries that scan it
+        self._unrouted: Dict[str, Tuple[Hashable, ...]] = {}
+
+    def successor(self) -> "_Routes":
+        other = _Routes.__new__(_Routes)
+        other._pins = self._pins.successor()
+        other._columns = dict(self._columns)
+        other._unrouted = dict(self._unrouted)
+        return other
+
+    def update(
+        self, key: Hashable, old: Optional[_Entry], new: Optional[_Entry]
+    ) -> None:
+        """The entry under *key* went from *old* to *new* (None: absent)."""
+        if old is not None and new is not None and (
+            old.pins == new.pins and old.tables == new.tables
+        ):
+            return  # a maintained entry keeps its routes
+        if old is not None:
+            self._discard(key, old)
+        if new is not None:
+            self._add(key, new)
+
+    def _add(self, key: Hashable, entry: _Entry) -> None:
+        if entry.pins is None:
+            for table in entry.tables:
+                self._unrouted[table] = self._unrouted.get(table, ()) + (key,)
+            return
+        for pin in dict.fromkeys(entry.pins):
+            self._pins[pin] = self._pins.get(pin, ()) + (key,)
+            table, column, _value = pin
+            counts = self._columns.get(table, {})
+            self._columns[table] = {**counts, column: counts.get(column, 0) + 1}
+
+    def _discard(self, key: Hashable, entry: _Entry) -> None:
+        if entry.pins is None:
+            for table in entry.tables:
+                rest = tuple(k for k in self._unrouted.get(table, ()) if k != key)
+                if rest:
+                    self._unrouted[table] = rest
+                else:
+                    self._unrouted.pop(table, None)
+            return
+        for pin in dict.fromkeys(entry.pins):
+            bucket = self._pins.get(pin, ())
+            if key not in bucket:
+                continue
+            rest = tuple(k for k in bucket if k != key)
+            if rest:
+                self._pins[pin] = rest
+            else:
+                self._pins.pop(pin)
+            table, column, _value = pin
+            counts = dict(self._columns[table])
+            counts[column] -= 1
+            if not counts[column]:
+                del counts[column]
+            if counts:
+                self._columns[table] = counts
+            else:
+                del self._columns[table]
+
+    def reached(
+        self, delta: StoreDelta, touched: FrozenSet[str]
+    ) -> Dict[Hashable, Optional[StoreDelta]]:
+        """The entries *delta* can change, each with what it must see.
+
+        A routed entry is reached through a row carrying one of its pins
+        — a deleted or inserted row, or either side of an update — and
+        gets the part of *delta* made of those rows: every other row
+        fails the pinned conjunct of each of its branches.  An unrouted
+        entry over a touched table gets None: all of *delta*.  Pins are
+        found by the evaluator's ``=``, one hash probe per row and
+        pinned column.
+        """
+        found: Dict[Hashable, Optional[StoreDelta]] = {}
+        for table in touched:
+            for key in self._unrouted.get(table, ()):
+                found[key] = None
+            columns = self._columns.get(table)
+            if not columns:
+                continue
+            td = delta.tables[table]
+            for kind, items in (
+                ("deletes", td.deletes),
+                ("inserts", td.inserts),
+                ("updates", td.updates),
+            ):
+                for item in items:
+                    keys: Dict[Hashable, None] = {}
+                    for row in item if kind == "updates" else (item,):
+                        view = row_view(row)
+                        for column in columns:
+                            value = view.get(column)
+                            if value is not None:
+                                keys.update(
+                                    dict.fromkeys(self._pins.get((table, column, value), ()))
+                                )
+                    for key in keys:
+                        part = found.get(key)
+                        if part is None:
+                            part = found[key] = StoreDelta()
+                        slice_ = part.tables.get(table)
+                        if slice_ is None:
+                            slice_ = part.tables[table] = TableDelta(table)
+                        getattr(slice_, kind).append(item)
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +561,9 @@ class ResultCacheStats(CacheStats):
 
     #: entries whose answer a write changed and maintenance rebuilt
     maintained: int = 0
+    #: entries whose delta rules a write ran: those its rows reach
+    #: through their pins, plus the unrouted ones over a table it touched
+    visited: int = 0
     fallbacks: int = 0
     #: reads that found an entry stamped with a different epoch
     #: fingerprint — must stay 0; the regression gate asserts on it
@@ -390,9 +636,12 @@ class ResultCache:
         budget: int = DEFAULT_RESULT_BUDGET,
         doorkeeper: Optional[_Doorkeeper] = None,
     ) -> None:
-        self._entries = LruCache(budget, cost=_entry_cost, stamp=_entry_stamp)
+        self._entries = LruCache(
+            budget, cost=_entry_cost, stamp=_entry_stamp, index=_Routes()
+        )
         self._doorkeeper = doorkeeper if doorkeeper is not None else _Doorkeeper()
         self.maintained = 0
+        self.visited = 0
         self.fallbacks = 0
         self.validation_failures = 0
 
@@ -456,16 +705,18 @@ class ResultCache:
         )
 
     # -- successors (write paths) --------------------------------------
-    def _next(self, carry) -> "ResultCache":
+    def _next(self, carry, reach=None) -> "ResultCache":
         """The next epoch's cache: this one's entries through *carry*
-        (see :meth:`LruCache.successor`), every counter carried and the
+        (only those *reach* names, if given; see
+        :meth:`LruCache.successor`), every counter carried and the
         doorkeeper shared."""
         clone = ResultCache(self._entries.bound, self._doorkeeper)
         with self._entries.lock:
             clone.maintained = self.maintained
+            clone.visited = self.visited
             clone.fallbacks = self.fallbacks
             clone.validation_failures = self.validation_failures
-        clone._entries = self._entries.successor(carry)
+        clone._entries = self._entries.successor(carry, reach)
         return clone
 
     def empty_successor(self) -> "ResultCache":
@@ -479,26 +730,37 @@ class ResultCache:
     ) -> "ResultCache":
         """The next epoch's cache after a data-only incremental write.
 
-        Entries whose answer the delta leaves unchanged are carried by
-        reference; maintainable entries it changes are rebuilt
+        The routing index names the entries the delta can reach: those
+        pinned to a value its rows carry, and the unrouted ones over a
+        table it touched.  Only those are visited (counted in
+        ``visited``): a maintainable entry the delta changes is rebuilt
         copy-on-write through the delta rules and counted in
-        ``maintained``; unmaintainable entries over a touched table are
-        invalidated.  Every entry is still visited.  *state* must be the
+        ``maintained``, one it leaves unchanged is carried by reference,
+        and an unmaintainable one is invalidated.  Every other entry is
+        carried with the copied entry map at no cost of its own, so a
+        write costs O(|Δ| + entries it reaches).  *state* must be the
         post-delta store state and *fingerprint* the (unchanged) epoch
         fingerprint.
         """
         rt = read_runtime(delta, state)
-        touched = rt.touched
-        maintained = fallbacks = 0
+        maintained = visited = fallbacks = 0
+        parts: Dict[Hashable, Optional[StoreDelta]] = {}
 
-        def carry(_full, entry: _Entry) -> Optional[_Entry]:
-            nonlocal maintained, fallbacks
-            if not (entry.tables & touched):
-                return entry
+        def reach(routes: _Routes) -> List[Hashable]:
+            parts.update(routes.reached(delta, rt.touched))
+            return list(parts)
+
+        def carry(full, entry: _Entry) -> Optional[_Entry]:
+            nonlocal maintained, visited, fallbacks
+            visited += 1
             if not entry.maintainable:
                 return None
+            part = parts[full]
+            runtime = rt if part is None else DeltaRuntime(
+                part, state, rt.context, frozenset(part.tables)
+            )
             try:
-                fresh = _maintained_entry(entry, rt, fingerprint)
+                fresh = _maintained_entry(entry, runtime, fingerprint)
             except (IvmError, EvaluationError):
                 fallbacks += 1
                 return None
@@ -506,8 +768,9 @@ class ResultCache:
                 maintained += 1
             return fresh
 
-        clone = self._next(carry)
+        clone = self._next(carry, reach)
         clone.maintained += maintained
+        clone.visited += visited
         clone.fallbacks += fallbacks
         return clone
 
@@ -558,6 +821,7 @@ class ResultCache:
         return self._entries.stats(
             ResultCacheStats,
             maintained=self.maintained,
+            visited=self.visited,
             fallbacks=self.fallbacks,
             validation_failures=self.validation_failures,
         )

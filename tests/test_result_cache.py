@@ -30,23 +30,27 @@ from collections import Counter
 
 import pytest
 
+from tests.conftest import customer_smo, employee_smo
 from tests.test_backend_differential import (
     SMO_KINDS,
     WORKLOADS,
     canon,
     compiled,
+    stage1_model,
 )
 from tests.test_ivm_differential import clone, random_script
-from repro.algebra.conditions import Comparison
+from repro.algebra.conditions import Comparison, IsNull, Not, and_, or_
 from repro.algebra.evaluate import StoreContext, evaluate_query_bag, row_key
 from repro.algebra.delta import compile_delta
 from repro.algebra.queries import (
     Col,
+    Const,
     FullOuterJoin,
     Join,
     LeftOuterJoin,
     ProjItem,
     Project,
+    Select,
     TableScan,
     UnionAll,
 )
@@ -64,7 +68,7 @@ from repro.query.plancache import CachedPlan
 from repro.query import resultcache
 from repro.query.resultcache import _Doorkeeper, read_runtime, table_leaf
 from repro.relational.instances import StoreState, row_from_mapping
-from repro.relational.schema import Column, StoreSchema, Table
+from repro.relational.schema import Column, ForeignKey, StoreSchema, Table
 from repro.session import OrmSession
 from repro.stategen import random_client_state
 from repro.workloads.chain import chain_mapping, entity_name, set_name
@@ -1027,3 +1031,404 @@ def test_result_cache_successor_race_with_populations():
             assert entries._cost == sum(
                 entry.cost for entry in entries._entries.values()
             )
+
+
+# ---------------------------------------------------------------------------
+# Routing: a write visits only the entries its rows can reach
+# ---------------------------------------------------------------------------
+
+T1 = frozenset({"T1"})
+
+
+def admit(session: OrmSession, queries) -> None:
+    for _ in range(2):  # the second miss admits each answer
+        for query in queries:
+            session.query(query)
+
+
+def entry_of(session: OrmSession, query: EntityQuery):
+    epoch = session.epoch
+    _plan, values, key = epoch.plan_cache.plan_with_key(epoch.model, query)
+    return epoch.results._entries._entries[(key, values)]
+
+
+def visited_entries(monkeypatch) -> list:
+    """``(tables, bound values)`` of every entry whose delta rules a
+    write runs from now on."""
+    seen: list = []
+    original = resultcache._maintained_entry
+
+    def spy(entry, rt, fingerprint):
+        seen.append((entry.tables, entry.values))
+        return original(entry, rt, fingerprint)
+
+    monkeypatch.setattr(resultcache, "_maintained_entry", spy)
+    return seen
+
+
+def write_both(cached: OrmSession, reference: OrmSession, *ops) -> None:
+    script = DeltaScript(tuple(ops))
+    cached.save_delta(script)
+    reference.save_delta(script)
+
+
+def entity1(key: int, att4: str, **extra) -> Entity:
+    return Entity.of(
+        entity_name(1), Id=key, EntityAtt2="w", EntityAtt3=f"b{key}",
+        EntityAtt4=att4, **extra,
+    )
+
+
+def index_agrees_with_entries(cache) -> None:
+    """The routing index names each held entry once per pin (a routed
+    entry) or once per scanned table (an unrouted one), and nothing
+    else; its per-column counts match."""
+    routes = cache._entries._index
+    with cache._entries.lock:
+        held = dict(cache._entries._entries)
+        named = Counter(key for _pin, bucket in routes._pins.items() for key in bucket)
+        named.update(key for bucket in routes._unrouted.values() for key in bucket)
+        columns = {table: dict(counts) for table, counts in routes._columns.items()}
+    expected: Counter = Counter()
+    pinned: Counter = Counter()
+    for key, entry in held.items():
+        if entry.pins is None:
+            expected[key] += len(entry.tables)
+        else:
+            expected[key] += len(set(entry.pins))
+            pinned.update((table, column) for table, column, _ in set(entry.pins))
+    assert named == expected
+    assert {
+        (table, column): count
+        for table, counts in columns.items()
+        for column, count in counts.items()
+    } == dict(pinned)
+
+
+def chain_rows(per_set: int, sets=range(1, 5), values: int = 7):
+    """(table, row) pairs of chain data with no links; EntityAtt4 takes
+    *values* distinct values."""
+    for index in sets:
+        for key in range(per_set):
+            row = {
+                "Id": key,
+                "EntityAtt2": f"a{key}",
+                "EntityAtt3": f"b{key}",
+                "EntityAtt4": f"c{key % values}",
+            }
+            if index < 4:
+                row.update(NextA=None, NextB=None)
+            yield f"T{index}", row_from_mapping(row)
+
+
+def loaded_pair(backend: str, rows, budget=None):
+    """A tier-on session (with *budget*) and its tier-off twin over the
+    chain model, both loaded with *rows*."""
+    mapping = chain_mapping(4)
+    model = CompiledModel(mapping, compile_mapping(mapping, validate=False).views)
+    state = StoreState(model.store_schema)
+    for table, row in rows:
+        state.add_row(table, row)
+    sessions = []
+    for cells in (budget, 0):
+        session = OrmSession(
+            model,
+            backend=create_backend(backend, model.store_schema),
+            result_cache_budget=cells,
+        )
+        session.store_state = state
+        sessions.append(session)
+    return sessions
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestDeltaRouting:
+    HOT = [
+        EntityQuery(set_name(index), Comparison("EntityAtt4", "=", value))
+        for index in (1, 2)
+        for value in ("c0", "c1", "c2")
+    ]
+
+    @staticmethod
+    def points(keys, index: int = 1):
+        return [EntityQuery(set_name(index), Comparison("Id", "=", key)) for key in keys]
+
+    def test_an_update_reaches_the_entries_of_its_old_and_new_value(
+        self, backend, monkeypatch
+    ):
+        cached, reference = chain_pair(backend)
+        try:
+            queries = self.HOT + self.points(range(10))
+            admit(cached, queries)
+            seen = visited_entries(monkeypatch)
+            # Id 4 holds c1 (4 % 3); the update moves it to c0
+            write_both(cached, reference, EntityOp("update", set_name(1), entity=entity1(4, "c0")))
+            assert sorted(seen, key=repr) == sorted(
+                [(T1, ("c1",)), (T1, ("c0",)), (T1, (4,))], key=repr
+            )
+            assert_answers_agree(cached, reference, queries)
+        finally:
+            cached.backend.close()
+            reference.backend.close()
+
+    def test_a_delete_reaches_through_its_old_row_an_insert_through_its_new(
+        self, backend, monkeypatch
+    ):
+        cached, reference = chain_pair(backend)
+        try:
+            queries = self.HOT + self.points([7, 50])
+            admit(cached, queries)
+            seen = visited_entries(monkeypatch)
+            write_both(cached, reference, EntityOp("delete", set_name(1), key=(7,)))
+            assert sorted(seen, key=repr) == sorted([(T1, ("c1",)), (T1, (7,))], key=repr)
+            assert_answers_agree(cached, reference, queries)
+            seen.clear()
+            # the Id = 50 entry was admitted empty; the insert reaches it
+            write_both(
+                cached, reference,
+                EntityOp("insert", set_name(1), entity=entity1(50, "c2")),
+            )
+            assert sorted(seen, key=repr) == sorted([(T1, ("c2",)), (T1, (50,))], key=repr)
+            assert_answers_agree(cached, reference, queries)
+            assert entity1(50, "c2") in cached.query(self.points([50])[0])
+        finally:
+            cached.backend.close()
+            reference.backend.close()
+
+    def test_a_null_in_a_pinned_column_reaches_nothing(self, backend, monkeypatch):
+        cached, reference = chain_pair(backend)
+        try:
+            widen_entity1(cached)
+            widen_entity1(reference)
+            tagged = EntityQuery(set_name(1), Comparison("Tmp", "=", "x"))
+            point = self.points([3])[0]
+            admit(cached, [tagged, point])
+            assert entry_of(cached, tagged).pins == (("T1", "Tmp", "x"),)
+            seen = visited_entries(monkeypatch)
+            before = result_stats(cached).visited
+            write_both(
+                cached, reference,
+                EntityOp("insert", set_name(1), entity=entity1(60, "c0", Tmp=None)),
+            )
+            assert seen == []
+            assert result_stats(cached).visited == before
+            # both sides of this update hold a NULL Tmp: only the key's
+            # entry is reached
+            write_both(
+                cached, reference,
+                EntityOp("update", set_name(1), entity=entity1(3, "c0", Tmp=None)),
+            )
+            assert seen == [(T1, (3,))]
+            assert_answers_agree(cached, reference, [tagged, point])
+            assert result_stats(cached).fallbacks == 0
+        finally:
+            cached.backend.close()
+            reference.backend.close()
+
+    @pytest.mark.parametrize("shape", ["!=", "OR", "IS NULL", "TPT join", "union"])
+    def test_unrouted_entries_are_still_maintained(self, backend, shape):
+        if shape in ("TPT join", "union"):
+            evolving = OrmSession(stage1_model())
+            smo = employee_smo if shape == "TPT join" else customer_smo
+            evolving.evolve(smo(evolving.model))
+            model = evolving.model
+            cached, reference = cached_and_reference(model, backend)
+            seeded = random_client_state(model.client_schema, seed=5, entities_per_set=6)
+            cached.save(seeded)
+            reference.save(seeded)
+            keys = [entity["Id"] for entity in seeded.entities("Persons")]
+            queries = [
+                EntityQuery("Persons", Comparison("Id", "=", key)) for key in keys
+            ]
+        else:
+            cached, reference = chain_pair(backend)
+            model = cached.model
+            condition = {
+                "!=": Comparison("EntityAtt4", "!=", "c0"),
+                "OR": or_(Comparison("Id", "=", 1), Comparison("Id", "=", 4)),
+                "IS NULL": IsNull("EntityAtt4"),
+            }[shape]
+            queries = [EntityQuery(set_name(index), condition) for index in range(1, 5)]
+        try:
+            admit(cached, queries)
+            entries = [entry_of(cached, query) for query in queries]
+            assert all(entry.maintainable and entry.pins is None for entry in entries)
+            before = result_stats(cached)
+            rng = random.Random(41)
+            next_key = [600000]
+            for _ in range(3):
+                scratch = clone(reference.load())
+                script = random_script(
+                    model.client_schema, scratch, rng, next_key, n_ops=8
+                )
+                reference.save(scratch)
+                cached.save_delta(script)
+                assert_answers_agree(cached, reference, queries)
+            after = result_stats(cached)
+            assert after.visited > before.visited
+            assert after.fallbacks == before.fallbacks
+            if shape != "IS NULL":  # no chain row has a NULL EntityAtt4
+                assert after.maintained > before.maintained
+        finally:
+            cached.backend.close()
+            reference.backend.close()
+
+    def test_hundreds_of_routed_entries_match_the_twin_through_random_scripts(
+        self, backend
+    ):
+        cached, reference = loaded_pair(backend, chain_rows(130))
+        try:
+            queries = [
+                query
+                for index in range(1, 5)
+                for query in self.points(range(125), index)
+                + [
+                    EntityQuery(set_name(index), Comparison("EntityAtt4", "=", f"c{v}"))
+                    for v in range(7)
+                ]
+            ]
+            admit(cached, queries)
+            assert len(cached.epoch.results) == len(queries) >= 500
+            assert all(entry_of(cached, query).pins for query in queries)
+            rng = random.Random(29)
+            next_key = [700000]
+            model = cached.model
+            for _ in range(4):
+                scratch = clone(reference.load())
+                script = random_script(
+                    model.client_schema, scratch, rng, next_key, n_ops=12
+                )
+                reference.save(scratch)
+                cached.save_delta(script)
+                assert_answers_agree(cached, reference, queries)
+            stats = result_stats(cached)
+            assert stats.maintained > 0
+            assert stats.visited < 4 * len(queries) // 10
+            assert stats.fallbacks == stats.validation_failures == 0
+        finally:
+            cached.backend.close()
+            reference.backend.close()
+
+    def test_the_index_forgets_every_entry_the_lru_drops(self, backend):
+        cached, reference = loaded_pair(backend, chain_rows(10), budget=150)
+        try:
+            queries = [EntityQuery(set_name(index)) for index in (1, 2)] + [
+                query for index in (1, 2, 3) for query in self.points(range(10), index)
+            ]
+            admit(cached, queries)
+            stats = result_stats(cached)
+            assert stats.evictions > 0 and stats.entries > 0
+            index_agrees_with_entries(cached.epoch.results)
+            # a scan entry that grows past the budget is trimmed away on
+            # the successor, and so is its index entry
+            admit(cached, [EntityQuery(set_name(3))])
+            write_both(
+                cached, reference,
+                EntityOp("insert", set_name(3), entity=Entity.of(
+                    entity_name(3), Id=99, EntityAtt2="n", EntityAtt3="b",
+                    EntityAtt4="c0",
+                )),
+                EntityOp("update", set_name(3), entity=Entity.of(
+                    entity_name(3), Id=2, EntityAtt2="n", EntityAtt3="b",
+                    EntityAtt4="c0",
+                )),
+            )
+            index_agrees_with_entries(cached.epoch.results)
+            assert result_stats(cached).evictions > stats.evictions
+            assert_answers_agree(cached, reference, queries)
+            cached.epoch.results.clear()
+            index_agrees_with_entries(cached.epoch.results)
+        finally:
+            cached.backend.close()
+            reference.backend.close()
+
+    def test_a_one_row_write_copies_only_what_it_touches(self, backend):
+        cached, reference = loaded_pair(backend, chain_rows(10_000, sets=(1,)))
+        try:
+            scan = EntityQuery(set_name(1))
+            admit(cached, [scan])
+            before = entry_of(cached, scan)
+            answer = list(before.rows_view())
+            write_both(
+                cached, reference,
+                EntityOp("update", set_name(1), entity=entity1(5000, "c0")),
+            )
+            after = entry_of(cached, scan)
+            assert after is not before
+            assert before.rows_view() == answer  # the predecessor is intact
+
+            def changed(old, new):
+                return sum(a is not b for a, b in zip(old, new)) + abs(len(new) - len(old))
+
+            old_bag, new_bag = before.bags[0], after.bags[0]
+            assert len(old_bag._parts) > 100
+            assert changed(old_bag._parts, new_bag._parts) <= 2
+            old_rows, new_rows = before.answer, after.answer
+            assert len(old_rows._chunks) > 100
+            # the updated row's chunk, and the last chunk it moved to
+            assert changed(old_rows._chunks, new_rows._chunks) <= 2
+            assert changed(old_rows._where._parts, new_rows._where._parts) <= 2
+            rows = cached.query(scan)
+            assert rows[:-1] == [row for row in answer if row["Id"] != 5000]
+            assert rows[-1] == entity1(5000, "c0")
+            assert canon(rows) == canon(reference.query(scan))
+        finally:
+            cached.backend.close()
+            reference.backend.close()
+
+    def test_visited_counts_only_the_entries_a_write_reaches(self, backend):
+        cached, reference = loaded_pair(backend, chain_rows(1000, sets=(1,)))
+        try:
+            queries = self.points(range(1000))
+            admit(cached, queries)
+            before = result_stats(cached)
+            assert before.entries == 1000
+            write_both(
+                cached, reference,
+                EntityOp("update", set_name(1), entity=entity1(5, "c0")),
+            )
+            after = result_stats(cached)
+            assert after.visited - before.visited <= 1  # only the Id = 5 entry
+            assert after.maintained == before.maintained + 1
+            assert_answers_agree(cached, reference, queries[:10])
+        finally:
+            cached.backend.close()
+            reference.backend.close()
+
+
+def test_pins_trace_only_renaming_columns():
+    """A pin names a base column: traced through ``Col`` items, never
+    through a ``Const`` item, preferring the primary key, and only from
+    a top-level equality with a non-NULL constant."""
+    schema = StoreSchema(
+        [
+            Table(
+                "T",
+                (Column("K", INT, False), Column("V", STRING), Column("F", INT)),
+                ("K",),
+                (ForeignKey(("F",), "T", ("K",)),),
+            )
+        ]
+    )
+    scan = TableScan("T")
+    renaming = Project(scan, (ProjItem("Key", Col("K")), ProjItem("V", Col("V"))))
+    constant = Project(scan, (ProjItem("K", Const(1)), ProjItem("V", Col("V"))))
+    cases = [
+        (Select(renaming, Comparison("Key", "=", 3)), ("T", "K", 3)),
+        (Select(constant, Comparison("K", "=", 1)), None),
+        (Select(constant, and_(Comparison("K", "=", 1), Comparison("V", "=", "x"))),
+         ("T", "V", "x")),
+        (Select(scan, and_(Comparison("V", "=", "x"), Comparison("K", "=", 3))),
+         ("T", "K", 3)),
+        (Select(scan, and_(Comparison("V", "=", "x"), Comparison("F", "=", 2))),
+         ("T", "F", 2)),
+        (Select(Select(scan, Comparison("V", "=", "x")), Comparison("V", "!=", "y")),
+         ("T", "V", "x")),
+        (Select(scan, Comparison("V", "=", None)), None),
+        (Select(scan, Comparison("V", "!=", "x")), None),
+        (Select(scan, or_(Comparison("K", "=", 1), Comparison("K", "=", 2))), None),
+        (Select(scan, Not(Comparison("K", "=", 1))), None),
+        (Select(Join(scan, scan, on=("K",)), Comparison("K", "=", 1)), None),
+    ]
+    for query, pin in cases:
+        assert resultcache.branch_pin(query, schema) == pin, query
