@@ -426,29 +426,33 @@ def _maintained_entry(entry: _Entry, rt: DeltaRuntime, fingerprint: str) -> _Ent
 class _Routes:
     """The routing index: which entries a write's rows can reach.
 
-    A routed entry sits under each of its pins; an unrouted one under
-    each table it scans.  The :class:`~repro.cache.LruCache` holding the
-    entries keeps this index in step with them under its lock, so it
-    never names an entry the cache let go; a successor shares every
-    partition and bucket with its predecessor until one of them writes
-    it.
+    Each route has a bucket, a dict of entry keys: a routed entry sits in
+    the bucket of each of its pins, an unrouted one in the bucket of each
+    table it scans (the table's name is the route).  The
+    :class:`~repro.cache.LruCache` holding the entries keeps this index
+    in step with them under its lock, so it never names an entry the
+    cache let go.  A successor shares every partition and bucket with
+    its predecessor; after that, each side copies a bucket on its first
+    write to it, as :class:`~repro.relational.instances.PartitionedMap`
+    does a partition.
     """
 
-    __slots__ = ("_pins", "_columns", "_unrouted")
+    __slots__ = ("_buckets", "_owned", "_columns")
 
     def __init__(self) -> None:
-        #: pin -> keys of the entries routed under it
-        self._pins = PartitionedMap()
+        #: route -> {key: None}
+        self._buckets = PartitionedMap()
+        #: routes whose bucket this index may write in place
+        self._owned: set = set()
         #: table -> {column: pins naming it}; replaced, never written
         self._columns: Dict[str, Dict[str, int]] = {}
-        #: table -> keys of the unrouted entries that scan it
-        self._unrouted: Dict[str, Tuple[Hashable, ...]] = {}
 
     def successor(self) -> "_Routes":
         other = _Routes.__new__(_Routes)
-        other._pins = self._pins.successor()
+        other._buckets = self._buckets.successor()
+        other._owned = set()
         other._columns = dict(self._columns)
-        other._unrouted = dict(self._unrouted)
+        self._owned = set()
         return other
 
     def update(
@@ -464,44 +468,47 @@ class _Routes:
         if new is not None:
             self._add(key, new)
 
+    def _writable(self, route) -> Dict[Hashable, None]:
+        bucket = self._buckets.get(route)
+        if bucket is None or route not in self._owned:
+            bucket = {} if bucket is None else dict(bucket)
+            self._buckets[route] = bucket
+            self._owned.add(route)
+        return bucket
+
+    def _count(self, pin: Pin, step: int) -> None:
+        table, column, _value = pin
+        counts = dict(self._columns.get(table, ()))
+        counts[column] = counts.get(column, 0) + step
+        if not counts[column]:
+            del counts[column]
+        if counts:
+            self._columns[table] = counts
+        else:
+            del self._columns[table]
+
     def _add(self, key: Hashable, entry: _Entry) -> None:
         if entry.pins is None:
             for table in entry.tables:
-                self._unrouted[table] = self._unrouted.get(table, ()) + (key,)
+                self._writable(table)[key] = None
             return
         for pin in dict.fromkeys(entry.pins):
-            self._pins[pin] = self._pins.get(pin, ()) + (key,)
-            table, column, _value = pin
-            counts = self._columns.get(table, {})
-            self._columns[table] = {**counts, column: counts.get(column, 0) + 1}
+            self._writable(pin)[key] = None
+            self._count(pin, +1)
 
     def _discard(self, key: Hashable, entry: _Entry) -> None:
-        if entry.pins is None:
-            for table in entry.tables:
-                rest = tuple(k for k in self._unrouted.get(table, ()) if k != key)
-                if rest:
-                    self._unrouted[table] = rest
-                else:
-                    self._unrouted.pop(table, None)
-            return
-        for pin in dict.fromkeys(entry.pins):
-            bucket = self._pins.get(pin, ())
-            if key not in bucket:
+        routes = entry.tables if entry.pins is None else dict.fromkeys(entry.pins)
+        for route in routes:
+            bucket = self._buckets.get(route)
+            if bucket is None or key not in bucket:
                 continue
-            rest = tuple(k for k in bucket if k != key)
-            if rest:
-                self._pins[pin] = rest
+            if len(bucket) == 1:
+                self._buckets.pop(route)
+                self._owned.discard(route)
             else:
-                self._pins.pop(pin)
-            table, column, _value = pin
-            counts = dict(self._columns[table])
-            counts[column] -= 1
-            if not counts[column]:
-                del counts[column]
-            if counts:
-                self._columns[table] = counts
-            else:
-                del self._columns[table]
+                del self._writable(route)[key]
+            if entry.pins is not None:
+                self._count(route, -1)
 
     def reached(
         self, delta: StoreDelta, touched: FrozenSet[str]
@@ -518,8 +525,7 @@ class _Routes:
         """
         found: Dict[Hashable, Optional[StoreDelta]] = {}
         for table in touched:
-            for key in self._unrouted.get(table, ()):
-                found[key] = None
+            found.update(self._buckets.get(table, ()))
             columns = self._columns.get(table)
             if not columns:
                 continue
@@ -537,7 +543,7 @@ class _Routes:
                             value = view.get(column)
                             if value is not None:
                                 keys.update(
-                                    dict.fromkeys(self._pins.get((table, column, value), ()))
+                                    self._buckets.get((table, column, value), ())
                                 )
                     for key in keys:
                         part = found.get(key)
@@ -722,8 +728,20 @@ class ResultCache:
     def empty_successor(self) -> "ResultCache":
         """A fresh cache carrying the counters: for
         ``replace_contents``, where the data moves wholesale and no
-        table-scoped argument can keep any entry valid."""
-        return self._next(lambda _full, _entry: None)
+        table-scoped argument can keep any entry valid.  Every entry
+        counts as invalidated; none is visited."""
+        stats = self.stats()
+        clone = ResultCache(self._entries.bound, self._doorkeeper)
+        fresh = clone._entries
+        fresh.hits, fresh.misses, fresh.evictions = (
+            stats.hits, stats.misses, stats.evictions
+        )
+        fresh.invalidated = stats.invalidated + stats.entries
+        clone.maintained = stats.maintained
+        clone.visited = stats.visited
+        clone.fallbacks = stats.fallbacks
+        clone.validation_failures = stats.validation_failures
+        return clone
 
     def successor_for_delta(
         self, delta: StoreDelta, state: StoreState, fingerprint: str

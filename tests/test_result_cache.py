@@ -1094,8 +1094,8 @@ def index_agrees_with_entries(cache) -> None:
     routes = cache._entries._index
     with cache._entries.lock:
         held = dict(cache._entries._entries)
-        named = Counter(key for _pin, bucket in routes._pins.items() for key in bucket)
-        named.update(key for bucket in routes._unrouted.values() for key in bucket)
+        buckets = list(routes._buckets.items())
+        named = Counter(key for _route, bucket in buckets for key in bucket)
         columns = {table: dict(counts) for table, counts in routes._columns.items()}
     expected: Counter = Counter()
     pinned: Counter = Counter()
@@ -1106,6 +1106,7 @@ def index_agrees_with_entries(cache) -> None:
             expected[key] += len(set(entry.pins))
             pinned.update((table, column) for table, column, _ in set(entry.pins))
     assert named == expected
+    assert all(bucket for _route, bucket in buckets)
     assert {
         (table, column): count
         for table, counts in columns.items()
