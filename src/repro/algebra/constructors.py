@@ -13,6 +13,7 @@ Update views use the analogous ``(Q_T | τ_T)`` with a row constructor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Mapping, Tuple
 
 from repro.algebra.conditions import Condition, evaluate_condition
@@ -74,9 +75,31 @@ class EntityCtor(Constructor):
         """The common case ``E(att(E))``: each attribute from its own column."""
         return EntityCtor(type_name, tuple((a, Col(a)) for a in attr_names))
 
+    @cached_property
+    def _plan(self) -> Tuple[Tuple[str, bool, object], ...]:
+        """Per assignment, in attribute order (the order
+        :meth:`Entity.of` sorts values into): ``(attribute, True,
+        column)`` or ``(attribute, False, constant)``."""
+        plan = []
+        for attr, expr in sorted(self.assignments, key=lambda pair: pair[0]):
+            if isinstance(expr, Col):
+                plan.append((attr, True, expr.name))
+            elif isinstance(expr, Const):
+                plan.append((attr, False, expr.value))
+            else:
+                raise EvaluationError(f"unknown constructor expression {expr!r}")
+        return tuple(plan)
+
     def construct(self, row: Mapping[str, object]) -> Entity:
-        values = {attr: _eval_expr(expr, row) for attr, expr in self.assignments}
-        return Entity.of(self.type_name, **values)
+        values = []
+        for attr, column, source in self._plan:
+            if not column:
+                values.append((attr, source))
+            elif source in row:
+                values.append((attr, row[source]))
+            else:
+                raise EvaluationError(f"constructor references missing column {source!r}")
+        return Entity(self.type_name, tuple(values))
 
     def constructed_types(self) -> Tuple[str, ...]:
         return (self.type_name,)

@@ -10,7 +10,8 @@ the bag semantics of :func:`repro.algebra.evaluate._evaluate` exactly:
 
 * scan      — supplied by the caller's *leaf* (the recorded ± rows);
 * select    — filter each signed row by the condition;
-* project   — map each signed row through the projection items;
+* project   — map each signed row through the projection items (a
+  chain of selections and projections runs as one pass per row);
 * union-all — concatenate branch deltas, NULL-padded to the union width;
 * ⋈ on k    — ``ΔL ⋈ R_new + L_old ⋈ ΔR``;
 * ⟕ on k    — the same two terms (``ΔL`` rows without a match NULL-pad)
@@ -64,15 +65,17 @@ from repro.errors import EvaluationError, IvmError
 
 Signed = Tuple[int, RowDict]
 Probe = Callable[["DeltaRuntime", Tuple[object, ...], bool], List[RowDict]]
+#: a lowered selection condition: does this row pass it?
+Test = Callable[["DeltaRuntime", RowDict], bool]
 
 
 class DeltaRuntime:
     """Everything a lowered tree reads while propagating one delta."""
 
-    __slots__ = ("delta", "state", "context", "touched")
+    __slots__ = ("delta", "state", "context", "touched", "params")
 
     def __init__(self, delta, state, context: EvaluationContext,
-                 touched: FrozenSet[str]) -> None:
+                 touched: FrozenSet[str], params: Tuple[object, ...] = ()) -> None:
         #: the leaves' change record (a client or a store delta)
         self.delta = delta
         #: the *new* state (the delta has already been applied)
@@ -81,6 +84,9 @@ class DeltaRuntime:
         #: the sources with net activity — subtrees scanning none of them
         #: are skipped
         self.touched = touched
+        #: the values of the tree's parameter placeholders, for trees
+        #: lowered once and shared by every binding
+        self.params = params
 
 
 def matches(row: RowDict, columns: Tuple[str, ...], values: Tuple[object, ...]) -> bool:
@@ -106,56 +112,95 @@ class Node:
         raise NotImplementedError
 
 
-class SelectNode(Node):
-    __slots__ = ("source", "condition")
+def interpret(condition) -> Test:
+    """*condition* as the interpreter evaluates it, against the runtime's
+    context (client rows' type atoms need the schema)."""
 
-    def __init__(self, source: Node, condition) -> None:
+    def test(rt: DeltaRuntime, row: RowDict) -> bool:
+        return evaluate_condition(condition, _RowConditionContext(row, rt.context))
+
+    return test
+
+
+class RowwiseNode(Node):
+    """A selection or a projection: each input row yields at most one
+    output row.  A chain of them over one source propagates a delta in
+    one pass: each node keeps the chain's source (``base``) and its
+    steps in order, ``(test, None)`` for a selection and ``(None,
+    project)`` for a projection."""
+
+    __slots__ = ("source", "base", "steps")
+
+    def _chain(self, source: Node, step) -> None:
         self.source = source
-        self.condition = condition
-        self.columns = source.columns
-        self.sources = source.sources
-
-    def _keep(self, rt: DeltaRuntime, row: RowDict) -> bool:
-        return evaluate_condition(self.condition, _RowConditionContext(row, rt.context))
+        if isinstance(source, RowwiseNode):
+            self.base, self.steps = source.base, source.steps + (step,)
+        else:
+            self.base, self.steps = source, (step,)
 
     def delta(self, rt: DeltaRuntime) -> List[Signed]:
-        return [(s, r) for s, r in self.source.delta(rt) if self._keep(rt, r)]
+        out: List[Signed] = []
+        steps = self.steps
+        for sign, row in self.base.delta(rt):
+            for test, project in steps:
+                if project is not None:
+                    row = project(row)
+                elif not test(rt, row):
+                    break
+            else:
+                out.append((sign, row))
+        return out
+
+
+class SelectNode(RowwiseNode):
+    __slots__ = ("condition", "test")
+
+    def __init__(self, source: Node, condition, test: Test) -> None:
+        self.condition = condition
+        self.test = test
+        self.columns = source.columns
+        self.sources = source.sources
+        self._chain(source, (test, None))
 
     def make_probe(self, columns: Tuple[str, ...]) -> Probe:
         source_probe = self.source.make_probe(columns)
+        test = self.test
 
         def probe(rt: DeltaRuntime, values: Tuple[object, ...], old: bool) -> List[RowDict]:
-            return [r for r in source_probe(rt, values, old) if self._keep(rt, r)]
+            return [r for r in source_probe(rt, values, old) if test(rt, r)]
 
         return probe
 
 
-class ProjectNode(Node):
-    __slots__ = ("source", "items")
+class ProjectNode(RowwiseNode):
+    __slots__ = ("items", "_plan")
 
     def __init__(self, source: Node, items) -> None:
-        self.source = source
         self.items = items
         self.columns = tuple(item.output for item in items)
         self.sources = source.sources
+        #: per item: (output, True, constant) or (output, False, column)
+        self._plan = tuple(
+            (item.output, True, item.expr.value)
+            if isinstance(item.expr, Const)
+            else (item.output, False, item.expr.name)
+            for item in items
+        )
+        self._chain(source, (None, self._project))
 
     def _project(self, row: RowDict) -> RowDict:
         out: RowDict = {}
-        for item in self.items:
-            if isinstance(item.expr, Const):
-                out[item.output] = item.expr.value
+        for output, constant, source in self._plan:
+            if constant:
+                out[output] = source
+            elif source in row:
+                out[output] = row[source]
             else:
-                name = item.expr.name
-                if name not in row:
-                    raise EvaluationError(
-                        f"projection references missing column {name!r} "
-                        f"(row has {sorted(k for k in row if k != TYPE_TAG)})"
-                    )
-                out[item.output] = row[name]
+                raise EvaluationError(
+                    f"projection references missing column {source!r} "
+                    f"(row has {sorted(k for k in row if k != TYPE_TAG)})"
+                )
         return out
-
-    def delta(self, rt: DeltaRuntime) -> List[Signed]:
-        return [(s, self._project(r)) for s, r in self.source.delta(rt)]
 
     def make_probe(self, columns: Tuple[str, ...]) -> Probe:
         by_output = {item.output: item for item in self.items}
@@ -305,8 +350,14 @@ class JoinNode(Node):
 Leaf = Callable[[Query, EvaluationContext], Node]
 
 
-def compile_delta(query: Query, context: EvaluationContext, leaf: Leaf) -> Node:
-    """Lower *query*'s delta rules; *leaf* lowers each scan.
+def compile_delta(
+    query: Query,
+    context: EvaluationContext,
+    leaf: Leaf,
+    lower: Callable[[object], Test] = interpret,
+) -> Node:
+    """Lower *query*'s delta rules; *leaf* lowers each scan and *lower*
+    each selection condition.
 
     *context* only supplies static column lists, so a schema-only
     context is enough.  A leaf raises :class:`IvmError` for scans it
@@ -315,18 +366,22 @@ def compile_delta(query: Query, context: EvaluationContext, leaf: Leaf) -> Node:
     if isinstance(query, (SetScan, AssociationScan, TableScan)):
         return leaf(query, context)
     if isinstance(query, Select):
-        return SelectNode(compile_delta(query.source, context, leaf), query.condition)
+        return SelectNode(
+            compile_delta(query.source, context, leaf, lower),
+            query.condition,
+            lower(query.condition),
+        )
     if isinstance(query, Project):
-        return ProjectNode(compile_delta(query.source, context, leaf), query.items)
+        return ProjectNode(compile_delta(query.source, context, leaf, lower), query.items)
     if isinstance(query, UnionAll):
         return UnionNode(
-            tuple(compile_delta(b, context, leaf) for b in query.branches),
+            tuple(compile_delta(b, context, leaf, lower) for b in query.branches),
             output_columns(query, context),
         )
     if isinstance(query, (Join, LeftOuterJoin)):
         return JoinNode(
-            compile_delta(query.left, context, leaf),
-            compile_delta(query.right, context, leaf),
+            compile_delta(query.left, context, leaf, lower),
+            compile_delta(query.right, context, leaf, lower),
             query.on,
             padded=isinstance(query, LeftOuterJoin),
         )

@@ -21,9 +21,8 @@ hitting the source.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Hashable, Iterable, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Optional
 
 #: what :meth:`LruCache.get` returns for an entry stamped by another
 #: version (the entry is dropped and counted as a miss and invalidated)
@@ -94,15 +93,9 @@ class LruCache:
         self.misses = 0
         self.evictions = 0
         self.invalidated = 0
+        #: insertion order is LRU order: least recently used first; a
+        #: plain dict, so a successor copies it at C speed
         self._entries: Dict[Hashable, object] = {}
-        #: LRU order, kept in plain containers so a successor copies it
-        #: at C speed: each use appends ``(tick, key)`` to ``_uses`` and
-        #: records the tick in ``_used``; a pair whose tick is no longer
-        #: its key's is stale, skipped by eviction and dropped when stale
-        #: pairs outnumber live ones
-        self._used: Dict[Hashable, int] = {}
-        self._uses: Deque[Tuple[int, Hashable]] = deque()
-        self._tick = 0
         self._cost = 0
         self._cost_of = cost
         self._on_evict = on_evict
@@ -116,17 +109,19 @@ class LruCache:
         miss and an invalidation — and :data:`STALE` is returned
         instead."""
         with self.lock:
-            value = self._entries.get(key, _MISSING)
+            # popped and put back: a hit moves to the most recent end
+            value = self._entries.pop(key, _MISSING)
             if value is _MISSING:
                 self.misses += 1
                 return None
             if stamp is not None and self._stamp_of(value) != stamp:
-                self._remove(key, value)
+                self._cost -= self._price(value)
+                self._left(key, value)
                 self.misses += 1
                 self.invalidated += 1
                 return STALE
             self.hits += 1
-            self._touch(key)
+            self._entries[key] = value
             return value
 
     def get_or_build(self, key: Hashable, build: Callable[[], object]):
@@ -137,10 +132,10 @@ class LruCache:
         A build that raises counts nothing.
         """
         with self.lock:
-            value = self._entries.get(key, _MISSING)
+            value = self._entries.pop(key, _MISSING)
             if value is not _MISSING:
                 self.hits += 1
-                self._touch(key)
+                self._entries[key] = value
                 return value
         value = build()
         with self.lock:
@@ -186,8 +181,6 @@ class LruCache:
         with self.lock:
             dropped = list(self._entries.items())
             self._entries.clear()
-            self._used.clear()
-            self._uses.clear()
             self._cost = 0
             self.invalidated += len(dropped)
             for key, value in dropped:
@@ -202,22 +195,19 @@ class LruCache:
     ) -> "LruCache":
         """The next epoch's cache; this one is never changed.
 
-        The entries and their LRU order are copied whole, at C speed.
-        Then ``carry(key, value)`` runs on every entry, or with *reach*
-        only on the keys ``reach(index)`` names (*index* is the
-        successor's own copy of the secondary index, so it names exactly
-        the successor's entries), and no other entry costs a call.
-        *carry* returns the value to keep (the same one, or a rebuilt
-        copy, which keeps its LRU place) or None to drop it, which
-        counts as invalidated.  *carry* and *reach* run outside the
-        lock, so readers of this cache are not held up.  The counters
-        carry forward, so rates stay observable across epochs.
+        The entry map is copied whole, at C speed.  Then ``carry(key,
+        value)`` runs on every entry, or with *reach* only on the keys
+        ``reach(index)`` names (*index* is the successor's own copy of
+        the secondary index, so it names exactly the successor's
+        entries), and no other entry costs a call.  *carry* returns the
+        value to keep (the same one, or a rebuilt copy, which keeps its
+        LRU place) or None to drop it, which counts as invalidated.
+        *carry* and *reach* run outside the lock, so readers of this
+        cache are not held up.  The counters carry forward, so rates
+        stay observable across epochs.
         """
         with self.lock:
             entries = self._entries.copy()
-            used = self._used.copy()
-            uses = self._uses.copy()
-            tick = self._tick
             cost = self._cost
             counters = (self.hits, self.misses, self.evictions, self.invalidated)
             index = None if self._index is None else self._index.successor()
@@ -225,8 +215,7 @@ class LruCache:
             self.bound, self._cost_of, self._on_evict, self._stamp_of, index
         )
         clone.hits, clone.misses, clone.evictions, clone.invalidated = counters
-        clone._entries, clone._used, clone._uses = entries, used, uses
-        clone._tick, clone._cost = tick, cost
+        clone._entries, clone._cost = entries, cost
         if carry is not None:
             for key in list(entries) if reach is None else reach(index):
                 value = entries.get(key, _MISSING)
@@ -239,7 +228,7 @@ class LruCache:
                 if index is not None:
                     index.update(key, value, kept)
                 if kept is None:
-                    del entries[key], used[key]
+                    del entries[key]
                     clone.invalidated += 1
                     continue
                 entries[key] = kept
@@ -276,31 +265,28 @@ class LruCache:
             return value
         self._entries[key] = value
         self._cost += cost
-        self._touch(key)
         if self._index is not None:
             self._index.update(key, None, value)
         self._trim()
         return value
 
-    def _touch(self, key: Hashable) -> None:
-        """Make *key* the most recently used."""
-        self._tick += 1
-        self._used[key] = self._tick
-        self._uses.append((self._tick, key))
-        if len(self._uses) > 2 * len(self._used):
-            used = self._used
-            self._uses = deque(pair for pair in self._uses if used.get(pair[1]) == pair[0])
-
     def _trim(self) -> None:
         """Evict least recently used entries until the cost fits."""
-        while self._cost > self.bound:
-            tick, key = self._uses.popleft()
-            if self._used.get(key) == tick:
-                self.evictions += 1
-                self._remove(key, self._entries[key])
+        excess = self._cost - self.bound
+        if excess <= 0:
+            return
+        victims = []
+        for key, value in self._entries.items():
+            if excess <= 0:
+                break
+            victims.append((key, value))
+            excess -= self._price(value)
+        for key, value in victims:
+            self.evictions += 1
+            self._remove(key, value)
 
     def _remove(self, key: Hashable, value) -> None:
-        del self._entries[key], self._used[key]
+        del self._entries[key]
         self._cost -= self._price(value)
         self._left(key, value)
 

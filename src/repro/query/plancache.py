@@ -157,6 +157,7 @@ class CachedPlan:
     executions: int = 0
     _sql: Optional[Tuple[CompiledSql, ...]] = field(default=None, repr=False)
     _physical: Optional[object] = field(default=None, repr=False)
+    _lowered: Optional[object] = field(default=None, repr=False)
 
     def _check_arity(self, values: Tuple[object, ...]) -> None:
         if len(values) != self.param_count:
@@ -215,6 +216,16 @@ class CachedPlan:
                 schema,
             )
         return self._physical
+
+    def lowered(self, schema: StoreSchema):
+        """The result tier's delta rules and pins for this shape
+        (:func:`repro.query.resultcache.lower_plan`), lowered once and
+        shared by every entry built from the plan."""
+        if self._lowered is None:
+            from repro.query.resultcache import lower_plan
+
+            self._lowered = lower_plan(self.unfolded, schema)
+        return self._lowered
 
     def bound_sql(
         self, schema: StoreSchema, values: Tuple[object, ...]

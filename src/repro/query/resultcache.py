@@ -90,6 +90,7 @@ from repro.algebra.delta import (
     Node,
     Probe,
     Signed,
+    Test,
     compile_delta,
     never_probe,
 )
@@ -101,10 +102,12 @@ from repro.algebra.evaluate import (
     row_key,
 )
 from repro.algebra.queries import Col, Project, Query, Select, TableScan
+from repro.backend.physical import compile_predicate
 from repro.cache import STALE, CacheStats, LruCache
 from repro.errors import EvaluationError, IvmError
 from repro.query.dml import StoreDelta, TableDelta
-from repro.query.unfold import UnfoldedBranch, construct_row
+from repro.query.plancache import Param
+from repro.query.unfold import UnfoldedBranch, UnfoldedQuery, construct_row
 from repro.relational.instances import (
     ChunkedRows,
     PartitionedMap,
@@ -264,6 +267,44 @@ def branch_pin(query: Query, schema: StoreSchema) -> Optional[Pin]:
     return None if best is None else (table.name, best[1], best[2])
 
 
+@dataclass(frozen=True)
+class Lowered:
+    """One plan shape's delta rules and pins, lowered once and shared by
+    every entry built from the plan (:meth:`CachedPlan.lowered
+    <repro.query.plancache.CachedPlan.lowered>`).  Placeholders stay in
+    both: the rules read an entry's values from
+    :attr:`~repro.algebra.delta.DeltaRuntime.params`, and a pin's
+    :class:`~repro.query.plancache.Param` value is bound per entry."""
+
+    #: per branch, its delta rules; None = a shape the rules cannot
+    #: maintain
+    roots: Optional[Tuple[Node, ...]]
+    #: per branch, its pin; None = unrouted
+    pins: Optional[Tuple[Pin, ...]]
+
+
+def _lower_test(condition: Condition) -> Test:
+    """*condition* compiled as physical plans compile it, its
+    placeholders read from the runtime's parameters: store rows carry no
+    type tag, so no context is needed."""
+    predicate = compile_predicate(condition)
+    return lambda rt, row: predicate(row, rt.params)
+
+
+def lower_plan(unfolded: UnfoldedQuery, schema: StoreSchema) -> Lowered:
+    """Lower the branches of one plan shape for the result tier."""
+    try:
+        context = StoreContext(StoreState(schema))
+        roots = tuple(
+            compile_delta(branch.store_query, context, table_leaf, _lower_test)
+            for branch in unfolded.branches
+        )
+    except (IvmError, EvaluationError):
+        return Lowered(None, None)
+    pins = tuple(branch_pin(branch.store_query, schema) for branch in unfolded.branches)
+    return Lowered(roots, None if None in pins else pins)
+
+
 @dataclass(eq=False, slots=True)
 class _Entry:
     """One materialized answer: per-branch row bags plus the constructed
@@ -320,30 +361,23 @@ def build_entry(
     The executors count exactly what a bag evaluation of the bound
     branches counts (the executed-bag oracle in the test suite holds
     both to the interpreter), which is what licenses the delta rules to
-    add and subtract derivations against the counts.  A maintainable
+    add and subtract derivations against the counts.  The entry shares
+    its plan's delta rules and pins (:func:`lower_plan`, lowered once per
+    plan) and binds the pins' placeholders to *values*.  A maintainable
     entry whose every branch has a pin (:func:`branch_pin`) is routed:
     only writes whose rows carry one of its pins visit it.
     """
-    bound = plan.bind(values)
-    pins: Optional[Tuple[Pin, ...]] = None
-    try:
-        schema_context = StoreContext(StoreState(schema))
-        roots: Optional[Tuple[Node, ...]] = tuple(
-            compile_delta(branch.store_query, schema_context, table_leaf)
-            for branch in bound.branches
-        )
-    except (IvmError, EvaluationError):
-        roots = None
-    else:
-        found = tuple(branch_pin(branch.store_query, schema) for branch in bound.branches)
-        if None not in found:
-            pins = found
+    lowered = plan.lowered(schema)
+    pins = None if lowered.pins is None else tuple(
+        (table, column, values[value.index] if isinstance(value, Param) else value)
+        for table, column, value in lowered.pins
+    )
     results = iter(rows)
     return _Entry(
         values=values,
         projection=plan.shape.projection,
-        branches=bound.branches,
-        roots=roots,
+        branches=plan.unfolded.branches,
+        roots=lowered.roots,
         bags=tuple(
             PartitionedMap(
                 {key: (row, count, next(results)) for key, (row, count) in bag.items()}
@@ -369,50 +403,58 @@ def _maintained_entry(entry: _Entry, rt: DeltaRuntime, fingerprint: str) -> _Ent
     removal in one term and its re-derivation in another, and only the
     sum is the change.  Raises :class:`IvmError` when a net count would
     go negative (the caller invalidates instead)."""
-    if entry.roots is None:
+    roots = entry.roots
+    if roots is None:
         raise IvmError("entry shape is not maintainable")
-    changes = [
-        () if root.sources.isdisjoint(rt.touched) else root.delta(rt)
-        for root in entry.roots
-    ]
+    touched = rt.touched
     answer: Optional[ChunkedRows] = None
-    bags = list(entry.bags)
+    bags: Optional[List[PartitionedMap]] = None
     cost = entry.cost
-    projection = entry.projection
-    for bi, (signed, branch) in enumerate(zip(changes, entry.branches)):
+    for bi, root in enumerate(roots):
+        if root.sources.isdisjoint(touched):
+            continue
         net: Dict[RowKey, list] = {}
-        for sign, row in signed:
-            net.setdefault(row_key(row), [row, 0])[1] += sign
+        for sign, row in root.delta(rt):
+            key = row_key(row)
+            held = net.get(key)
+            if held is None:
+                net[key] = [row, sign]
+            else:
+                held[1] += sign
         per: Optional[PartitionedMap] = None
         for key, (row, change) in net.items():
             if not change:
                 continue
             if per is None:
-                per = bags[bi] = bags[bi].successor()
-                if answer is None:
+                if bags is None:
+                    bags = list(entry.bags)
                     answer = entry.answer.successor(())
+                per = bags[bi] = bags[bi].successor()
             slot = per.get(key)
-            count = (0 if slot is None else slot[1]) + change
-            if count < 0:
-                raise IvmError("negative multiplicity in a maintained result bag")
-            if count == 0:
-                per.pop(key)
-                answer.discard_key(_identity(slot[2]))
-                cost -= len(slot[0])
-            elif slot is None:
-                result = construct_row(projection, branch, row)
-                per.insert(key, (row, count, result))
+            if slot is None:
+                if change < 0:
+                    raise IvmError("negative multiplicity in a maintained result bag")
+                result = construct_row(entry.projection, entry.branches[bi], row)
+                per.insert(key, (row, change, result))
                 answer.add(result)
                 cost += len(row)
-            else:
+                continue
+            count = slot[1] + change
+            if count < 0:
+                raise IvmError("negative multiplicity in a maintained result bag")
+            if count:
                 per[key] = (slot[0], count, slot[2])
-    if answer is None:
+            else:
+                per.pop(key)
+                answer.discard_item(slot[2])
+                cost -= len(slot[0])
+    if bags is None:
         return entry  # the answer is unchanged: carry it by reference
     return _Entry(
         values=entry.values,
-        projection=projection,
+        projection=entry.projection,
         branches=entry.branches,
-        roots=entry.roots,
+        roots=roots,
         bags=tuple(bags),
         answer=answer,
         tables=entry.tables,
@@ -774,8 +816,12 @@ class ResultCache:
             if not entry.maintainable:
                 return None
             part = parts[full]
-            runtime = rt if part is None else DeltaRuntime(
-                part, state, rt.context, frozenset(part.tables)
+            runtime = DeltaRuntime(
+                delta if part is None else part,
+                state,
+                rt.context,
+                rt.touched if part is None else frozenset(part.tables),
+                entry.values,
             )
             try:
                 fresh = _maintained_entry(entry, runtime, fingerprint)

@@ -231,8 +231,9 @@ class ChunkedRows:
     delete.
 
     With a *key* function, items need not be hashable: ``_where`` maps
-    ``key(item)`` instead, and :meth:`discard_key` removes an item by
-    its key.  The result tier keeps each cached answer this way.
+    ``key(item)`` instead, and :meth:`discard_item` removes an item
+    found by identity.  The result tier keeps each cached answer this
+    way.
 
     ``indexes`` holds the key indexes: column values → the tuple of rows
     holding them, in iteration order.  A key with a NULL component has
@@ -285,7 +286,7 @@ class ChunkedRows:
             columns: index.successor()
             for columns, index in self.indexes.items()
             if columns in keys
-        }
+        } if self.indexes else {}
         other.shared = False
         other._key = self._key
         return other
@@ -332,7 +333,7 @@ class ChunkedRows:
 
     def discard(self, row: Row) -> None:
         """Remove *row* if the table holds it (a table without a key
-        function; see :meth:`discard_key`)."""
+        function; see :meth:`discard_item`)."""
         number = self._where.pop(row)
         if number is None:
             return
@@ -348,19 +349,20 @@ class ChunkedRows:
                 index[values] = tuple(r for r in bucket if r != row)
         self._shrunk()
 
-    def discard_key(self, key) -> None:
-        """Remove the item held under *key*, if any (a table with a key
-        function and no indexes)."""
-        number = self._where.pop(key)
+    def discard_item(self, item) -> None:
+        """Remove *item* itself, found by identity, if the table holds
+        its key (a table with a key function and no indexes, holding
+        *item* whenever it holds its key)."""
+        number = self._where.pop(self._key(item))
         if number is None:
             return
         chunk = self._writable(number)
-        del chunk[list(map(self._key, chunk)).index(key)]
+        del chunk[list(map(id, chunk)).index(id(item))]
         self._shrunk()
 
     def _shrunk(self) -> None:
         # half the slots dead: O(table) once per O(table) deletes
-        if len(self._chunks) * CHUNK_ROWS >= 2 * (len(self) + CHUNK_ROWS):
+        if len(self._chunks) * CHUNK_ROWS >= 2 * (len(self._where) + CHUNK_ROWS):
             self._fill(self.to_list())
 
     def _fill(self, rows: List) -> None:
