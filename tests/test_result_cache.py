@@ -1385,6 +1385,48 @@ class TestDeltaRouting:
             cached.backend.close()
             reference.backend.close()
 
+    def test_a_thousand_unrouted_entries_share_a_bucket_copied_once(self, backend):
+        """Unrouted entries over one table share one routing bucket.  A
+        write that maintains them leaves the bucket shared with the
+        predecessor; the next admission copies it once, and the ones
+        after write the copy in place."""
+        cached, reference = loaded_pair(backend, chain_rows(1000, sets=(1,)))
+        try:
+
+            def span(low, high):
+                return EntityQuery(set_name(1), and_(
+                    Comparison("Id", ">=", low), Comparison("Id", "<=", high),
+                ))
+
+            queries = [span(key, key) for key in range(1000)]
+            admit(cached, queries)
+            before = result_stats(cached)
+            assert before.entries == 1000
+
+            def bucket():
+                return cached.epoch.results._entries._index._buckets.get("T1")
+
+            shared = bucket()
+            assert len(shared) == 1000
+            write_both(
+                cached, reference,
+                EntityOp("update", set_name(1), entity=entity1(5, "c0")),
+            )
+            after = result_stats(cached)
+            assert after.visited - before.visited == 1000
+            assert after.maintained == before.maintained + 1
+            assert bucket() is shared
+            admit(cached, [span(0, 1)])
+            copied = bucket()
+            assert copied is not shared and len(shared) == 1000
+            admit(cached, [span(0, 2)])
+            assert bucket() is copied and len(copied) == 1002
+            index_agrees_with_entries(cached.epoch.results)
+            assert_answers_agree(cached, reference, queries[:10] + [span(0, 2)])
+        finally:
+            cached.backend.close()
+            reference.backend.close()
+
     def test_visited_counts_only_the_entries_a_write_reaches(self, backend):
         cached, reference = loaded_pair(backend, chain_rows(1000, sets=(1,)))
         try:
