@@ -14,12 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Mapping, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Mapping, Tuple
 
 from repro.algebra.conditions import Condition, evaluate_condition
 from repro.algebra.queries import Col, Const, CtorExpr
 from repro.edm.instances import Entity
 from repro.errors import EvaluationError
+
+
+def _getter(keys) -> Callable:
+    """A function from a mapping to the tuple of its values under *keys*."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    keys = tuple(keys)
+    return lambda mapping: tuple(mapping[key] for key in keys)
 
 
 def _eval_expr(expr: CtorExpr, row: Mapping[str, object]) -> object:
@@ -76,30 +85,31 @@ class EntityCtor(Constructor):
         return EntityCtor(type_name, tuple((a, Col(a)) for a in attr_names))
 
     @cached_property
-    def _plan(self) -> Tuple[Tuple[str, bool, object], ...]:
-        """Per assignment, in attribute order (the order
-        :meth:`Entity.of` sorts values into): ``(attribute, True,
-        column)`` or ``(attribute, False, constant)``."""
-        plan = []
+    def _plan(self) -> Tuple[Tuple[str, ...], Callable, Dict[tuple, object]]:
+        """The attributes in the order :meth:`Entity.of` sorts values
+        into, a getter of their values from a row, and the constants it
+        reads under keys no column can have."""
+        attrs, keys, constants = [], [], {}
         for attr, expr in sorted(self.assignments, key=lambda pair: pair[0]):
+            attrs.append(attr)
             if isinstance(expr, Col):
-                plan.append((attr, True, expr.name))
+                keys.append(expr.name)
             elif isinstance(expr, Const):
-                plan.append((attr, False, expr.value))
+                keys.append((attr,))
+                constants[(attr,)] = expr.value
             else:
                 raise EvaluationError(f"unknown constructor expression {expr!r}")
-        return tuple(plan)
+        return tuple(attrs), _getter(keys), constants
 
     def construct(self, row: Mapping[str, object]) -> Entity:
-        values = []
-        for attr, column, source in self._plan:
-            if not column:
-                values.append((attr, source))
-            elif source in row:
-                values.append((attr, row[source]))
-            else:
-                raise EvaluationError(f"constructor references missing column {source!r}")
-        return Entity(self.type_name, tuple(values))
+        attrs, getter, constants = self._plan
+        try:
+            values = getter({**row, **constants} if constants else row)
+        except KeyError as exc:
+            raise EvaluationError(
+                f"constructor references missing column {exc.args[0]!r}"
+            ) from None
+        return Entity(self.type_name, tuple(zip(attrs, values)))
 
     def constructed_types(self) -> Tuple[str, ...]:
         return (self.type_name,)

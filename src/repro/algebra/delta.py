@@ -36,6 +36,7 @@ back to a correct non-incremental path.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.algebra.conditions import evaluate_condition
@@ -173,33 +174,36 @@ class SelectNode(RowwiseNode):
 
 
 class ProjectNode(RowwiseNode):
-    __slots__ = ("items", "_plan")
+    __slots__ = ("items", "_outputs", "_get", "_constants")
 
     def __init__(self, source: Node, items) -> None:
         self.items = items
         self.columns = tuple(item.output for item in items)
         self.sources = source.sources
-        #: per item: (output, True, constant) or (output, False, column)
-        self._plan = tuple(
-            (item.output, True, item.expr.value)
-            if isinstance(item.expr, Const)
-            else (item.output, False, item.expr.name)
-            for item in items
+        # a projected row holds its column items, then its constants
+        columns = [item for item in items if not isinstance(item.expr, Const)]
+        self._outputs = tuple(item.output for item in columns)
+        names = tuple(item.expr.name for item in columns)
+        self._get = itemgetter(*names) if len(names) > 1 else (
+            lambda row: tuple(row[name] for name in names)
         )
+        self._constants = {
+            item.output: item.expr.value
+            for item in items
+            if isinstance(item.expr, Const)
+        }
         self._chain(source, (None, self._project))
 
     def _project(self, row: RowDict) -> RowDict:
-        out: RowDict = {}
-        for output, constant, source in self._plan:
-            if constant:
-                out[output] = source
-            elif source in row:
-                out[output] = row[source]
-            else:
-                raise EvaluationError(
-                    f"projection references missing column {source!r} "
-                    f"(row has {sorted(k for k in row if k != TYPE_TAG)})"
-                )
+        try:
+            out = dict(zip(self._outputs, self._get(row)))
+        except KeyError as exc:
+            raise EvaluationError(
+                f"projection references missing column {exc.args[0]!r} "
+                f"(row has {sorted(k for k in row if k != TYPE_TAG)})"
+            ) from None
+        if self._constants:
+            out.update(self._constants)
         return out
 
     def make_probe(self, columns: Tuple[str, ...]) -> Probe:

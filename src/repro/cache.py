@@ -215,8 +215,8 @@ class LruCache:
             self.bound, self._cost_of, self._on_evict, self._stamp_of, index
         )
         clone.hits, clone.misses, clone.evictions, clone.invalidated = counters
-        clone._entries, clone._cost = entries, cost
         if carry is not None:
+            price = self._price
             for key in list(entries) if reach is None else reach(index):
                 value = entries.get(key, _MISSING)
                 if value is _MISSING:
@@ -224,7 +224,7 @@ class LruCache:
                 kept = carry(key, value)
                 if kept is value:
                     continue
-                clone._cost -= clone._price(value)
+                cost -= price(value)
                 if index is not None:
                     index.update(key, value, kept)
                 if kept is None:
@@ -232,7 +232,8 @@ class LruCache:
                     clone.invalidated += 1
                     continue
                 entries[key] = kept
-                clone._cost += clone._price(kept)
+                cost += price(kept)
+        clone._entries, clone._cost = entries, cost
         clone._trim()
         return clone
 

@@ -430,24 +430,25 @@ def _maintained_entry(entry: _Entry, rt: DeltaRuntime, fingerprint: str) -> _Ent
                     bags = list(entry.bags)
                     answer = entry.answer.successor(())
                 per = bags[bi] = bags[bi].successor()
+            if change < 0:
+                slot = per.pop(key)
+                count = -1 if slot is None else slot[1] + change
+                if count < 0:
+                    raise IvmError("negative multiplicity in a maintained result bag")
+                if count:
+                    per.insert(key, (slot[0], count, slot[2]))
+                else:
+                    answer.discard_item(slot[2])
+                    cost -= len(slot[0])
+                continue
             slot = per.get(key)
             if slot is None:
-                if change < 0:
-                    raise IvmError("negative multiplicity in a maintained result bag")
                 result = construct_row(entry.projection, entry.branches[bi], row)
                 per.insert(key, (row, change, result))
                 answer.add(result)
                 cost += len(row)
-                continue
-            count = slot[1] + change
-            if count < 0:
-                raise IvmError("negative multiplicity in a maintained result bag")
-            if count:
-                per[key] = (slot[0], count, slot[2])
             else:
-                per.pop(key)
-                answer.discard_item(slot[2])
-                cost -= len(slot[0])
+                per[key] = (slot[0], slot[1] + change, slot[2])
     if bags is None:
         return entry  # the answer is unchanged: carry it by reference
     return _Entry(
@@ -590,10 +591,10 @@ class _Routes:
                     for key in keys:
                         part = found.get(key)
                         if part is None:
-                            part = found[key] = StoreDelta()
+                            part = found[key] = StoreDelta({})
                         slice_ = part.tables.get(table)
                         if slice_ is None:
-                            slice_ = part.tables[table] = TableDelta(table)
+                            slice_ = part.tables[table] = TableDelta(table, [], [], [])
                         getattr(slice_, kind).append(item)
         return found
 
@@ -813,7 +814,7 @@ class ResultCache:
         def carry(full, entry: _Entry) -> Optional[_Entry]:
             nonlocal maintained, visited, fallbacks
             visited += 1
-            if not entry.maintainable:
+            if entry.roots is None:
                 return None
             part = parts[full]
             runtime = DeltaRuntime(
