@@ -96,6 +96,10 @@ class LruCache:
         #: insertion order is LRU order: least recently used first; a
         #: plain dict, so a successor copies it at C speed
         self._entries: Dict[Hashable, object] = {}
+        #: keys deleted from ``_entries`` since it was last rebuilt: each
+        #: leaves a dead slot that eviction, scanning from the front,
+        #: must skip until the dict is rebuilt
+        self._dead = 0
         self._cost = 0
         self._cost_of = cost
         self._on_evict = on_evict
@@ -114,6 +118,7 @@ class LruCache:
             if value is _MISSING:
                 self.misses += 1
                 return None
+            self._dead += 1
             if stamp is not None and self._stamp_of(value) != stamp:
                 self._cost -= self._price(value)
                 self._left(key, value)
@@ -135,6 +140,7 @@ class LruCache:
             value = self._entries.pop(key, _MISSING)
             if value is not _MISSING:
                 self.hits += 1
+                self._dead += 1
                 self._entries[key] = value
                 return value
         value = build()
@@ -181,6 +187,7 @@ class LruCache:
         with self.lock:
             dropped = list(self._entries.items())
             self._entries.clear()
+            self._dead = 0
             self._cost = 0
             self.invalidated += len(dropped)
             for key, value in dropped:
@@ -208,6 +215,7 @@ class LruCache:
         """
         with self.lock:
             entries = self._entries.copy()
+            dead = self._dead
             cost = self._cost
             counters = (self.hits, self.misses, self.evictions, self.invalidated)
             index = None if self._index is None else self._index.successor()
@@ -229,11 +237,12 @@ class LruCache:
                     index.update(key, value, kept)
                 if kept is None:
                     del entries[key]
+                    dead += 1
                     clone.invalidated += 1
                     continue
                 entries[key] = kept
                 cost += price(kept)
-        clone._entries, clone._cost = entries, cost
+        clone._entries, clone._dead, clone._cost = entries, dead, cost
         clone._trim()
         return clone
 
@@ -272,10 +281,18 @@ class LruCache:
         return value
 
     def _trim(self) -> None:
-        """Evict least recently used entries until the cost fits."""
+        """Evict least recently used entries until the cost fits.
+
+        Once dead slots outnumber the entries, the dict is rebuilt
+        first, so an eviction's scan from the front skips at most as
+        many dead slots as there are entries, at O(1) amortized cost
+        per deletion."""
         excess = self._cost - self.bound
         if excess <= 0:
             return
+        if self._dead > len(self._entries):
+            self._entries = dict(self._entries)
+            self._dead = 0
         victims = []
         for key, value in self._entries.items():
             if excess <= 0:
@@ -288,6 +305,7 @@ class LruCache:
 
     def _remove(self, key: Hashable, value) -> None:
         del self._entries[key]
+        self._dead += 1
         self._cost -= self._price(value)
         self._left(key, value)
 

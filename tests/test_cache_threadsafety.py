@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import OrderedDict
 
 import pytest
 
@@ -74,6 +75,23 @@ class TestLruCache:
         stats = cache.stats()
         assert (stats.entries, stats.cost, stats.bound) == (2, 8, 10)
         assert stats.evictions == 1
+
+    def test_lru_order_survives_rebuilds_of_a_dict_full_of_dead_slots(self):
+        """Hits and evictions leave dead slots in the LRU dict; eviction
+        rebuilds it once they outnumber the entries, and the order it
+        evicts in is still exactly least recently used first."""
+        cache = LruCache(8)
+        reference: "OrderedDict[int, int]" = OrderedDict()
+        for key in range(2000):
+            cache.put(key, key)
+            reference[key] = key
+            if len(reference) > 8:
+                reference.popitem(last=False)
+            hit = key - 5
+            if cache.get(hit) is not None:
+                reference.move_to_end(hit)
+            assert cache._dead <= 2 * len(cache._entries) + 1
+            assert list(cache._entries) == list(reference)
 
     def test_oversized_put_is_skipped_and_counted_as_an_eviction(self):
         cache = LruCache(3, cost=len)
