@@ -154,10 +154,9 @@ class RowwiseNode(Node):
 
 
 class SelectNode(RowwiseNode):
-    __slots__ = ("condition", "test")
+    __slots__ = ("test",)
 
-    def __init__(self, source: Node, condition, test: Test) -> None:
-        self.condition = condition
+    def __init__(self, source: Node, test: Test) -> None:
         self.test = test
         self.columns = source.columns
         self.sources = source.sources
@@ -371,9 +370,7 @@ def compile_delta(
         return leaf(query, context)
     if isinstance(query, Select):
         return SelectNode(
-            compile_delta(query.source, context, leaf, lower),
-            query.condition,
-            lower(query.condition),
+            compile_delta(query.source, context, leaf, lower), lower(query.condition)
         )
     if isinstance(query, Project):
         return ProjectNode(compile_delta(query.source, context, leaf, lower), query.items)
