@@ -16,6 +16,16 @@ reference, and one ``A{i}a`` association insert and one delete.  Each
 delete of a referenced table's row makes SQLite check the referrers'
 foreign keys, so the 10^4 to 10^5 slope also times those probes.
 
+Each size also reports ``layers_ms``: the median per-write self time of
+the six layers of ``save_delta`` — replay (``DeltaScript.apply_to``),
+writeplan lookup (``WriteplanCache.plan_for``), push
+(``push_client_delta``), store apply (the backend's ``apply_delta``),
+constraint check (``check_delta``; SQLite checks its foreign keys inside
+the store apply, so it reads 0 there) and result maintenance
+(``ResultCache.successor_for_delta``).  They are timed by wrapping the
+entry points ``benchmarks/e2e/e2e_trace.py`` patches; a layer's self
+time excludes the wrapped layers it calls.
+
 ``python benchmarks/bench_incremental_writes.py`` writes
 ``BENCH_incremental_writes.json`` for both backends;
 ``scripts/check_serving_regression.py`` gates on a >= 5x speedup at the
@@ -25,10 +35,15 @@ foreign keys, so the 10^4 to 10^5 slope also times those probes.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import json
 import os
 import statistics
 import time
+from collections import defaultdict
+from contextlib import contextmanager
+from typing import Dict, List
 
 import pytest
 
@@ -58,6 +73,64 @@ OPS_PER_SAVE = UPDATES_PER_SAVE + 6
 #: and inserts (LINK_SLOTS + r, LINK_SLOTS + r), so no round reuses one
 LINK_SLOTS = 128
 SMOKE = {"sizes": (10_000,), "rounds_whole": 2, "rounds_incremental": 3}
+
+#: (module, attribute path, layer): the entry points of save_delta's
+#: layers, as ``benchmarks/e2e/e2e_trace.py`` patches them (the engine
+#: looks ``push_client_delta`` up in its own module globals)
+LAYER_ENTRY_POINTS = (
+    ("repro.ivm.clientdelta", "DeltaScript.apply_to", "replay"),
+    ("repro.ivm.writeplan", "WriteplanCache.plan_for", "writeplan_lookup"),
+    ("repro.engine", "push_client_delta", "push"),
+    ("repro.backend.memory", "MemoryBackend.apply_delta", "store_apply"),
+    ("repro.backend.sqlite", "SqliteBackend.apply_delta", "store_apply"),
+    ("repro.backend.memory", "check_delta", "constraint_check"),
+    (
+        "repro.query.resultcache",
+        "ResultCache.successor_for_delta",
+        "result_maintenance",
+    ),
+)
+#: the layers every size reports, in request order
+LAYERS = tuple(dict.fromkeys(layer for _, _, layer in LAYER_ENTRY_POINTS))
+
+
+@contextmanager
+def _layer_split(seconds: Dict[str, float]):
+    """Add each wrapped layer's self time inside the block to
+    *seconds*: its duration minus the wrapped layers it calls."""
+    stack: List[List[float]] = []
+
+    def wrap(fn, layer):
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            frame = [0.0]  # seconds spent in wrapped callees
+            stack.append(frame)
+            started = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - started
+                stack.pop()
+                if stack:
+                    stack[-1][0] += elapsed
+                seconds[layer] += elapsed - frame[0]
+
+        return timed
+
+    undo = []
+    try:
+        for module_name, path, layer in LAYER_ENTRY_POINTS:
+            owner = importlib.import_module(module_name)
+            *outer, attr = path.split(".")
+            for part in outer:
+                owner = getattr(owner, part)
+            original = owner.__dict__[attr]
+            undo.append((owner, attr, original))
+            setattr(owner, attr, wrap(original, layer))
+        yield
+    finally:
+        for owner, attr, original in reversed(undo):
+            setattr(owner, attr, original)
 
 
 def _model() -> CompiledModel:
@@ -146,6 +219,7 @@ def _measure(
         # -- incremental path: the same batch shape through save_delta
         mirror = session.load().embed_into(model.client_schema)
         incremental_latencies = []
+        layer_samples: Dict[str, List[float]] = defaultdict(list)
         first = INCREMENTAL_FIRST_ROUND
         for round_no in range(first, first + rounds_incremental):
             script = _batch(per_set, round_no)
@@ -153,6 +227,18 @@ def _measure(
             started = time.perf_counter()
             session.save_delta(script)
             incremental_latencies.append(time.perf_counter() - started)
+        # the layer split, from a second pass of the same batch shape, so
+        # the wrappers' own cost stays out of the latencies above
+        for round_no in range(
+            first + rounds_incremental, first + 2 * rounds_incremental
+        ):
+            script = _batch(per_set, round_no)
+            script.apply_to(mirror)
+            seconds: Dict[str, float] = defaultdict(float)
+            with _layer_split(seconds):
+                session.save_delta(script)
+            for layer in LAYERS:
+                layer_samples[layer].append(seconds[layer])
 
         # verify as we measure: the incrementally-maintained store must
         # equal a from-scratch lowering of the mirrored client state
@@ -169,6 +255,10 @@ def _measure(
             "whole_state_ms": round(whole_ms, 3),
             "incremental_ms": round(incremental_ms, 3),
             "speedup": round(whole_ms / incremental_ms, 2) if incremental_ms else None,
+            "layers_ms": {
+                layer: round(statistics.median(layer_samples[layer]) * 1000.0, 4)
+                for layer in LAYERS
+            },
             "equivalent": equivalent,
             "writeplans": {
                 "hits": writeplans.hits,
@@ -210,6 +300,8 @@ def test_incremental_matches_whole_state(backend_name):
     )
     assert result["equivalent"]
     assert result["ivm_fallbacks"] == 0
+    assert set(result["layers_ms"]) == set(LAYERS)
+    assert result["layers_ms"]["push"] > 0
     assert result["writeplans"]["compiled"] >= 1
     # later rounds reuse the writeplan compiled in round one
     assert result["writeplans"]["hits"] >= result["writeplans"]["compiled"]

@@ -43,7 +43,10 @@ physical-plan layer exists to keep that from coming back.
   ``incremental_ms`` at 10^5 rows may be at most MAX_SLOPE× (2×) its
   value at 10^4 rows on every backend.  A ratio gate alone passed while
   both paths copied whole tables; ten times the rows at the same delta
-  must not cost ten times as much.
+  must not cost ten times as much;
+* every measured size must report ``layers_ms``, the per-write split of
+  ``save_delta`` into its six layers (WRITE_LAYERS), so a regression
+  shows which layer it is in.
 
 **BENCH_validation.json** — the validation-scaling gates:
 
@@ -133,6 +136,15 @@ GATED_SIZE = "100000"
 #: the slope gate: incremental_ms at GATED_SIZE over SLOPE_BASE_SIZE
 SLOPE_BASE_SIZE = "10000"
 MAX_SLOPE = 2.0
+#: the save_delta layers BENCH_incremental_writes.json splits each write into
+WRITE_LAYERS = (
+    "replay",
+    "writeplan_lookup",
+    "push",
+    "store_apply",
+    "constraint_check",
+    "result_maintenance",
+)
 #: the migration block's largest size over its smallest, at least
 MIGRATION_MIN_SPAN = 10
 DEFAULT_WARM_DISK_MIN_SPEEDUP = 5.0
@@ -244,6 +256,21 @@ def check_incremental(path: str) -> int:
                     file=sys.stderr,
                 )
                 failures += 1
+            layers = point.get("layers_ms") or {}
+            missing = [layer for layer in WRITE_LAYERS if layer not in layers]
+            if missing:
+                print(
+                    f"FAIL [{backend} @ {size}]: no per-layer save_delta "
+                    f"split for {missing} — regenerate the report with "
+                    "benchmarks/bench_incremental_writes.py",
+                    file=sys.stderr,
+                )
+                failures += 1
+            else:
+                print(
+                    "  save_delta layers (ms/write): "
+                    + ", ".join(f"{layer}={layers[layer]}" for layer in WRITE_LAYERS)
+                )
         gated = result["sizes"].get(GATED_SIZE)
         if gated is None:
             print(

@@ -59,6 +59,11 @@ class _RowContext:
 class Constructor:
     """Base class for τ expressions."""
 
+    def __getstate__(self) -> dict:
+        # a cached ``_plan`` holds closures: rebuilt on first use, never
+        # pickled (process-pool payloads carry the views)
+        return {k: v for k, v in self.__dict__.items() if k != "_plan"}
+
     def construct(self, row: Mapping[str, object]) -> object:
         raise NotImplementedError
 
@@ -153,8 +158,37 @@ class RowCtor(Constructor):
     def identity(table_name: str, column_names) -> "RowCtor":
         return RowCtor(table_name, tuple((c, Col(c)) for c in column_names))
 
+    @cached_property
+    def _plan(self) -> Tuple[Tuple[str, ...], Callable, Dict[tuple, object]]:
+        """The columns in canonical-row order, a getter of their values
+        from a row, and the constants it reads under keys no column can
+        have."""
+        columns, keys, constants = [], [], {}
+        for column, expr in sorted(self.assignments, key=lambda pair: pair[0]):
+            columns.append(column)
+            if isinstance(expr, Col):
+                keys.append(expr.name)
+            elif isinstance(expr, Const):
+                keys.append((column,))
+                constants[(column,)] = expr.value
+            else:
+                raise EvaluationError(f"unknown constructor expression {expr!r}")
+        return tuple(columns), _getter(keys), constants
+
     def construct(self, row: Mapping[str, object]) -> Dict[str, object]:
-        return {column: _eval_expr(expr, row) for column, expr in self.assignments}
+        return dict(self.construct_row(row))
+
+    def construct_row(self, row: Mapping[str, object]) -> Tuple[Tuple[str, object], ...]:
+        """The canonical store row built from *row*: its (column, value)
+        pairs sorted by column, as a store row is kept."""
+        columns, getter, constants = self._plan
+        try:
+            values = getter({**row, **constants} if constants else row)
+        except KeyError as exc:
+            raise EvaluationError(
+                f"constructor references missing column {exc.args[0]!r}"
+            ) from None
+        return tuple(zip(columns, values))
 
     def constructed_types(self) -> Tuple[str, ...]:
         return ()

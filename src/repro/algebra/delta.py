@@ -9,7 +9,9 @@ changed input rows into a signed stream of changed output rows, mirroring
 the bag semantics of :func:`repro.algebra.evaluate._evaluate` exactly:
 
 * scan      — supplied by the caller's *leaf* (the recorded ± rows);
-* select    — filter each signed row by the condition;
+* select    — filter each signed row by the condition, lowered to a
+  predicate closure once (a conjunct over a column the projection below
+  pins to a constant is decided at lowering);
 * project   — map each signed row through the projection items (a
   chain of selections and projections runs as one pass per row);
 * union-all — concatenate branch deltas, NULL-padded to the union width;
@@ -39,15 +41,26 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.algebra.conditions import evaluate_condition
+from repro.algebra.conditions import (
+    And,
+    Comparison,
+    FALSE,
+    Condition,
+    IsNotNull,
+    IsNull,
+    TrueCond,
+    and_,
+    compare_values,
+)
 from repro.algebra.evaluate import (
     TYPE_TAG,
     EvaluationContext,
     RowDict,
-    _RowConditionContext,
     join_key,
     join_rows,
     join_spec,
+    joined_row,
+    left_padded_row,
     output_columns,
 )
 from repro.algebra.queries import (
@@ -62,12 +75,14 @@ from repro.algebra.queries import (
     TableScan,
     UnionAll,
 )
+from repro.backend.physical import compile_predicate
 from repro.errors import EvaluationError, IvmError
 
 Signed = Tuple[int, RowDict]
 Probe = Callable[["DeltaRuntime", Tuple[object, ...], bool], List[RowDict]]
-#: a lowered selection condition: does this row pass it?
-Test = Callable[["DeltaRuntime", RowDict], bool]
+#: a lowered selection condition: does this row pass it, under the
+#: runtime's parameter values?
+Test = Callable[[RowDict, Tuple[object, ...]], bool]
 
 
 class DeltaRuntime:
@@ -113,16 +128,6 @@ class Node:
         raise NotImplementedError
 
 
-def interpret(condition) -> Test:
-    """*condition* as the interpreter evaluates it, against the runtime's
-    context (client rows' type atoms need the schema)."""
-
-    def test(rt: DeltaRuntime, row: RowDict) -> bool:
-        return evaluate_condition(condition, _RowConditionContext(row, rt.context))
-
-    return test
-
-
 class RowwiseNode(Node):
     """A selection or a projection: each input row yields at most one
     output row.  A chain of them over one source propagates a delta in
@@ -140,13 +145,18 @@ class RowwiseNode(Node):
             self.base, self.steps = source, (step,)
 
     def delta(self, rt: DeltaRuntime) -> List[Signed]:
+        return self.push(self.base.delta(rt), rt.params)
+
+    def push(self, signed: List[Signed], params: Tuple[object, ...]) -> List[Signed]:
+        """The chain's output for *signed*, rows of its ``base``: what
+        :meth:`delta` returns when the base's delta is *signed*."""
         out: List[Signed] = []
         steps = self.steps
-        for sign, row in self.base.delta(rt):
+        for sign, row in signed:
             for test, project in steps:
                 if project is not None:
                     row = project(row)
-                elif not test(rt, row):
+                elif not test(row, params):
                     break
             else:
                 out.append((sign, row))
@@ -167,7 +177,8 @@ class SelectNode(RowwiseNode):
         test = self.test
 
         def probe(rt: DeltaRuntime, values: Tuple[object, ...], old: bool) -> List[RowDict]:
-            return [r for r in source_probe(rt, values, old) if test(rt, r)]
+            params = rt.params
+            return [r for r in source_probe(rt, values, old) if test(r, params)]
 
         return probe
 
@@ -291,14 +302,18 @@ class JoinNode(Node):
         spec = self.spec
         padded = self.padded
         if not self.left.sources.isdisjoint(rt.touched):
-            # ΔL ⋈ R_new (⟕: each signed left row matches or NULL-pads)
+            # ΔL ⋈ R_new: each signed left row joins the rows its probe
+            # returns, all at its key (⟕: or NULL-pads when there are none)
+            right_probe = self.right_probe
+            on = self.on
             for sign, lrow in self.left.delta(rt):
-                key = join_key(lrow, self.on)
-                if key is None and not padded:
-                    continue  # NULL keys never join
-                found = self.right_probe(rt, key, False) if key is not None else []
-                for row in join_rows([lrow], found, spec, padded, False):
-                    out.append((sign, row))
+                key = join_key(lrow, on)  # NULL keys never join
+                found = right_probe(rt, key, False) if key is not None else ()
+                if found:
+                    for rrow in found:
+                        out.append((sign, joined_row(lrow, rrow, spec)))
+                elif padded:
+                    out.append((sign, left_padded_row(lrow, spec)))
         if not self.right.sources.isdisjoint(rt.touched):
             by_key: Dict[Tuple[object, ...], List[Signed]] = {}
             for sign, rrow in self.right.delta(rt):
@@ -353,14 +368,69 @@ class JoinNode(Node):
 Leaf = Callable[[Query, EvaluationContext], Node]
 
 
+def _constants(query: Query) -> Dict[str, object]:
+    """The output columns *query* pins to a constant: its projection's
+    ``Const`` items, seen through the selections above it."""
+    while isinstance(query, Select):
+        query = query.source
+    if not isinstance(query, Project):
+        return {}
+    return {
+        item.output: item.expr.value
+        for item in query.items
+        if isinstance(item.expr, Const)
+    }
+
+
+def _decided(atom: Condition, constants: Dict[str, object]) -> Optional[bool]:
+    """Whether *atom* holds on every row whose columns include
+    *constants*, or None when that depends on the row or a parameter."""
+    from repro.query.plancache import Param
+
+    attr = getattr(atom, "attr", None)
+    if attr not in constants:
+        return None
+    value = constants[attr]
+    if isinstance(atom, IsNull):
+        return value is None
+    if isinstance(atom, IsNotNull):
+        return value is not None
+    if isinstance(atom, Comparison) and not isinstance(atom.const, Param):
+        if value is None:
+            return False
+        try:
+            return compare_values(value, atom.op, atom.const)
+        except EvaluationError:
+            return None  # raise at run time, per row, as the evaluator does
+    return None
+
+
+def _folded(condition: Condition, constants: Dict[str, object]) -> Condition:
+    """*condition* with each top-level conjunct over a constant column
+    decided at lowering (``_from0 = True`` over ``True AS _from0``)."""
+    if not constants:
+        return condition
+    kept: List[Condition] = []
+    conjuncts = condition.operands if isinstance(condition, And) else (condition,)
+    for atom in conjuncts:
+        holds = _decided(atom, constants)
+        if holds is None:
+            kept.append(atom)
+        elif not holds:
+            return FALSE
+    return and_(*kept)
+
+
 def compile_delta(
     query: Query,
     context: EvaluationContext,
     leaf: Leaf,
-    lower: Callable[[object], Test] = interpret,
+    lower: Callable[[Condition], Test] = compile_predicate,
 ) -> Node:
     """Lower *query*'s delta rules; *leaf* lowers each scan and *lower*
-    each selection condition.
+    each selection condition to a predicate closure (by default the
+    physical plans' memoized one, whose placeholders read the runtime's
+    parameters and whose type atoms raise, as on store rows).
 
     *context* only supplies static column lists, so a schema-only
     context is enough.  A leaf raises :class:`IvmError` for scans it
@@ -369,9 +439,11 @@ def compile_delta(
     if isinstance(query, (SetScan, AssociationScan, TableScan)):
         return leaf(query, context)
     if isinstance(query, Select):
-        return SelectNode(
-            compile_delta(query.source, context, leaf, lower), lower(query.condition)
-        )
+        source = compile_delta(query.source, context, leaf, lower)
+        condition = _folded(query.condition, _constants(query.source))
+        if isinstance(condition, TrueCond):
+            return source  # every row passes
+        return SelectNode(source, lower(condition))
     if isinstance(query, Project):
         return ProjectNode(compile_delta(query.source, context, leaf, lower), query.items)
     if isinstance(query, UnionAll):

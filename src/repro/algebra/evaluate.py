@@ -356,6 +356,26 @@ def build_join_index(
     return index
 
 
+def joined_row(left_row: RowDict, right_row: RowDict, spec: JoinSpec) -> RowDict:
+    """One matched pair's output row: the left columns, shared non-join
+    columns COALESCEd from the right, then the right-only columns."""
+    combined = {c: left_row.get(c) for c in spec.left_columns}
+    for column in spec.coalesced:
+        if combined.get(column) is None:
+            combined[column] = right_row.get(column)
+    for column in spec.right_only:
+        combined[column] = right_row.get(column)
+    return combined
+
+
+def left_padded_row(left_row: RowDict, spec: JoinSpec) -> RowDict:
+    """An unmatched left row, its right-only columns NULL."""
+    combined = {c: left_row.get(c) for c in spec.left_columns}
+    for column in spec.right_only:
+        combined[column] = None
+    return combined
+
+
 def join_rows(
     left_rows: Sequence[RowDict],
     right_rows: Sequence[RowDict],
@@ -376,9 +396,6 @@ def join_rows(
     join_columns = spec.join_columns
     if index is None:
         index = build_join_index(right_rows, join_columns)
-    left_columns = spec.left_columns
-    coalesced = spec.coalesced
-    right_only = spec.right_only
     result: List[RowDict] = []
     matched_right: set = set()
     for left_row in left_rows:
@@ -386,19 +403,10 @@ def join_rows(
         matches = index.get(key, ()) if key is not None else ()
         if matches:
             for right_row in matches:
-                combined = {c: left_row.get(c) for c in left_columns}
-                for column in coalesced:
-                    if combined.get(column) is None:
-                        combined[column] = right_row.get(column)
-                for column in right_only:
-                    combined[column] = right_row.get(column)
-                result.append(combined)
+                result.append(joined_row(left_row, right_row, spec))
             matched_right.add(key)
         elif left_pad:
-            combined = {c: left_row.get(c) for c in left_columns}
-            for column in right_only:
-                combined[column] = None
-            result.append(combined)
+            result.append(left_padded_row(left_row, spec))
     if right_pad:
         for right_row in right_rows:
             key = join_key(right_row, join_columns)
@@ -407,7 +415,7 @@ def join_rows(
             combined = {c: None for c in spec.left_only}
             for column in spec.shared:
                 combined[column] = right_row.get(column)
-            for column in right_only:
+            for column in spec.right_only:
                 combined[column] = right_row.get(column)
             result.append(combined)
     return result

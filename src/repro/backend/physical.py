@@ -12,7 +12,10 @@ form" applied to the serving path):
   row dicts, memoized process-wide by hash-consed condition identity.
   Extracted :class:`~repro.query.plancache.Param` constants are fetched
   from the bound parameter vector at call time, so binding a warm plan
-  is free: the same compiled plan serves every parameter vector.
+  is free: the same compiled plan serves every parameter vector.  Given
+  a client schema, ``IS OF`` atoms test a client row's type tag against
+  the type set the schema fixes at compile time (the write path's update
+  views); such predicates are bound to that schema and never memoized.
 * **predicate pushdown** — pushable conjuncts (comparisons and IS NOT
   NULL tests: both are false on NULL, and row-local) sink through
   selects, projections (column renames; pinned constants fold at compile
@@ -70,6 +73,7 @@ from repro.algebra.conditions import (
     TrueCond,
     and_,
     compare_values,
+    has_type_atoms,
 )
 from repro.algebra.evaluate import (
     TYPE_TAG,
@@ -117,16 +121,48 @@ def _is_param(value: object) -> bool:
 _PREDICATES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def compile_predicate(condition: Condition) -> Predicate:
-    """The memoized predicate closure for *condition*."""
+def compile_predicate(condition: Condition, schema=None) -> Predicate:
+    """The predicate closure for *condition*, memoized unless it is bound
+    to *schema*.
+
+    Without a schema, ``IS OF`` atoms raise on every row they meet, as
+    the interpreter does on store tuples.  With a
+    :class:`~repro.edm.schema.ClientSchema`, ``IS OF T`` tests a client
+    row's type tag against T and the types the schema places under it,
+    and ``IS OF ONLY T`` against T alone; the set is fixed now, so the
+    closure serves only this schema version and stays out of the memo.
+    """
+    if schema is not None and has_type_atoms(condition):
+        return _compile(condition, schema)
     try:
         cached = _PREDICATES.get(condition)
     except TypeError:  # unhashable (never for real conditions): no memo
-        return _compile(condition)
+        return _compile(condition, None)
     if cached is None:
-        cached = _compile(condition)
+        cached = _compile(condition, None)
         _PREDICATES[condition] = cached
     return cached
+
+
+def _type_predicate(types, schema) -> Predicate:
+    """A client row's type tag is one of *types*; rows without a tag
+    raise like the interpreter's."""
+    if schema is None:
+        def pred(row, params):
+            raise EvaluationError(
+                "tuple has no type tag; IS OF is client-side only"
+            )
+        return pred
+
+    def pred(row, params):
+        concrete = row.get(TYPE_TAG)
+        if concrete is None:
+            raise EvaluationError(
+                "tuple has no type tag; IS OF is client-side only"
+            )
+        return concrete in types
+
+    return pred
 
 
 def _comparison_predicate(attr: str, op: str, const: object) -> Predicate:
@@ -166,7 +202,7 @@ def _comparison_predicate(attr: str, op: str, const: object) -> Predicate:
     return pred
 
 
-def _compile(condition: Condition) -> Predicate:
+def _compile(condition: Condition, schema) -> Predicate:
     if isinstance(condition, TrueCond):
         return lambda row, params: True
     if isinstance(condition, FalseCond):
@@ -181,15 +217,19 @@ def _compile(condition: Condition) -> Predicate:
         return lambda row, params: row.get(attr) is not None
     if isinstance(condition, Comparison):
         return _comparison_predicate(condition.attr, condition.op, condition.const)
-    if isinstance(condition, (IsOf, IsOfOnly)):
-        # store tuples carry no type tag; match the interpreter's error
-        def raise_no_tag(row, params):
-            raise EvaluationError(
-                "tuple has no type tag; IS OF is client-side only"
-            )
-        return raise_no_tag
+    if isinstance(condition, IsOfOnly):
+        return _type_predicate(frozenset((condition.type_name,)), schema)
+    if isinstance(condition, IsOf):
+        name = condition.type_name
+        # a type the schema lacks is no row's ancestor: the set is empty
+        types = frozenset(
+            schema.descendants_or_self(name)
+            if schema is not None and schema.has_entity_type(name)
+            else ()
+        )
+        return _type_predicate(types, schema)
     if isinstance(condition, And):
-        parts = tuple(compile_predicate(op) for op in condition.operands)
+        parts = tuple(compile_predicate(op, schema) for op in condition.operands)
         if len(parts) == 2:
             first, second = parts
             return lambda row, params: (
@@ -197,7 +237,7 @@ def _compile(condition: Condition) -> Predicate:
             )
         return lambda row, params: all(p(row, params) for p in parts)
     if isinstance(condition, Or):
-        parts = tuple(compile_predicate(op) for op in condition.operands)
+        parts = tuple(compile_predicate(op, schema) for op in condition.operands)
         if len(parts) == 2:
             first, second = parts
             return lambda row, params: (
@@ -205,7 +245,7 @@ def _compile(condition: Condition) -> Predicate:
             )
         return lambda row, params: any(p(row, params) for p in parts)
     if isinstance(condition, Not):
-        inner = compile_predicate(condition.operand)
+        inner = compile_predicate(condition.operand, schema)
         return lambda row, params: not inner(row, params)
     raise EvaluationError(f"unknown condition node {condition!r}")
 

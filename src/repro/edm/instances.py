@@ -100,35 +100,9 @@ class ClientState:
         return entity.key_tuple(self.schema.key_of(entity.concrete_type))
 
     def _validate_entity(self, set_name: str, entity: Entity) -> Tuple[object, ...]:
-        """Schema-check one entity against *set_name*; returns its key."""
-        entity_set = self.schema.entity_set(set_name)
-        if entity.concrete_type not in self.schema.descendants_or_self(entity_set.root_type):
-            raise SchemaError(
-                f"type {entity.concrete_type!r} does not belong to set {set_name!r}"
-            )
-        if self.schema.entity_type(entity.concrete_type).abstract:
-            raise SchemaError(
-                f"cannot instantiate abstract type {entity.concrete_type!r}"
-            )
-        expected = set(self.schema.attribute_names_of(entity.concrete_type))
-        provided = {name for name, _ in entity.values}
-        if expected != provided:
-            raise SchemaError(
-                f"entity of {entity.concrete_type!r} must assign exactly {sorted(expected)}, "
-                f"got {sorted(provided)}"
-            )
-        for name, value in entity.values:
-            attribute = self.schema.attribute_of(entity.concrete_type, name)
-            if value is None:
-                if not attribute.nullable:
-                    raise SchemaError(
-                        f"attribute {name!r} of {entity.concrete_type!r} is not nullable"
-                    )
-            elif not attribute.domain.contains(value):
-                raise SchemaError(
-                    f"value {value!r} outside domain of {entity.concrete_type}.{name}"
-                )
-        return self.entity_key(entity)
+        """Schema-check one entity against *set_name*; returns its key.
+        The check is the schema's, built once per (set, concrete type)."""
+        return self.schema.entity_check(set_name, entity.concrete_type)(entity.values)
 
     def add_entity(self, set_name: str, entity: Entity) -> Entity:
         if set_name not in self._entities:

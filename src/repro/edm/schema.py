@@ -20,6 +20,43 @@ from repro.edm.types import Attribute
 from repro.errors import SchemaError
 
 
+class EntityCheck:
+    """One (entity set, concrete type)'s instance check, derived from the
+    schema once: the attributes an entity must assign, each one's
+    nullability and domain, and the key it is stored under."""
+
+    __slots__ = ("type_name", "names", "attributes", "key")
+
+    def __init__(self, type_name: str, attributes, key: Tuple[str, ...]) -> None:
+        self.type_name = type_name
+        self.names = frozenset(a.name for a in attributes)
+        self.attributes = {a.name: a for a in attributes}
+        self.key = key
+
+    def __call__(self, values: Tuple[Tuple[str, object], ...]) -> Tuple[object, ...]:
+        """Check an entity's values; returns its key."""
+        provided = {name for name, _ in values}
+        if provided != self.names:
+            raise SchemaError(
+                f"entity of {self.type_name!r} must assign exactly {sorted(self.names)}, "
+                f"got {sorted(provided)}"
+            )
+        attributes = self.attributes
+        for name, value in values:
+            attribute = attributes[name]
+            if value is None:
+                if not attribute.nullable:
+                    raise SchemaError(
+                        f"attribute {name!r} of {self.type_name!r} is not nullable"
+                    )
+            elif not attribute.domain.contains(value):
+                raise SchemaError(
+                    f"value {value!r} outside domain of {self.type_name}.{name}"
+                )
+        mapping = dict(values)
+        return tuple(mapping[k] for k in self.key)
+
+
 class ClientSchema:
     """An EDM-subset client schema.
 
@@ -33,11 +70,20 @@ class ClientSchema:
         self._children: Dict[str, List[str]] = {}
         self._sets: Dict[str, EntitySet] = {}
         self._associations: Dict[str, AssociationSet] = {}
+        #: (set, concrete type) -> its entity check; every mutator clears
+        #: it, and neither :meth:`clone` nor a pickle carries it
+        self._checks: Dict[Tuple[str, str], EntityCheck] = {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_checks"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # Construction / mutation
     # ------------------------------------------------------------------
     def add_entity_type(self, entity_type: EntityType) -> EntityType:
+        self._checks = {}
         if entity_type.name in self._types:
             raise SchemaError(f"entity type {entity_type.name!r} already exists")
         if entity_type.parent is not None:
@@ -58,6 +104,7 @@ class ClientSchema:
         return entity_type
 
     def add_entity_set(self, entity_set: EntitySet) -> EntitySet:
+        self._checks = {}
         if entity_set.name in self._sets:
             raise SchemaError(f"entity set {entity_set.name!r} already exists")
         if entity_set.root_type not in self._types:
@@ -72,6 +119,7 @@ class ClientSchema:
         return entity_set
 
     def add_association(self, association: AssociationSet) -> AssociationSet:
+        self._checks = {}
         if association.name in self._associations:
             raise SchemaError(f"association {association.name!r} already exists")
         for end, set_name in (
@@ -98,6 +146,7 @@ class ClientSchema:
 
     def drop_entity_type(self, name: str) -> EntityType:
         """Remove a leaf entity type with no associations touching it."""
+        self._checks = {}
         entity_type = self.entity_type(name)
         if self._children.get(name):
             raise SchemaError(f"cannot drop {name!r}: it has subtypes {self._children[name]}")
@@ -116,12 +165,14 @@ class ClientSchema:
         return entity_type
 
     def drop_association(self, name: str) -> AssociationSet:
+        self._checks = {}
         if name not in self._associations:
             raise SchemaError(f"association {name!r} does not exist")
         return self._associations.pop(name)
 
     def drop_entity_set(self, name: str) -> EntitySet:
         """Remove an entity set no association references (delta inverses)."""
+        self._checks = {}
         if name not in self._sets:
             raise SchemaError(f"entity set {name!r} does not exist")
         for association in self._associations.values():
@@ -134,6 +185,7 @@ class ClientSchema:
 
     def drop_attribute(self, type_name: str, attr_name: str) -> Attribute:
         """Remove a non-key attribute declared on ``type_name`` itself."""
+        self._checks = {}
         entity_type = self.entity_type(type_name)
         if attr_name in entity_type.key:
             raise SchemaError(f"cannot drop key attribute {attr_name!r} of {type_name!r}")
@@ -154,6 +206,7 @@ class ClientSchema:
 
     def add_attribute(self, type_name: str, attribute: Attribute) -> None:
         """Add an attribute to an existing entity type (the AddProperty SMO)."""
+        self._checks = {}
         entity_type = self.entity_type(type_name)
         taken = {a.name for a in self.attributes_of(type_name)}
         taken.update(
@@ -174,7 +227,8 @@ class ClientSchema:
         )
 
     def clone(self) -> "ClientSchema":
-        """Return an independent snapshot (types are immutable, so shallow)."""
+        """Return an independent snapshot (types are immutable, so shallow;
+        the entity checks are rebuilt on demand)."""
         other = ClientSchema()
         other._types = dict(self._types)
         other._children = {k: list(v) for k, v in self._children.items()}
@@ -325,6 +379,30 @@ class ClientSchema:
 
     def key_of(self, type_name: str) -> Tuple[str, ...]:
         return self.entity_type(self.root_of(type_name)).key
+
+    def entity_check(self, set_name: str, concrete_type: str) -> "EntityCheck":
+        """The check an entity of *concrete_type* in *set_name* must pass,
+        built once per schema version.  Raises :class:`SchemaError` when
+        no such entity can exist: an unknown set, a type outside the
+        set's hierarchy, or an abstract type."""
+        check = self._checks.get((set_name, concrete_type))
+        if check is None:
+            entity_set = self.entity_set(set_name)
+            if concrete_type not in self.descendants_or_self(entity_set.root_type):
+                raise SchemaError(
+                    f"type {concrete_type!r} does not belong to set {set_name!r}"
+                )
+            if self.entity_type(concrete_type).abstract:
+                raise SchemaError(
+                    f"cannot instantiate abstract type {concrete_type!r}"
+                )
+            check = EntityCheck(
+                concrete_type,
+                self.attributes_of(concrete_type),
+                self.key_of(concrete_type),
+            )
+            self._checks[(set_name, concrete_type)] = check
+        return check
 
     def declaring_type(self, type_name: str, attr_name: str) -> str:
         """The type in the ancestor chain that declares *attr_name*."""

@@ -14,11 +14,17 @@ DML: a row whose count rises from zero is an INSERT, one whose count
 falls to zero is a DELETE, and :func:`repro.query.dml.classify_rows`
 pairs them into UPDATEs identically to a whole-state diff.
 
-Plans are lowered once per view and cached in :class:`WriteplanCache`
-under the same delta-scoped invalidation discipline as the read-side
-:class:`~repro.query.plancache.PlanCache`; at run time the delta's
-active sources decide which subtrees propagate, so e.g. an
-association-only delta skips the entity union entirely.
+Everything a write derives from the model alone is derived once per
+model.  A plan's selections are predicate closures whose ``IS OF`` type
+sets the client schema fixed at lowering, and its row constructor
+builds each canonical store row directly.  Plans are lowered once per
+view slice and cached in :class:`WriteplanCache` under the same
+delta-scoped invalidation discipline as the read-side
+:class:`~repro.query.plancache.PlanCache`, and each model resolves every
+table's plan and scanned sources once, so a write's plan lookup is a
+dict lookup.  At run time the delta's active sources decide which views
+and subtrees propagate, so e.g. an association-only delta skips the
+entity union entirely.
 
 Any query shape or multiplicity invariant the rules cannot maintain
 raises :class:`~repro.errors.IvmError`; the engine then falls back to a
@@ -27,8 +33,8 @@ whole-state save, which is always correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.algebra.delta import (
     DeltaRuntime,
@@ -46,6 +52,7 @@ from repro.algebra.evaluate import (
     evaluate_query_bag,
 )
 from repro.algebra.queries import AssociationScan, Query, SetScan
+from repro.backend.physical import compile_predicate
 from repro.cache import CacheStats, LruCache
 from repro.containment.cache import client_slice_tokens
 from repro.edm.instances import ClientState, Entity
@@ -53,7 +60,7 @@ from repro.errors import IvmError
 from repro.fingerprint import fingerprint
 from repro.ivm.clientdelta import ClientDelta
 from repro.query.dml import StoreDelta, classify_rows
-from repro.relational.instances import Row, row_from_mapping
+from repro.relational.instances import Row
 
 
 def _entity_row(entity: Entity) -> RowDict:
@@ -215,8 +222,9 @@ class Writeplan:
 
     def run(self, rt: DeltaRuntime) -> Dict[Row, int]:
         net: Dict[Row, int] = {}
+        construct_row = self.constructor.construct_row
         for sign, row in self.root.delta(rt):
-            out = row_from_mapping(self.constructor.construct(row))
+            out = construct_row(row)
             total = net.get(out, 0) + sign
             if total:
                 net[out] = total
@@ -226,9 +234,13 @@ class Writeplan:
 
 
 def compile_writeplan(view, schema) -> Writeplan:
-    """Lower one update view's delta rules."""
+    """Lower one update view's delta rules against *schema*: its
+    selections become predicates whose type atoms test the schema's type
+    sets, so the plan serves this schema version only."""
     context = ClientContext(ClientState(schema))  # schema-only: columns are static
-    root = compile_delta(view.query, context, client_leaf)
+    root = compile_delta(
+        view.query, context, client_leaf, lambda c: compile_predicate(c, schema)
+    )
     return Writeplan(view.table_name, root, view.constructor)
 
 
@@ -244,12 +256,31 @@ def _scanned_sources(view) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     return tuple(sets), tuple(assocs)
 
 
+class _Resolved:
+    """What one model's writes look up: each update view with the
+    sources it scans, in table order, and each table's writeplan once
+    resolved."""
+
+    __slots__ = ("model", "views", "plans")
+
+    def __init__(self, model) -> None:
+        self.model = model
+        #: (table, view, entity sets and associations it scans)
+        self.views: Tuple[Tuple[str, object, FrozenSet[str]], ...] = tuple(
+            (name, view, frozenset(sum(_scanned_sources(view), ())))
+            for name, view in sorted(model.views.update_views.items())
+        )
+        #: table -> (its view, the view's writeplan)
+        self.plans: Dict[str, Tuple[object, Writeplan]] = {}
+
+
 #: lowered writeplans one engine keeps
 WRITEPLAN_CACHE_SIZE = 256
 
 
 class WriteplanCache:
-    """LRU of lowered writeplans keyed by (table, view-slice fingerprint).
+    """LRU of lowered writeplans keyed by (table, view-slice fingerprint),
+    plus the current model's resolution of them.
 
     The fingerprint covers the view structure *and* the client-schema
     slice its scans read (:func:`client_slice_tokens`), so any evolution
@@ -258,24 +289,52 @@ class WriteplanCache:
     sources a :class:`MappingDelta`'s touched neighborhood reaches —
     mirroring the read-side :class:`~repro.query.plancache.PlanCache`
     discipline.  Data-only writes never invalidate writeplans.
+
+    A model resolves each table's plan through the LRU once (so views an
+    SMO left alone stay hot across it); later lookups under the same
+    model are dict lookups, counted as hits.  The resolution belongs to
+    one model object and goes when another model asks, or when an
+    evolve or undo invalidates.
     """
 
     def __init__(self) -> None:
         self._plans = LruCache(WRITEPLAN_CACHE_SIZE)
+        self._resolved: Optional[_Resolved] = None
+        #: lookups the current model's resolution answered
+        self._resolved_hits = 0
+
+    def _for(self, model) -> _Resolved:
+        resolved = self._resolved
+        if resolved is None or resolved.model is not model:
+            resolved = self._resolved = _Resolved(model)
+        return resolved
+
+    def views(self, model) -> Tuple[Tuple[str, object, FrozenSet[str]], ...]:
+        """*model*'s update views in table order, each as (table, view,
+        the entity sets and associations it scans)."""
+        return self._for(model).views
 
     def plan_for(self, model, view) -> Writeplan:
+        resolved = self._for(model)
+        held = resolved.plans.get(view.table_name)
+        if held is not None and held[0] is view:
+            self._resolved_hits += 1
+            return held[1]
         schema = model.client_schema
         sets, assocs = _scanned_sources(view)
         slice_fp = fingerprint(
             view, client_slice_tokens(schema, sets=sorted(sets), assocs=sorted(assocs))
         )
-        return self._plans.get_or_build(
+        plan = self._plans.get_or_build(
             (view.table_name, slice_fp),
             lambda: compile_writeplan(view, schema),  # may raise IvmError
         )
+        resolved.plans[view.table_name] = (view, plan)
+        return plan
 
     def invalidate(self, delta, mapping) -> int:
         """Evict exactly the writeplans a :class:`MappingDelta` can stale."""
+        self._resolved = None
         stale = delta.stale_region(mapping)
         touched_sources = stale.sets | stale.assocs
         schema = mapping.client_schema
@@ -295,10 +354,12 @@ class WriteplanCache:
         return self._plans.invalidate(is_stale)
 
     def clear(self) -> int:
+        self._resolved = None
         return self._plans.clear()
 
     def stats(self) -> CacheStats:
-        return self._plans.stats()
+        stats = self._plans.stats()
+        return replace(stats, hits=stats.hits + self._resolved_hits)
 
 
 class IncrementalWriteState:
@@ -332,8 +393,9 @@ def seed_counts(model, state: ClientState) -> Dict[str, Dict[Row, int]]:
     counts: Dict[str, Dict[Row, int]] = {}
     for table_name, view in model.views.update_views.items():
         per: Dict[Row, int] = {}
+        construct_row = view.constructor.construct_row
         for row in evaluate_query_bag(view.query, context):
-            out = row_from_mapping(view.constructor.construct(row))
+            out = construct_row(row)
             per[out] = per.get(out, 0) + 1
         counts[table_name] = per
     return counts
@@ -356,10 +418,8 @@ def push_client_delta(
     rt = DeltaRuntime(delta, state, ClientContext(state), delta.sources())
     store_delta = StoreDelta()
     pending: List[Tuple[str, Dict[Row, int]]] = []
-    for table_name in sorted(model.views.update_views):
-        view = model.views.update_views[table_name]
-        sets, assocs = _scanned_sources(view)
-        if rt.touched.isdisjoint(sets) and rt.touched.isdisjoint(assocs):
+    for table_name, view, sources in cache.views(model):
+        if rt.touched.isdisjoint(sources):
             continue
         plan = cache.plan_for(model, view)
         net = plan.run(rt)

@@ -51,7 +51,7 @@ def apply_update_views(
             continue
         for row in evaluate_query(update_view.query, context):
             store_state.add_row(
-                update_view.table_name, update_view.constructor.construct(row)
+                update_view.table_name, update_view.constructor.construct_row(row)
             )
     return store_state
 

@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple
 
 from repro.algebra.conditions import And, Comparison, Condition
@@ -89,8 +88,8 @@ from repro.algebra.delta import (
     DeltaRuntime,
     Node,
     Probe,
+    RowwiseNode,
     Signed,
-    Test,
     compile_delta,
     never_probe,
 )
@@ -102,10 +101,9 @@ from repro.algebra.evaluate import (
     row_key,
 )
 from repro.algebra.queries import Col, Project, Query, Select, TableScan
-from repro.backend.physical import compile_predicate
 from repro.cache import STALE, CacheStats, LruCache
 from repro.errors import EvaluationError, IvmError
-from repro.query.dml import StoreDelta, TableDelta
+from repro.query.dml import StoreDelta
 from repro.query.plancache import Param
 from repro.query.unfold import UnfoldedBranch, UnfoldedQuery, construct_row
 from repro.relational.instances import (
@@ -283,20 +281,12 @@ class Lowered:
     pins: Optional[Tuple[Pin, ...]]
 
 
-def _lower_test(condition: Condition) -> Test:
-    """*condition* compiled as physical plans compile it, its
-    placeholders read from the runtime's parameters: store rows carry no
-    type tag, so no context is needed."""
-    predicate = compile_predicate(condition)
-    return lambda rt, row: predicate(row, rt.params)
-
-
 def lower_plan(unfolded: UnfoldedQuery, schema: StoreSchema) -> Lowered:
     """Lower the branches of one plan shape for the result tier."""
     try:
         context = StoreContext(StoreState(schema))
         roots = tuple(
-            compile_delta(branch.store_query, context, table_leaf, _lower_test)
+            compile_delta(branch.store_query, context, table_leaf)
             for branch in unfolded.branches
         )
     except (IvmError, EvaluationError):
@@ -393,28 +383,57 @@ def build_entry(
     )
 
 
-def _maintained_entry(entry: _Entry, rt: DeltaRuntime, fingerprint: str) -> _Entry:
-    """*entry* with the delta applied: the entry itself when the delta
-    leaves its answer unchanged, else a successor — O(|Δ|) plus the
-    copy-on-write of the partitions and chunks it touches.
+#: per branch, the signed output rows a write gives it; None when the
+#: write leaves the branch alone
+BranchDeltas = List[Optional[List[Signed]]]
 
-    The delta rules' signed rows are netted per row before they are
-    applied: a join whose two sides change at one key emits a row's
-    removal in one term and its re-derivation in another, and only the
-    sum is the change.  Raises :class:`IvmError` when a net count would
-    go negative (the caller invalidates instead)."""
-    roots = entry.roots
-    if roots is None:
-        raise IvmError("entry shape is not maintainable")
+
+def _unrouted_deltas(entry: _Entry, rt: DeltaRuntime) -> BranchDeltas:
+    """Each branch's signed rows under the whole write, through its
+    delta rules (the branches scanning no touched table get None)."""
     touched = rt.touched
+    return [
+        None if root.sources.isdisjoint(touched) else root.delta(rt)
+        for root in entry.roots
+    ]
+
+
+def _routed_deltas(entry: _Entry, rows: Dict[str, List[Signed]]) -> BranchDeltas:
+    """Each branch's signed rows from the signed store *rows* of each
+    table that reach the entry (:meth:`_Routes.reached`).  A routed
+    branch is a chain of selections and projections over one table
+    scan, so its rows run through the chain's steps, with no runtime."""
+    deltas: BranchDeltas = []
+    for root in entry.roots:
+        (table,) = root.sources
+        signed = rows.get(table)
+        if signed is not None and isinstance(root, RowwiseNode):
+            signed = root.push(signed, entry.values)
+        deltas.append(signed)
+    return deltas
+
+
+def _maintained_entry(
+    entry: _Entry, deltas: BranchDeltas, fingerprint: str
+) -> _Entry:
+    """*entry* with each branch's signed rows *deltas* applied: the entry
+    itself when they leave its answer unchanged, else a successor —
+    O(|Δ|) plus the copy-on-write of the partitions and chunks it
+    touches.
+
+    The signed rows are netted per row before they are applied: a join
+    whose two sides change at one key emits a row's removal in one term
+    and its re-derivation in another, and only the sum is the change.
+    Raises :class:`IvmError` when a net count would go negative (the
+    caller invalidates instead)."""
     answer: Optional[ChunkedRows] = None
     bags: Optional[List[PartitionedMap]] = None
     cost = entry.cost
-    for bi, root in enumerate(roots):
-        if root.sources.isdisjoint(touched):
+    for bi, signed in enumerate(deltas):
+        if not signed:
             continue
         net: Dict[RowKey, list] = {}
-        for sign, row in root.delta(rt):
+        for sign, row in signed:
             key = row_key(row)
             held = net.get(key)
             if held is None:
@@ -455,7 +474,7 @@ def _maintained_entry(entry: _Entry, rt: DeltaRuntime, fingerprint: str) -> _Ent
         values=entry.values,
         projection=entry.projection,
         branches=entry.branches,
-        roots=roots,
+        roots=entry.roots,
         bags=tuple(bags),
         answer=answer,
         tables=entry.tables,
@@ -555,47 +574,52 @@ class _Routes:
 
     def reached(
         self, delta: StoreDelta, touched: FrozenSet[str]
-    ) -> Dict[Hashable, Optional[StoreDelta]]:
+    ) -> Dict[Hashable, Optional[Dict[str, List[Signed]]]]:
         """The entries *delta* can change, each with what it must see.
 
         A routed entry is reached through a row carrying one of its pins
         — a deleted or inserted row, or either side of an update — and
-        gets the part of *delta* made of those rows: every other row
-        fails the pinned conjunct of each of its branches.  An unrouted
-        entry over a touched table gets None: all of *delta*.  Pins are
-        found by the evaluator's ``=``, one hash probe per row and
-        pinned column.
+        gets the signed rows of *delta* it must see, per table: those
+        rows, as ``(-1, row)`` for a deleted row or an update's old side
+        and ``(+1, row)`` for an inserted one or an update's new side.
+        Every other row fails the pinned conjunct of each of its
+        branches.  An unrouted entry over a touched table gets None: all
+        of *delta*.  Pins are found by the evaluator's ``=``, one hash
+        probe per row and pinned column.
         """
-        found: Dict[Hashable, Optional[StoreDelta]] = {}
+        found: Dict[Hashable, Optional[Dict[str, List[Signed]]]] = {}
+        route = self._buckets.get
         for table in touched:
-            found.update(self._buckets.get(table, ()))
+            found.update(route(table, ()))
             columns = self._columns.get(table)
             if not columns:
                 continue
             td = delta.tables[table]
-            for kind, items in (
-                ("deletes", td.deletes),
-                ("inserts", td.inserts),
-                ("updates", td.updates),
-            ):
-                for item in items:
-                    keys: Dict[Hashable, None] = {}
-                    for row in item if kind == "updates" else (item,):
-                        view = row_view(row)
-                        for column in columns:
-                            value = view.get(column)
-                            if value is not None:
-                                keys.update(
-                                    self._buckets.get((table, column, value), ())
-                                )
-                    for key in keys:
-                        part = found.get(key)
-                        if part is None:
-                            part = found[key] = StoreDelta({})
-                        slice_ = part.tables.get(table)
-                        if slice_ is None:
-                            slice_ = part.tables[table] = TableDelta(table, [], [], [])
-                        getattr(slice_, kind).append(item)
+            changes = [((-1, row_view(row)),) for row in td.deletes]
+            changes += [((+1, row_view(row)),) for row in td.inserts]
+            changes += [
+                ((-1, row_view(old)), (+1, row_view(new))) for old, new in td.updates
+            ]
+            for signed in changes:
+                keys: Optional[Dict[Hashable, None]] = None
+                for _sign, view in signed:
+                    for column in columns:
+                        value = view.get(column)
+                        if value is None:
+                            continue
+                        bucket = route((table, column, value))
+                        if bucket:
+                            if keys is None:
+                                keys = dict(bucket)
+                            else:
+                                keys.update(bucket)
+                if keys is None:
+                    continue
+                for key in keys:
+                    rows = found.get(key)
+                    if rows is None:
+                        rows = found[key] = {}
+                    rows.setdefault(table, []).extend(signed)
         return found
 
 
@@ -805,7 +829,7 @@ class ResultCache:
         """
         rt = read_runtime(delta, state)
         maintained = visited = fallbacks = 0
-        parts: Dict[Hashable, Optional[StoreDelta]] = {}
+        parts: Dict[Hashable, Optional[Dict[str, List[Signed]]]] = {}
 
         def reach(routes: _Routes) -> List[Hashable]:
             parts.update(routes.reached(delta, rt.touched))
@@ -816,16 +840,18 @@ class ResultCache:
             visited += 1
             if entry.roots is None:
                 return None
-            part = parts[full]
-            runtime = DeltaRuntime(
-                delta if part is None else part,
-                state,
-                rt.context,
-                rt.touched if part is None else frozenset(part.tables),
-                entry.values,
-            )
+            rows = parts[full]
             try:
-                fresh = _maintained_entry(entry, runtime, fingerprint)
+                if rows is None:
+                    deltas = _unrouted_deltas(
+                        entry,
+                        DeltaRuntime(
+                            delta, state, rt.context, rt.touched, entry.values
+                        ),
+                    )
+                else:
+                    deltas = _routed_deltas(entry, rows)
+                fresh = _maintained_entry(entry, deltas, fingerprint)
             except (IvmError, EvaluationError):
                 fallbacks += 1
                 return None

@@ -438,15 +438,15 @@ class StoreState:
         if rows.shared:
             rows = self._rows[table_name] = rows.successor(declared_keys(table))
         canonical = row_from_mapping(row) if isinstance(row, Mapping) else row
+        expected, columns = table.row_check
         provided = {name for name, _ in canonical}
-        expected = set(table.column_names)
         if provided != expected:
             raise SchemaError(
                 f"row for {table_name!r} must assign exactly {sorted(expected)}, "
                 f"got {sorted(provided)}"
             )
         for name, value in canonical:
-            column = table.column(name)
+            column = columns[name]
             if value is None:
                 if not column.nullable:
                     raise SchemaError(

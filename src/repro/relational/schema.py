@@ -10,6 +10,7 @@ the incremental compiler (Sections 3.1.4 and 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.edm.types import Domain, STRING
@@ -106,6 +107,16 @@ class Table:
     @property
     def column_names(self) -> Tuple[str, ...]:
         return tuple(c.name for c in self.columns)
+
+    @cached_property
+    def row_check(self) -> Tuple[frozenset, Dict[str, Column]]:
+        """What a row must satisfy, derived once per table: the column
+        names it must assign exactly, and each column by name."""
+        return frozenset(self.column_names), {c.name: c for c in self.columns}
+
+    def __getstate__(self) -> dict:
+        # the cached row check is rebuilt on first use, never pickled
+        return {k: v for k, v in self.__dict__.items() if k != "row_check"}
 
     def __str__(self) -> str:
         cols = ", ".join(str(c) for c in self.columns)

@@ -17,7 +17,7 @@ from tests.test_compiled_plans import _fk_schema
 from repro.backend import SqliteBackend
 from repro.backend.sqlgen import delta_statements, grouped_delta_statements
 from repro.edm.instances import ClientState, Entity
-from repro.errors import IvmError, SchemaError
+from repro.errors import EvaluationError, IvmError, SchemaError
 from repro.ivm import AssociationOp, ClientDelta, DeltaScript, EntityOp
 from repro.query.dml import StoreDelta, TableDelta, apply_delta
 from repro.relational.instances import StoreState, make_row
@@ -249,6 +249,212 @@ class TestWriteplanCache:
         assert stats["writeplans"]["misses"] >= 1
         assert stats["writeplans"]["entries"] >= 1
         service.close()
+
+
+def _delta_shape(delta: StoreDelta) -> dict:
+    """A StoreDelta's content, order-blind within each table."""
+    return {
+        name: (sorted(td.inserts), sorted(td.deletes), sorted(td.updates))
+        for name, td in delta.tables.items()
+        if not td.empty
+    }
+
+
+def _twin_sessions(model, backend):
+    if backend == "sqlite":
+        return (
+            OrmSession(model, backend=SqliteBackend(model.store_schema)),
+            OrmSession(model, backend=SqliteBackend(model.store_schema)),
+        )
+    return OrmSession(model), OrmSession(model)
+
+
+def _saved_both(inc: OrmSession, ref: OrmSession, script: DeltaScript) -> None:
+    """Save *script* incrementally on *inc* and whole-state on *ref*; the
+    two must publish the same StoreDelta and store."""
+    scratch = ref.load()
+    script.apply_to(scratch)
+    expected = ref.save(scratch)
+    got = inc.save_delta(script)
+    assert _delta_shape(got) == _delta_shape(expected)
+    assert inc.backend.snapshot() == ref.backend.snapshot()
+    assert inc.serving_stats().epoch.ivm_fallbacks == 0
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+class TestPerModelLowering:
+    """What a write derives from the model is derived once per model: an
+    evolve and its undo each get writeplans lowered against their own
+    schema, never a plan resolved under the model before."""
+
+    def test_add_property_and_undo_match_whole_state_twin(self, backend):
+        from repro.edm import STRING, Attribute
+        from repro.incremental.add_property import AddProperty
+        from repro.workloads.paper_example import mapping_stage3
+
+        model = compiled(mapping_stage3())
+        inc, ref = _twin_sessions(model, backend)
+        try:
+            state = ClientState(model.client_schema)
+            state.add_entity("Persons", Entity.of("Person", Id=1, Name="ann"))
+            state.add_entity(
+                "Persons", Entity.of("Employee", Id=2, Name="bob", Department="hr")
+            )
+            inc.save(state)
+            ref.save(state)
+            # resolve every plan under the first model
+            _saved_both(inc, ref, DeltaScript((
+                EntityOp(
+                    "update", "Persons",
+                    entity=Entity.of("Employee", Id=2, Name="bo", Department="it"),
+                ),
+            )))
+            smo = AddProperty(
+                "Employee", Attribute("Title", STRING, nullable=True), "Emp", "Title"
+            )
+            inc.evolve(smo)
+            ref.evolve(smo)
+            _saved_both(inc, ref, DeltaScript((
+                EntityOp(
+                    "update", "Persons",
+                    entity=Entity.of(
+                        "Employee", Id=2, Name="bo", Department="it", Title="boss"
+                    ),
+                ),
+                EntityOp(
+                    "insert", "Persons",
+                    entity=Entity.of(
+                        "Employee", Id=3, Name="cy", Department="hr", Title="new"
+                    ),
+                ),
+            )))
+            assert make_row(Id=3, Dept="hr", Title="new") in inc.store_state.rows("Emp")
+            inc.undo()
+            ref.undo()
+            _saved_both(inc, ref, DeltaScript((
+                EntityOp(
+                    "update", "Persons",
+                    entity=Entity.of("Employee", Id=2, Name="b2", Department="ops"),
+                ),
+                EntityOp("delete", "Persons", key=(1,)),
+            )))
+        finally:
+            inc.backend.close()
+            ref.backend.close()
+
+    def test_plans_resolve_once_per_model(self, backend):
+        session = stage1_session(backend)
+        try:
+            session.save(ann_state(session.model.client_schema))
+            for name in ("x", "y", "z", "w"):
+                session.save_delta(DeltaScript((
+                    EntityOp(
+                        "update", "Persons",
+                        entity=Entity.of("Person", Id=1, Name=name),
+                    ),
+                )))
+            stats = session.serving_stats().writeplans
+            # the first write compiles; the other three hit the model's
+            # resolution without consulting the fingerprint-keyed LRU
+            assert (stats.misses, stats.hits) == (1, 3)
+            assert session.writeplans._plans.stats().hits == 0
+        finally:
+            session.backend.close()
+
+
+class TestClientTypePredicates:
+    """Writeplan selections compile ``IS OF`` against a type set the
+    client schema fixes at lowering; they must select exactly what the
+    interpreter selects, over TPT and TPH hierarchies alike."""
+
+    CONDITIONS = (
+        "IsOf('Person')", "IsOf('Employee')", "IsOfOnly('Person')",
+        "IsOfOnly('Employee')", "Not(IsOf('Employee'))",
+        "or_(IsOfOnly('Person'), IsOf('Employee'))",
+        "Not(or_(IsOfOnly('Person'), IsOf('Customer')))",
+        "and_(IsOf('Person'), Not(IsOfOnly('Person')))",
+        "or_(IsOf('Nobody'), Comparison('Id', '>', 2))",
+    )
+
+    @pytest.mark.parametrize("stage", ["stage3", "stage4"])
+    def test_compiled_type_tests_match_the_interpreter(self, stage):
+        from repro.algebra.conditions import (  # noqa: F401 (eval'd names)
+            Comparison, IsOf, IsOfOnly, Not, and_, evaluate_condition, or_,
+        )
+        from repro.algebra.evaluate import ClientContext, _RowConditionContext
+        from repro.algebra.queries import SetScan
+        from repro.backend.physical import compile_predicate
+        from repro.workloads import paper_example
+
+        schema = getattr(paper_example, f"client_schema_{stage}")()
+        state = ClientState(schema)
+        state.add_entity("Persons", Entity.of("Person", Id=1, Name="a"))
+        state.add_entity(
+            "Persons", Entity.of("Employee", Id=2, Name="b", Department="d")
+        )
+        state.add_entity(
+            "Persons",
+            Entity.of("Customer", Id=3, Name="c", CredScore=1, BillAddr="x"),
+        )
+        context = ClientContext(state)
+        rows = context.scan_rows(SetScan("Persons"))
+        for text in self.CONDITIONS:
+            condition = eval(text)
+            predicate = compile_predicate(condition, schema)
+            compiled_ids = [r["Id"] for r in rows if predicate(r, ())]
+            interpreted_ids = [
+                r["Id"]
+                for r in rows
+                if evaluate_condition(condition, _RowConditionContext(r, context))
+            ]
+            assert compiled_ids == interpreted_ids, text
+
+    def test_tph_hierarchy_type_tests(self):
+        from repro.algebra.conditions import IsOf, IsOfOnly, Not, evaluate_condition
+        from repro.algebra.evaluate import ClientContext, _RowConditionContext
+        from repro.algebra.queries import SetScan
+        from repro.backend.physical import compile_predicate
+        from repro.stategen import random_client_state
+        from repro.workloads.hub_rim import hub_rim_mapping
+
+        schema = hub_rim_mapping(2, 2, "TPH").client_schema
+        state = random_client_state(schema, seed=3, entities_per_set=6)
+        context = ClientContext(state)
+        checked = 0
+        for entity_set in schema.entity_sets:
+            rows = context.scan_rows(SetScan(entity_set.name))
+            for type_name in schema.descendants_or_self(entity_set.root_type):
+                for condition in (
+                    IsOf(type_name), IsOfOnly(type_name), Not(IsOf(type_name))
+                ):
+                    predicate = compile_predicate(condition, schema)
+                    for row in rows:
+                        assert predicate(row, ()) == evaluate_condition(
+                            condition, _RowConditionContext(row, context)
+                        ), (condition, row)
+                        checked += 1
+        assert checked
+
+    def test_type_sets_are_bound_to_their_schema(self):
+        """Two schema versions get two predicates: a subtype added by an
+        evolve is under ``IS OF Employee`` only in the evolved schema."""
+        from repro.algebra.conditions import IsOf
+        from repro.algebra.evaluate import TYPE_TAG
+        from repro.backend.physical import compile_predicate
+        from repro.edm import Attribute, EntityType
+        from repro.workloads.paper_example import client_schema_stage3
+
+        before = client_schema_stage3()
+        after = before.clone()
+        after.add_entity_type(
+            EntityType("Manager", parent="Employee", attributes=(Attribute("Level"),))
+        )
+        row = {TYPE_TAG: "Manager", "Id": 1}
+        condition = IsOf("Employee")
+        assert compile_predicate(condition, after)(row, ()) is True
+        assert compile_predicate(condition, before)(row, ()) is False
+        with pytest.raises(EvaluationError):  # store rows carry no tag
+            compile_predicate(condition)({"Id": 1}, ())
 
 
 # ---------------------------------------------------------------------------
